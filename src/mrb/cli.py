@@ -17,10 +17,16 @@ from . import core, modules, opring, parser as expr, tensor
 from .core import PreconditionError
 from .linalg import Matrix, Subspace, format_rational, frac
 from .modules import ClosureViolationError
+from .operated import FreeOperatedModule
 
 
 class InputError(ValueError):
     pass
+
+
+def _message(exc: Exception) -> str:
+    # str() of a KeyError is the repr of its message
+    return str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
 
 
 def _load_json(path: str):
@@ -42,7 +48,7 @@ def _load_instance(arg: str) -> core.MrbAlgebraInstance:
     try:
         return core.catalog_instance(arg)
     except KeyError as exc:
-        raise InputError(str(exc))
+        raise InputError(_message(exc))
 
 
 def _verified_instance(arg: str) -> core.MrbAlgebraInstance:
@@ -63,6 +69,8 @@ def _load_module(path: str):
 
 def _load_hom(path: str) -> modules.ModuleHom:
     doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise InputError(f"malformed hom document {path}: not a JSON object")
     try:
         source = modules.module_from_json(doc["source"])
         target = modules.module_from_json(doc["target"])
@@ -113,47 +121,38 @@ def _cmd_normalize(args):
     ring = opring.OperatorRing(inst)
     ast = expr.parse_expression(args.expression)
     if any(t.kind == "operated" for _, t in ast.terms):
-        # mixable-tensor words: translate, reduce, translate back
-        from .operated import FreeOperatedModule, OperatedElement, OperatedWord
         gens = sorted({t.gen for _, t in ast.terms if t.gen is not None})
-        fom = FreeOperatedModule(inst, gens)
-        element = expr.bind_operated_expression(ast, fom)
-        translated = ring.from_operated(element)
-        nf = ring.free_module_normal_form(translated)
-        back = OperatedElement.from_dict({
-            OperatedWord(w.slots, w.ops, g): c for w, g, c in nf.terms
-        })
-        return 0, {
-            "command": "normalize",
-            "input": expr.print_operated_element(element, inst),
-            "normal_form": expr.print_operated_element(back, inst),
-            "applications": sum(ring._nf_word(w)[1] for w, _, _ in translated.terms),
-            "strategy": "leftmost-innermost",
-        }
-    element = expr.bind_op_expression(ast, ring)
+        element = expr.bind_operated_expression(ast, FreeOperatedModule(inst, gens))
+        printer = expr.print_operated_element
+    else:
+        element = expr.bind_op_expression(ast, ring)
+        printer = expr.print_free_module_element
     if isinstance(element, opring.FreeModuleElement):
-        before = expr.print_free_module_element(element, inst)
         out = ring.free_module_normal_form(element)
-        text = expr.print_free_module_element(out, inst)
-        apps = sum(ring._nf_word(w)[1] for w, _, _ in element.terms)
+        apps = sum(ring._nf_word(w)[1] for (w, _), _ in element.terms)
     else:
         report = ring.normalize(element)
-        before = expr.print_op_element(element, inst)
-        text = expr.print_op_element(report.output, inst)
-        apps = report.applications
+        out, apps, printer = report.output, report.applications, expr.print_op_element
     return 0, {
         "command": "normalize",
-        "input": before,
-        "normal_form": text,
+        "input": printer(element, inst),
+        "normal_form": printer(out, inst),
         "applications": apps,
         "strategy": "leftmost-innermost",
     }
 
 
+def _max_qdegree(args) -> int:
+    if args.max_qdegree < 0:
+        raise InputError("--max-qdegree must be nonnegative")
+    return args.max_qdegree
+
+
 def _cmd_confluence(args):
+    max_qdegree = _max_qdegree(args)
     inst = _verified_instance(args.instance)
     ring = opring.OperatorRing(inst)
-    probe = ring.confluence_probe(args.max_qdegree)
+    probe = ring.confluence_probe(max_qdegree)
     entries = []
     for d in probe.discrepancies:
         entries.append({
@@ -161,12 +160,12 @@ def _cmd_confluence(args):
             "normal_forms": [expr.print_op_element(nf, inst) for nf in d.normal_forms],
             "witnesses": [expr.print_op_element(wt, inst) for wt in d.witnesses],
             "witness_in_ideal": [
-                ring.ideal_contains(wt, args.max_qdegree) for wt in d.witnesses
+                ring.ideal_contains(wt, max_qdegree) for wt in d.witnesses
             ],
         })
     report = {
         "command": "confluence",
-        "max_qdegree": args.max_qdegree,
+        "max_qdegree": max_qdegree,
         "probed": probe.probed,
         "discrepancies": entries,
     }
@@ -174,12 +173,13 @@ def _cmd_confluence(args):
 
 
 def _cmd_oracle(args):
+    max_qdegree = _max_qdegree(args)
     inst = _verified_instance(args.instance)
     ring = opring.OperatorRing(inst)
-    res = ring.truncated_quotient_oracle(args.max_qdegree)
+    res = ring.truncated_quotient_oracle(max_qdegree)
     return 0, {
         "command": "oracle",
-        "max_qdegree": args.max_qdegree,
+        "max_qdegree": max_qdegree,
         "word_count": res.word_count,
         "relation_rank": res.relation_rank,
         "dim": res.dim,
@@ -192,6 +192,9 @@ def _cmd_quotient(args):
     if mod.side != "left":
         raise InputError("quotient expects a left module document")
     vectors = json.loads(args.relations)
+    if not isinstance(vectors, list) or any(
+            not isinstance(v, list) or len(v) != mod.dim for v in vectors):
+        raise InputError(f"relations must be a JSON array of length-{mod.dim} vectors")
     sub = Subspace.spanned_by(mod.dim, [tuple(frac(x) for x in v) for v in vectors])
     out, proj = modules.quotient_module(mod, sub, with_projection=True)
     rep = modules.check_left_module(out)
@@ -277,7 +280,6 @@ def _cmd_reweight(args):
             mod = modules.module_from_json(doc)
             if mod.side != "left":
                 raise InputError("reweight expects a left module document")
-            core.check_mrb_identity(mod.inst)
             out = modules.reweight_module(mod, rspec)
             rep = modules.check_left_module(out)
             return (0 if rep.ok else 1), {
@@ -354,11 +356,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-qdegree", type=int, default=3,
                         help="truncation degree for rewriting checks (default 3)")
-    common.add_argument("--max-depth", type=int, default=4,
-                        help="depth cap for word enumerations (default 4)")
     common.add_argument("--pretty", action="store_true", help="indent the JSON report")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sweeps")
 
     p = argparse.ArgumentParser(prog="mrb", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)
@@ -455,7 +453,7 @@ def main(argv=None, stdout=None) -> int:
     try:
         code, report = args.func(args)
     except (InputError, expr.ExpressionError, KeyError, json.JSONDecodeError) as exc:
-        _emit({"command": args.verb, "error": str(exc)}, args.pretty, stdout)
+        _emit({"command": args.verb, "error": _message(exc)}, args.pretty, stdout)
         return 2
     except (PreconditionError, ClosureViolationError, ValueError) as exc:
         _emit({"command": args.verb, "error": str(exc)}, args.pretty, stdout)

@@ -53,18 +53,6 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Fraction, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
-
-
 def is_zero_vector(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
@@ -350,9 +338,6 @@ class QuotientSpace:
 
     def section_matrix(self) -> Matrix:
         return Matrix.from_cols(self.section, rows=self.ambient_dim)
-
-    def project_vector(self, v: Sequence) -> Vector:
-        return self.project.apply(v)
 
 
 def quotient_space(ambient_dim: int, relations: Sequence[Vector]) -> QuotientSpace:

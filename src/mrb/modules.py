@@ -787,6 +787,8 @@ def module_to_json(mod: FdLeftModule | FdRightModule | FdBimodule) -> dict:
 
 
 def module_from_json(doc: Mapping) -> FdLeftModule | FdRightModule | FdBimodule:
+    if not isinstance(doc, Mapping):
+        raise ValueError("a module document must be a JSON object")
     side = doc.get("side", "left")
     inst = load_instance(doc["instance"])
     check_mrb_identity(inst)

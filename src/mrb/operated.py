@@ -1,11 +1,15 @@
 """The free operated module on a generator set, built from mixable tensors.
 
 Words have the shape r1 (x) w1 (x) r2 (x) ... (x) rn (x) x: algebra slots
-interleaved with operator labels, closed by a generator.  The depth of a
-word is its slot count n; prepending operators raises depth by one and the
-algebra action multiplies into the leading slot, so elements are graded by
-depth.  Slots hold basis indices; words with general vector slots expand
-multilinearly, which makes equality a coefficient comparison.
+interleaved with operator labels, closed by a generator.  Such a word is the
+pair (r1 Q[w1] r2 ... rn, x) of an operator word and a generator, so
+elements are `mrb.opring.FreeModuleElement`s, the same type as the free
+module over the operator ring.  The depth of a word is its slot count n, one
+more than the q_degree of its operator word; prepending operators raises
+depth by one and the algebra action multiplies into the leading slot, so
+elements are graded by depth.  Slots hold basis indices; words with general
+vector slots expand multilinearly, which makes equality a coefficient
+comparison.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import Mapping, Sequence
 from .core import MrbAlgebraInstance, PreconditionError
 from .linalg import Vector, frac, vector
 from .modules import FdLeftModule
+from .opring import FreeModuleElement, OpWord, basis_word, expand_word
 
 
 @dataclass(frozen=True)
@@ -35,70 +40,6 @@ class GeneratorSet:
             raise KeyError(f"unknown generator {name!r}") from None
 
 
-@dataclass(frozen=True)
-class OperatedWord:
-    """Pure tensor word of depth len(slots) ending in a generator."""
-
-    slots: tuple[int, ...]
-    ops: tuple[str, ...]
-    gen: str
-
-    def __post_init__(self):
-        if len(self.slots) == 0 or len(self.slots) != len(self.ops) + 1:
-            raise ValueError("word needs n >= 1 slots and n - 1 operator labels")
-
-    @property
-    def depth(self) -> int:
-        return len(self.slots)
-
-    def sort_key(self):
-        return (self.depth, self.gen, self.slots, self.ops)
-
-
-@dataclass(frozen=True)
-class OperatedElement:
-    """Finitely supported combination of operated words, canonically ordered
-    by (depth, generator, slots, operator labels)."""
-
-    terms: tuple[tuple[OperatedWord, Fraction], ...]
-
-    @classmethod
-    def from_dict(cls, terms: Mapping[OperatedWord, Fraction]) -> "OperatedElement":
-        items = sorted(terms.items(), key=lambda t: t[0].sort_key())
-        return cls(tuple((w, c) for w, c in items if c != 0))
-
-    @classmethod
-    def zero(cls) -> "OperatedElement":
-        return cls(())
-
-    def as_dict(self) -> dict[OperatedWord, Fraction]:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "OperatedElement") -> "OperatedElement":
-        out = self.as_dict()
-        for w, c in other.terms:
-            out[w] = out.get(w, Fraction(0)) + c
-        return OperatedElement.from_dict(out)
-
-    def __sub__(self, other: "OperatedElement") -> "OperatedElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "OperatedElement":
-        c = frac(c)
-        if c == 0:
-            return OperatedElement.zero()
-        return OperatedElement(tuple((w, c * k) for w, k in self.terms))
-
-    def max_depth(self) -> int:
-        return max((w.depth for w, _ in self.terms), default=0)
-
-    def depth_component(self, n: int) -> "OperatedElement":
-        return OperatedElement(tuple((w, c) for w, c in self.terms if w.depth == n))
-
-
 class FreeOperatedModule:
     """Mixable-tensor model of the free operated module on X."""
 
@@ -106,86 +47,68 @@ class FreeOperatedModule:
         self.inst = inst
         self.gens = generators if isinstance(generators, GeneratorSet) else GeneratorSet(tuple(generators))
 
-    def word(self, slots: Sequence[int], ops: Sequence[str], gen: str) -> OperatedWord:
-        d = self.inst.dim
-        for i in slots:
-            if not 0 <= i < d:
-                raise ValueError(f"slot index {i} out of range")
-        for w in ops:
-            if w not in self.inst.omega:
-                raise KeyError(f"unknown operator label {w!r}")
+    def word(self, slots: Sequence[int], ops: Sequence[str], gen: str) -> tuple[OpWord, str]:
+        w = basis_word(self.inst, slots, ops)
         self.gens.index(gen)
-        return OperatedWord(tuple(slots), tuple(ops), gen)
+        return w, gen
 
-    def element(self, slots: Sequence[int], ops: Sequence[str], gen: str, coeff=1) -> OperatedElement:
-        return OperatedElement.from_dict({self.word(slots, ops, gen): frac(coeff)})
+    def element(self, slots: Sequence[int], ops: Sequence[str], gen: str, coeff=1) -> FreeModuleElement:
+        return FreeModuleElement.from_dict({self.word(slots, ops, gen): frac(coeff)})
 
-    def word_element(self, vectors: Sequence[Sequence], ops: Sequence[str], gen: str) -> OperatedElement:
+    def word_element(self, vectors: Sequence[Sequence], ops: Sequence[str], gen: str) -> FreeModuleElement:
         """Multilinear expansion of a word with general vector slots."""
-        if len(vectors) != len(ops) + 1:
-            raise ValueError("need one more slot vector than operator labels")
-        vecs = [vector(v) for v in vectors]
-        terms: dict[OperatedWord, Fraction] = {}
-        for combo in itertools.product(*(range(self.inst.dim) for _ in vecs)):
-            c = Fraction(1)
-            for v, i in zip(vecs, combo):
-                c *= v[i]
-                if c == 0:
-                    break
-            if c == 0:
-                continue
-            w = self.word(combo, ops, gen)
-            terms[w] = terms.get(w, Fraction(0)) + c
-        return OperatedElement.from_dict(terms)
+        self.gens.index(gen)
+        terms = expand_word(self.inst, vectors, ops)
+        return FreeModuleElement.from_dict({(w, gen): c for w, c in terms.items()})
 
-    def generator(self, name: str) -> OperatedElement:
+    def generator(self, name: str) -> FreeModuleElement:
         """The image of a generator, 1_R (x) x."""
         return self.word_element([self.inst.algebra.unit], [], name)
 
     # -- structure maps ------------------------------------------------------
 
-    def act(self, r: Sequence, e: OperatedElement) -> OperatedElement:
+    def act(self, r: Sequence, e: FreeModuleElement) -> FreeModuleElement:
         """Multiply the leading slot of every word by the algebra element r."""
         r = vector(r)
         alg = self.inst.algebra
-        out: dict[OperatedWord, Fraction] = {}
-        for w, c in e.terms:
+        out: dict[tuple[OpWord, str], Fraction] = {}
+        for (w, g), c in e.terms:
             prod = alg.multiply(r, alg.basis_vector(w.slots[0]))
             for t, a in enumerate(prod):
                 if a == 0:
                     continue
-                nw = OperatedWord((t,) + w.slots[1:], w.ops, w.gen)
-                out[nw] = out.get(nw, Fraction(0)) + c * a
-        return OperatedElement.from_dict(out)
+                key = (OpWord((t,) + w.slots[1:], w.ops), g)
+                out[key] = out.get(key, Fraction(0)) + c * a
+        return FreeModuleElement.from_dict(out)
 
-    def apply_operator(self, label: str, e: OperatedElement) -> OperatedElement:
+    def apply_operator(self, label: str, e: FreeModuleElement) -> FreeModuleElement:
         """Prepend 1_R (x) label; depth rises by exactly one."""
         if label not in self.inst.omega:
             raise KeyError(f"unknown operator label {label!r}")
         unit = self.inst.algebra.unit
-        out: dict[OperatedWord, Fraction] = {}
-        for w, c in e.terms:
+        out: dict[tuple[OpWord, str], Fraction] = {}
+        for (w, g), c in e.terms:
             for t, a in enumerate(unit):
                 if a == 0:
                     continue
-                nw = OperatedWord((t,) + w.slots, (label,) + w.ops, w.gen)
-                out[nw] = out.get(nw, Fraction(0)) + c * a
-        return OperatedElement.from_dict(out)
+                key = (OpWord((t,) + w.slots, (label,) + w.ops), g)
+                out[key] = out.get(key, Fraction(0)) + c * a
+        return FreeModuleElement.from_dict(out)
 
     # -- enumeration ---------------------------------------------------------
 
-    def basis_words(self, max_depth: int = 4, min_depth: int = 1) -> list[OperatedWord]:
+    def basis_words(self, max_depth: int = 4, min_depth: int = 1) -> list[tuple[OpWord, str]]:
+        """Basis words by depth, then generator, slots and labels."""
         d = self.inst.dim
         out = []
         for n in range(max(min_depth, 1), max_depth + 1):
             for gen in self.gens.names:
                 for slots in itertools.product(range(d), repeat=n):
                     for ops in itertools.product(self.inst.omega, repeat=n - 1):
-                        out.append(OperatedWord(slots, ops, gen))
-        out.sort(key=OperatedWord.sort_key)
+                        out.append((OpWord(slots, ops), gen))
         return out
 
-    def ideal_generators(self, max_depth: int = 4) -> list[OperatedElement]:
+    def ideal_generators(self, max_depth: int = 4) -> list[FreeModuleElement]:
         """Defect elements of the coupled axiom over basis data.
 
         For each basis r, each basis word a of depth <= max_depth and each
@@ -202,7 +125,7 @@ class FreeOperatedModule:
         out = []
         alg = self.inst.algebra
         for a_word in self.basis_words(max_depth):
-            a_elem = OperatedElement.from_dict({a_word: Fraction(1)})
+            a_elem = FreeModuleElement.from_dict({a_word: Fraction(1)})
             for i in range(alg.dim):
                 r = alg.basis_vector(i)
                 for alpha in self.inst.omega:
@@ -258,18 +181,18 @@ class OperatedModuleHom:
     def image_of(self, gen: str) -> Vector:
         return self.images[self.module.gens.index(gen)]
 
-    def evaluate_word(self, w: OperatedWord) -> Vector:
+    def evaluate_word(self, w: OpWord, gen: str) -> Vector:
         target = self.target
         inst = self.module.inst
-        v = self.image_of(w.gen)
+        v = self.image_of(gen)
         for slot, op in zip(reversed(w.slots[1:]), reversed(w.ops)):
             v = target.action_matrix(inst.algebra.basis_vector(slot)).apply(v)
             v = target.operator(op).apply(v)
         return target.action_matrix(inst.algebra.basis_vector(w.slots[0])).apply(v)
 
-    def __call__(self, e: OperatedElement) -> Vector:
+    def __call__(self, e: FreeModuleElement) -> Vector:
         out = [Fraction(0)] * self.target.dim
-        for w, c in e.terms:
-            for q, a in enumerate(self.evaluate_word(w)):
+        for (w, gen), c in e.terms:
+            for q, a in enumerate(self.evaluate_word(w, gen)):
                 out[q] += c * a
         return tuple(out)

@@ -20,9 +20,16 @@ form: rewrite, then reduce modulo those rules.  A truncated linear-algebra
 oracle over the ideal span (`truncated_quotient_oracle`) is the ground truth
 the completion is checked against.
 
+`OpElement` is the one sparse combination type.  Its subclass
+`FreeModuleElement` keys terms by (operator word, generator) pairs; the ring
+acts on those from the left.  The same pairs are the mixable-tensor words of
+the free operated module (`mrb.operated`): r1 (x) w1 (x) ... (x) rn (x) x is
+the pair (r1 Q[w1] r2 ... rn, x).
+
 Elements store slots as basis indices; words built from general algebra
 vectors (including the unit, which separates adjacent operator letters in
-the free product) are expanded multilinearly into basis-slot words.
+the free product) are expanded multilinearly into basis-slot words
+(`expand_word`).
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from typing import Mapping, Sequence
 
 from .core import MrbAlgebraInstance, PreconditionError
 from .linalg import SparseRowSpace, frac, vector
-from .operated import OperatedElement
 
 
 @dataclass(frozen=True)
@@ -56,27 +62,56 @@ class OpWord:
         return (self.q_degree, self.slots, self.ops)
 
 
-def _canonical(terms: Mapping[OpWord, Fraction]) -> tuple[tuple[OpWord, Fraction], ...]:
-    return tuple(
-        (w, c) for w, c in sorted(terms.items(), key=lambda t: t[0].sort_key()) if c != 0
-    )
+def basis_word(inst: MrbAlgebraInstance, slots: Sequence[int], ops: Sequence[str]) -> OpWord:
+    """The word with the given basis-index slots, checked against inst."""
+    for i in slots:
+        if not 0 <= i < inst.dim:
+            raise ValueError(f"slot index {i} out of range")
+    for w in ops:
+        if w not in inst.omega:
+            raise KeyError(f"unknown operator label {w!r}")
+    return OpWord(tuple(slots), tuple(ops))
+
+
+def expand_word(inst: MrbAlgebraInstance, vectors: Sequence[Sequence],
+                ops: Sequence[str]) -> dict[OpWord, Fraction]:
+    """Multilinear expansion of a word with general vector slots into
+    basis-slot words and their coefficients."""
+    if len(vectors) != len(ops) + 1:
+        raise ValueError("need one more slot vector than operator letters")
+    slots: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    for v in vectors:
+        v = vector(v)
+        if len(v) != inst.dim:
+            raise ValueError("slot vector has wrong length")
+        slots = {s + (i,): c * a for s, c in slots.items() for i, a in enumerate(v) if a != 0}
+    return {basis_word(inst, s, ops): c for s, c in slots.items()}
 
 
 @dataclass(frozen=True)
 class OpElement:
-    """Finitely supported rational combination of operator words."""
+    """Finitely supported rational combination of operator words.
+
+    `terms` holds (key, coefficient) pairs with nonzero coefficients, ordered
+    by the class-level `key_order`, whose value leads with the key's
+    q_degree.  Subclasses change only the key type and `key_order`; the
+    arithmetic is shared and returns the subclass.
+    """
 
     terms: tuple[tuple[OpWord, Fraction], ...]
 
+    key_order = staticmethod(OpWord.sort_key)
+
     @classmethod
-    def from_dict(cls, terms: Mapping[OpWord, Fraction]) -> "OpElement":
-        return cls(_canonical(terms))
+    def from_dict(cls, terms: Mapping) -> "OpElement":
+        key = cls.key_order
+        return cls(tuple(sorted([(k, c) for k, c in terms.items() if c], key=lambda t: key(t[0]))))
 
     @classmethod
     def zero(cls) -> "OpElement":
         return cls(())
 
-    def as_dict(self) -> dict[OpWord, Fraction]:
+    def as_dict(self) -> dict:
         return dict(self.terms)
 
     def is_zero(self) -> bool:
@@ -84,69 +119,42 @@ class OpElement:
 
     def __add__(self, other: "OpElement") -> "OpElement":
         out = self.as_dict()
-        for w, c in other.terms:
-            out[w] = out.get(w, Fraction(0)) + c
-        return OpElement.from_dict(out)
+        for k, c in other.terms:
+            out[k] = out.get(k, Fraction(0)) + c
+        return self.from_dict(out)
 
     def __sub__(self, other: "OpElement") -> "OpElement":
         return self + (-other)
 
     def __neg__(self) -> "OpElement":
-        return OpElement(tuple((w, -c) for w, c in self.terms))
+        return type(self)(tuple((k, -c) for k, c in self.terms))
 
     def scale(self, c) -> "OpElement":
         c = frac(c)
         if c == 0:
-            return OpElement.zero()
-        return OpElement(tuple((w, c * k) for w, k in self.terms))
+            return self.zero()
+        return type(self)(tuple((k, c * a) for k, a in self.terms))
 
     def max_q_degree(self) -> int:
-        return max((w.q_degree for w, _ in self.terms), default=0)
+        # the last term has the largest key, hence the largest q_degree
+        return self.key_order(self.terms[-1][0])[0] if self.terms else 0
 
     def sort_key(self):
-        return tuple((w.sort_key(), c) for w, c in self.terms)
+        return tuple((self.key_order(k), c) for k, c in self.terms)
 
 
-@dataclass(frozen=True)
-class FreeModuleElement:
+class FreeModuleElement(OpElement):
     """Combination of (operator word, generator) pairs.
 
     These present elements of the free module on a generator set through
     the operator ring: the ring acts on the left, generators close words on
-    the right.
+    the right.  They are also the elements of the free operated module.
     """
 
-    terms: tuple[tuple[OpWord, str, Fraction], ...]
-
-    @classmethod
-    def from_dict(cls, terms: Mapping[tuple[OpWord, str], Fraction]) -> "FreeModuleElement":
-        items = sorted(terms.items(), key=lambda t: (t[0][0].sort_key(), t[0][1]))
-        return cls(tuple((w, g, c) for (w, g), c in items if c != 0))
-
-    @classmethod
-    def zero(cls) -> "FreeModuleElement":
-        return cls(())
-
-    def as_dict(self) -> dict[tuple[OpWord, str], Fraction]:
-        return {(w, g): c for w, g, c in self.terms}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "FreeModuleElement") -> "FreeModuleElement":
-        out = self.as_dict()
-        for w, g, c in other.terms:
-            out[(w, g)] = out.get((w, g), Fraction(0)) + c
-        return FreeModuleElement.from_dict(out)
-
-    def __sub__(self, other: "FreeModuleElement") -> "FreeModuleElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "FreeModuleElement":
-        c = frac(c)
-        if c == 0:
-            return FreeModuleElement.zero()
-        return FreeModuleElement(tuple((w, g, c * k) for w, g, k in self.terms))
+    @staticmethod
+    def key_order(key):
+        w, gen = key
+        return (w.q_degree, w.slots, w.ops, gen)
 
 
 @dataclass(frozen=True)
@@ -211,42 +219,17 @@ class OperatorRing:
     # -- construction -------------------------------------------------------
 
     def word(self, slots: Sequence[int], ops: Sequence[str]) -> OpWord:
-        d = self.inst.dim
-        for i in slots:
-            if not 0 <= i < d:
-                raise ValueError(f"slot index {i} out of range")
-        for w in ops:
-            if w not in self.inst.omega:
-                raise KeyError(f"unknown operator label {w!r}")
-        return OpWord(tuple(slots), tuple(ops))
+        return basis_word(self.inst, slots, ops)
 
     def element(self, slots: Sequence[int], ops: Sequence[str], coeff=1) -> OpElement:
         return OpElement.from_dict({self.word(slots, ops): frac(coeff)})
 
     def word_element(self, vectors: Sequence[Sequence], ops: Sequence[str]) -> OpElement:
         """Multilinear expansion of a word with general vector slots."""
-        if len(vectors) != len(ops) + 1:
-            raise ValueError("need one more slot vector than operator letters")
-        vecs = [vector(v) for v in vectors]
-        terms: dict[OpWord, Fraction] = {}
-        for combo in itertools.product(*(range(self.inst.dim) for _ in vecs)):
-            c = Fraction(1)
-            for v, i in zip(vecs, combo):
-                c *= v[i]
-                if c == 0:
-                    break
-            if c == 0:
-                continue
-            w = self.word(combo, ops)
-            terms[w] = terms.get(w, Fraction(0)) + c
-        return OpElement.from_dict(terms)
+        return OpElement.from_dict(expand_word(self.inst, vectors, ops))
 
     def unit(self) -> OpElement:
         return self.word_element([self.inst.algebra.unit], [])
-
-    def embed(self, v: Sequence) -> OpElement:
-        """Algebra element as a q_degree-0 ring element."""
-        return self.word_element([v], [])
 
     def q_letter(self, label: str) -> OpElement:
         """The element 1 Q[label] 1."""
@@ -579,7 +562,7 @@ class OperatorRing:
         """Left action of the ring on free-module elements."""
         out: dict[tuple[OpWord, str], Fraction] = {}
         for wa, ca in a.terms:
-            for wm, g, cm in m.terms:
+            for (wm, g), cm in m.terms:
                 for w, c in self._concat(wa, wm):
                     key = (w, g)
                     out[key] = out.get(key, Fraction(0)) + ca * cm * c
@@ -587,18 +570,14 @@ class OperatorRing:
 
     def free_module_normal_form(self, m: FreeModuleElement) -> FreeModuleElement:
         out: dict[tuple[OpWord, str], Fraction] = {}
-        for w, g, c in m.terms:
+        for (w, g), c in m.terms:
             for w2, c2 in self._completed_word(w).terms:
                 key = (w2, g)
                 out[key] = out.get(key, Fraction(0)) + c * c2
         return FreeModuleElement.from_dict(out)
 
-    def from_operated(self, e: OperatedElement) -> FreeModuleElement:
-        """Translate mixable-tensor words: r1 (x) w1 (x) ... (x) rn (x) x
-        becomes the pair (r1 Q[w1] r2 ... rn, x)."""
-        out: dict[tuple[OpWord, str], Fraction] = {}
-        for w, c in e.terms:
-            ow = OpWord(w.slots, w.ops)
-            key = (ow, w.gen)
-            out[key] = out.get(key, Fraction(0)) + c
-        return FreeModuleElement.from_dict(out)
+    def from_operated(self, e: FreeModuleElement) -> FreeModuleElement:
+        """Mixable-tensor words already are (operator word, generator) pairs,
+        r1 (x) w1 (x) ... (x) rn (x) x being (r1 Q[w1] r2 ... rn, x), so
+        elements of the free operated module pass through unchanged."""
+        return e

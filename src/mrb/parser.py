@@ -9,9 +9,11 @@ Two word syntaxes share one expression grammar:
 Operator-ring words are whitespace separated with bracketed letters,
 ``e1 Q[1] e2``; a module word appends ``: x``.  Mixable-tensor words are
 dot separated, ``b1 . w1 . b2 : x``.  Words may be parenthesized.  The text
-``0`` denotes the zero element.  Printing is canonical (terms in element
-order, unit coefficients dropped), and parse o print is the identity on
-canonical forms.
+``0`` denotes the zero element.  Module words of both syntaxes bind to
+`FreeModuleElement`s, a dotted word b1 . w1 . b2 : x being the pair
+(b1 Q[w1] b2, x); only the printers differ.  Printing is canonical (terms in
+element order, or by depth then generator for dotted words, unit
+coefficients dropped), and parse o print is the identity on canonical forms.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import MrbAlgebraInstance
-from .opring import FreeModuleElement, OperatorRing, OpElement, OpWord
-from .operated import FreeOperatedModule, OperatedElement, OperatedWord
+from .opring import FreeModuleElement, OperatorRing, OpElement, OpWord, basis_word
+from .operated import FreeOperatedModule
 
 
 class ExpressionError(ValueError):
@@ -226,13 +228,6 @@ def _slot_indices(inst: MrbAlgebraInstance, labels: Sequence[str]) -> tuple[int,
     return tuple(inst.algebra.label_index(s) for s in labels)
 
 
-def _check_ops(inst: MrbAlgebraInstance, ops: Sequence[str]) -> tuple[str, ...]:
-    for w in ops:
-        if w not in inst.omega:
-            raise KeyError(f"unknown operator label {w!r}")
-    return tuple(ops)
-
-
 def bind_op_expression(ast: ExpressionAst, ring: OperatorRing) -> OpElement | FreeModuleElement:
     """Resolve an operator-word expression; module words yield a free-module
     element, plain ring words an OpElement.  Mixing the two is an error."""
@@ -240,34 +235,26 @@ def bind_op_expression(ast: ExpressionAst, ring: OperatorRing) -> OpElement | Fr
     has_gen = [t for _, t in ast.terms if t.gen is not None]
     if has_gen and len(has_gen) != len(ast.terms):
         raise ValueError("cannot mix ring words and module words in one expression")
-    if has_gen:
-        out_m = FreeModuleElement.zero()
-        for coeff, t in ast.terms:
-            if t.kind == "operated":
-                raise ValueError("dotted words are not operator-ring syntax")
-            w = OpWord(_slot_indices(inst, t.slots), _check_ops(inst, t.ops))
-            out_m = out_m + FreeModuleElement.from_dict({(w, t.gen): coeff})
-        return out_m
-    out = OpElement.zero()
+    cls = FreeModuleElement if has_gen else OpElement
+    out = cls.zero()
     for coeff, t in ast.terms:
         if t.kind == "operated":
             raise ValueError("dotted words are not operator-ring syntax")
-        w = OpWord(_slot_indices(inst, t.slots), _check_ops(inst, t.ops))
-        out = out + OpElement.from_dict({w: coeff})
+        w = basis_word(inst, _slot_indices(inst, t.slots), t.ops)
+        out = out + cls.from_dict({(w, t.gen) if has_gen else w: coeff})
     return out
 
 
-def bind_operated_expression(ast: ExpressionAst, module: FreeOperatedModule) -> OperatedElement:
+def bind_operated_expression(ast: ExpressionAst, module: FreeOperatedModule) -> FreeModuleElement:
     inst = module.inst
-    out = OperatedElement.zero()
+    out = FreeModuleElement.zero()
     for coeff, t in ast.terms:
         if t.kind == "op":
             raise ValueError("bracketed letters are not mixable-tensor syntax")
         if t.gen is None:
             raise ValueError("mixable-tensor words require a generator")
-        module.gens.index(t.gen)
-        w = OperatedWord(_slot_indices(inst, t.slots), _check_ops(inst, t.ops), t.gen)
-        out = out + OperatedElement.from_dict({w: coeff})
+        key = module.word(_slot_indices(inst, t.slots), t.ops, t.gen)
+        out = out + FreeModuleElement.from_dict({key: coeff})
     return out
 
 
@@ -308,17 +295,20 @@ def print_op_element(e: OpElement, inst: MrbAlgebraInstance) -> str:
 
 def print_free_module_element(e: FreeModuleElement, inst: MrbAlgebraInstance) -> str:
     return _print_terms(
-        [(c, print_op_word(w, inst, gen=g)) for w, g, c in e.terms], wrap=True
+        [(c, print_op_word(w, inst, gen=g)) for (w, g), c in e.terms], wrap=True
     )
 
 
-def print_operated_word(w: OperatedWord, inst: MrbAlgebraInstance) -> str:
+def print_operated_word(key: tuple[OpWord, str], inst: MrbAlgebraInstance) -> str:
+    w, gen = key
     parts = [inst.algebra.basis_labels[w.slots[0]]]
     for op, slot in zip(w.ops, w.slots[1:]):
         parts.append(op)
         parts.append(inst.algebra.basis_labels[slot])
-    return " . ".join(parts) + f" : {w.gen}"
+    return " . ".join(parts) + f" : {gen}"
 
 
-def print_operated_element(e: OperatedElement, inst: MrbAlgebraInstance) -> str:
-    return _print_terms([(c, print_operated_word(w, inst)) for w, c in e.terms], wrap=True)
+def print_operated_element(e: FreeModuleElement, inst: MrbAlgebraInstance) -> str:
+    """Dotted rendering, terms ordered by (depth, generator, slots, labels)."""
+    terms = sorted(e.terms, key=lambda t: (t[0][0].q_degree, t[0][1], t[0][0].slots, t[0][0].ops))
+    return _print_terms([(c, print_operated_word(k, inst)) for k, c in terms], wrap=True)

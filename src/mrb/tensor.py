@@ -22,6 +22,7 @@ from typing import Sequence
 from .core import CheckReport, PreconditionError, Violation
 from .linalg import Matrix, QuotientSpace, Vector, quotient_space, vector
 from .modules import (
+    _coords_in,
     FdBimodule,
     FdLeftModule,
     FdRightModule,
@@ -164,11 +165,16 @@ def induced_map(src: TensorSpace, dst: TensorSpace, theta: ModuleHom,
         ambient = theta.matrix.kron(Matrix.identity(src.n_factor.dim))
     else:
         raise ValueError("side must be 'n' or 'm'")
+    return _descend(src, dst, ambient, "induced map")
+
+
+def _descend(src: TensorSpace, dst: TensorSpace, ambient: Matrix, what: str) -> Matrix:
+    """The map of quotients induced by an ambient matrix, after checking
+    that it sends every relation of src into the relations of dst."""
     proj_ambient = dst.quotient.project @ ambient
     for rel in src.relations:
-        img = proj_ambient.apply(rel)
-        if any(a != 0 for a in img):
-            raise AssertionError("induced map is not well-defined on cosets")
+        if any(a != 0 for a in proj_ambient.apply(rel)):
+            raise AssertionError(f"{what} is not well-defined on cosets")
     return proj_ambient @ src.quotient.section_matrix()
 
 
@@ -185,23 +191,14 @@ def tensor_left_structure(bimod: FdBimodule, t: TensorSpace) -> FdLeftModule:
     if not report.ok:
         raise PreconditionError(f"bimodule hypothesis fails: {report.violations[0].kind}")
     inst = bimod.left_inst
-    dn = t.n_factor.dim
-    proj, sec = t.quotient.project, t.quotient.section_matrix()
-
-    def on_quotient(ambient_op: Matrix) -> Matrix:
-        lifted = proj @ ambient_op
-        for rel in t.relations:
-            if any(a != 0 for a in lifted.apply(rel)):
-                raise AssertionError("structure operator is not well-defined on cosets")
-        return lifted @ sec
-
+    idn = Matrix.identity(t.n_factor.dim)
     action = []
     for i in range(inst.dim):
-        amb = bimod.left_action_matrix(inst.algebra.basis_vector(i)).kron(Matrix.identity(dn))
-        qa = on_quotient(amb)
+        amb = bimod.left_action_matrix(inst.algebra.basis_vector(i)).kron(idn)
+        qa = _descend(t, t, amb, "structure operator")
         action.append(tuple(qa.col(p) for p in range(t.dim)))
     operators = tuple(
-        on_quotient(mw.kron(Matrix.identity(dn))) for mw in bimod.left_operators
+        _descend(t, t, mw.kron(idn), "structure operator") for mw in bimod.left_operators
     )
     return FdLeftModule(inst, t.dim, tuple(action), operators)
 
@@ -218,23 +215,14 @@ def tensor_right_structure(t: TensorSpace, bimod: FdBimodule) -> FdRightModule:
     if not report.ok:
         raise PreconditionError(f"bimodule hypothesis fails: {report.violations[0].kind}")
     inst = bimod.right_inst
-    dm = t.m_factor.dim
-    proj, sec = t.quotient.project, t.quotient.section_matrix()
-
-    def on_quotient(ambient_op: Matrix) -> Matrix:
-        lifted = proj @ ambient_op
-        for rel in t.relations:
-            if any(a != 0 for a in lifted.apply(rel)):
-                raise AssertionError("structure operator is not well-defined on cosets")
-        return lifted @ sec
-
+    idm = Matrix.identity(t.m_factor.dim)
     action = []
     for i in range(inst.dim):
-        amb = Matrix.identity(dm).kron(bimod.right_action_matrix(inst.algebra.basis_vector(i)))
-        qa = on_quotient(amb)
+        amb = idm.kron(bimod.right_action_matrix(inst.algebra.basis_vector(i)))
+        qa = _descend(t, t, amb, "structure operator")
         action.append(tuple(qa.col(p) for p in range(t.dim)))
     operators = tuple(
-        on_quotient(Matrix.identity(dm).kron(mw)) for mw in bimod.right_operators
+        _descend(t, t, idm.kron(mw), "structure operator") for mw in bimod.right_operators
     )
     return FdRightModule(inst, t.dim, tuple(action), operators)
 
@@ -289,7 +277,7 @@ def adjunction_check(m: FdRightModule, s_bimod: FdBimodule, t_mod: FdRightModule
                 svec = tuple(Fraction(1 if i == q else 0) for i in range(s_bimod.dim))
                 entry_cols.append(f.apply(tensor.zeta(mvec, svec)))
             entry = Matrix.from_cols(entry_cols, rows=t_mod.dim)
-            coords = _coords_in_matrix_basis(inner_basis, entry)
+            coords = _coords_in(inner_basis, entry)
             if coords is None:
                 return None
             cols.append(coords)
@@ -317,7 +305,7 @@ def adjunction_check(m: FdRightModule, s_bimod: FdBimodule, t_mod: FdRightModule
         img = theta_of(f)
         if img is None:
             raise AssertionError("theta image left the hom space")
-        coords = _coords_in_matrix_basis(h2_basis, img)
+        coords = _coords_in(h2_basis, img)
         if coords is None:
             raise AssertionError("theta image is not a module hom")
         theta_cols.append(coords)
@@ -328,7 +316,7 @@ def adjunction_check(m: FdRightModule, s_bimod: FdBimodule, t_mod: FdRightModule
         img = theta_prime_of(g)
         if img is None:
             raise AssertionError("theta' image is not well-defined on cosets")
-        coords = _coords_in_matrix_basis(h1_basis, img)
+        coords = _coords_in(h1_basis, img)
         if coords is None:
             raise AssertionError("theta' image is not a module hom")
         theta_prime_cols.append(coords)
@@ -339,14 +327,6 @@ def adjunction_check(m: FdRightModule, s_bimod: FdBimodule, t_mod: FdRightModule
         and theta_prime @ theta == Matrix.identity(len(h1_basis))
     )
     return AdjunctionReport(len(h1_basis), len(h2_basis), inverse)
-
-
-def _coords_in_matrix_basis(basis: Sequence[Matrix], m: Matrix) -> Vector | None:
-    if not basis:
-        return () if m.is_zero() else None
-    cols = [tuple(x for row in b.entries for x in row) for b in basis]
-    flat = tuple(x for row in m.entries for x in row)
-    return Matrix.from_cols(cols).solve(flat)
 
 
 # ---------------------------------------------------------------------------

@@ -96,3 +96,56 @@ def test_generator_is_idempotent(tmp_path, monkeypatch):
         for p in sorted(GOLDEN.rglob("*.json"))
     }
     assert before == after
+
+
+# The two module syntaxes keep their own term order: bracketed words print
+# word-major, dotted words by depth and then generator.
+MULTI_GENERATOR_REPORTS = [
+    (
+        "e1 Q[1] e2 : y + 2 * (e2 Q[2] e1 : x) + e1 : y + e2 : x",
+        '{"applications":0,"command":"normalize",'
+        '"input":"(e1 : y) + (e2 : x) + (e1 Q[1] e2 : y) + 2 * (e2 Q[2] e1 : x)",'
+        '"normal_form":"(e1 : y) + (e2 : x) + (e1 Q[1] e2 : y) + 4 * (e2 Q[1] e1 : x)",'
+        '"strategy":"leftmost-innermost"}\n',
+    ),
+    (
+        "e1 . 1 . e2 : y + 2 * (e2 . 2 . e1 : x) + e1 : y + e2 : x",
+        '{"applications":0,"command":"normalize",'
+        '"input":"(e2 : x) + (e1 : y) + 2 * (e2 . 2 . e1 : x) + (e1 . 1 . e2 : y)",'
+        '"normal_form":"(e2 : x) + (e1 : y) + 4 * (e2 . 1 . e1 : x) + (e1 . 1 . e2 : y)",'
+        '"strategy":"leftmost-innermost"}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("expression,report", MULTI_GENERATOR_REPORTS)
+def test_multi_generator_term_order_pinned(expression, report):
+    assert run_cli(["normalize", "scaled_projection(1,2)", expression]) == (0, report)
+
+
+def test_input_errors_exit_2_with_json_error(tmp_path):
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1, 2]")
+    cases = [
+        (["check-module", str(not_an_object)],
+         f"malformed module document {not_an_object}: a module document must be a JSON object"),
+        (["lift", str(not_an_object), str(not_an_object)],
+         f"malformed hom document {not_an_object}: not a JSON object"),
+        (["quotient", "inputs/regular_left_sp12.json", "[[1,2,3]]"],
+         "relations must be a JSON array of length-2 vectors"),
+        (["quotient", "inputs/regular_left_sp12.json", "{}"],
+         "relations must be a JSON array of length-2 vectors"),
+        (["oracle", "scaled_projection(1,2)", "--max-qdegree", "-2"],
+         "--max-qdegree must be nonnegative"),
+        (["confluence", "scaled_projection(1,2)", "--max-qdegree", "-1"],
+         "--max-qdegree must be nonnegative"),
+        (["normalize", "scaled_projection(1,2)", "e9 Q[1] e2"],
+         "unknown basis label 'e9'"),
+        (["normalize", "scaled_projection(1,2)", "e1 . 9 . e2 : x"],
+         "unknown operator label '9'"),
+        (["check-algebra", "no_such_instance"],
+         "unknown catalog instance 'no_such_instance'"),
+    ]
+    for argv, message in cases:
+        code, out = run_cli(argv)
+        assert (code, json.loads(out)) == (2, {"command": argv[0], "error": message}), argv

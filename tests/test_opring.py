@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mrb.core import MrbAlgebraInstance, PreconditionError, scaled_projection
-from mrb.opring import OpElement, OperatorRing, OpWord
+from mrb.opring import FreeModuleElement, OpElement, OperatorRing, OpWord
 from mrb.operated import FreeOperatedModule
 
 
@@ -24,6 +24,21 @@ def test_ring_requires_verified_instance():
 def test_word_shape_invariant():
     with pytest.raises(ValueError):
         OpWord((0,), ("1",))
+
+
+def test_free_module_elements_share_the_combination_arithmetic(ring12):
+    e = (ring12.module_word((1, 0), ("2",), "x").scale(3)
+         + ring12.module_word((1,), (), "x") - ring12.module_word((0,), (), "y"))
+    assert type(e) is FreeModuleElement and type(-e) is FreeModuleElement
+    assert type(e.scale(0)) is FreeModuleElement and e.scale(0).is_zero()
+    # word-major order: the generator only breaks ties between equal words
+    assert [k for k, _ in e.terms] == [
+        (OpWord((0,), ()), "y"), (OpWord((1,), ()), "x"), (OpWord((1, 0), ("2",)), "x"),
+    ]
+    assert e.max_q_degree() == 1 and (e - e) == FreeModuleElement.zero()
+    assert e != OpElement.from_dict({OpWord((1, 0), ("2",)): Fraction(3)})
+    assert ring12.element((0, 1, 0), ("1", "2")).max_q_degree() == 2
+    assert OpElement.zero().max_q_degree() == 0
 
 
 # -- multiplication -----------------------------------------------------------

@@ -169,6 +169,8 @@ def test_opring_word_validation():
     with pytest.raises(ValueError):
         ring.word_element([(1, 0)], ["1"])
     with pytest.raises(ValueError):
+        ring.word_element([(1, 0, 0)], [])
+    with pytest.raises(ValueError):
         ring.rewrite_at(ring.word((0, 0), ("1",)), 1)
     with pytest.raises(ValueError):
         ring.truncated_quotient_oracle(-1)
