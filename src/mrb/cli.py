@@ -59,11 +59,12 @@ def _verified_instance(arg: str) -> core.MrbAlgebraInstance:
     return inst
 
 
-def _load_module(path: str):
-    doc = _load_json(path)
+def _load_module(path: str, doc=None):
+    """The module document at path, or `doc` when it was read already."""
+    doc = _load_json(path) if doc is None else doc
     try:
         return modules.module_from_json(doc)
-    except (KeyError, core.MalformedPresentationError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed module document {path}: {exc}")
 
 
@@ -74,9 +75,12 @@ def _load_hom(path: str) -> modules.ModuleHom:
     try:
         source = modules.module_from_json(doc["source"])
         target = modules.module_from_json(doc["target"])
-        matrix = Matrix([[frac(x) for x in row] for row in doc["matrix"]])
+        rows = doc["matrix"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("matrix must be a JSON array of rows")
+        matrix = Matrix([[frac(x) for x in row] for row in rows])
         return modules.module_hom(source, target, matrix)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed hom document {path}: {exc}")
 
 
@@ -195,7 +199,10 @@ def _cmd_quotient(args):
     if not isinstance(vectors, list) or any(
             not isinstance(v, list) or len(v) != mod.dim for v in vectors):
         raise InputError(f"relations must be a JSON array of length-{mod.dim} vectors")
-    sub = Subspace.spanned_by(mod.dim, [tuple(frac(x) for x in v) for v in vectors])
+    try:
+        sub = Subspace.spanned_by(mod.dim, [tuple(frac(x) for x in v) for v in vectors])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed relations: {exc}")
     out, proj = modules.quotient_module(mod, sub, with_projection=True)
     rep = modules.check_left_module(out)
     return (0 if rep.ok else 1), {
@@ -273,11 +280,14 @@ def _cmd_hom_module(args):
 
 def _cmd_reweight(args):
     spec_doc = json.loads(args.spec)
-    rspec = core.ReweightSpec.from_dict(spec_doc)
+    try:
+        rspec = core.ReweightSpec.from_dict(spec_doc)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed reweight spec: {exc}")
     if args.target.endswith(".json"):
         doc = _load_json(args.target)
-        if "action" in doc:
-            mod = modules.module_from_json(doc)
+        if isinstance(doc, dict) and "action" in doc:
+            mod = _load_module(args.target, doc)
             if mod.side != "left":
                 raise InputError("reweight expects a left module document")
             out = modules.reweight_module(mod, rspec)

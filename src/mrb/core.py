@@ -422,6 +422,8 @@ class ReweightSpec:
 
     @classmethod
     def from_dict(cls, maps: Mapping[str, Mapping[str, object]]) -> "ReweightSpec":
+        if not isinstance(maps, Mapping) or not all(isinstance(c, Mapping) for c in maps.values()):
+            raise ValueError("a reweight spec must map each new label to an object of coefficients")
         rows = tuple(
             (str(new), tuple((str(old), frac(a)) for old, a in coeffs.items()))
             for new, coeffs in maps.items()

@@ -1,13 +1,17 @@
 """Finite-dimensional modules over multiple Rota-Baxter algebras.
 
-A module presentation is an action tensor plus one operator matrix per
-label.  The left axiom, checked exhaustively on basis pairs, is
+A one-sided module presentation is an action tensor plus one operator
+matrix per label.  Left and right modules share it: FdRightModule differs
+from FdLeftModule only in its ``side``, and the side picks the order in
+which action and operator matrices compose.  The left axiom, checked
+exhaustively on basis pairs, is
 
     P_a(x) m_b(v) = m_a(x m_b(v)) + m_b(P_a(x) v)
                     + lambda_b m_a(x v) + lambda_a m_b(x v),
 
-and the right axiom mirrors it with the action on the other side.  All
-verdicts (closure, surjectivity, membership) are decided by exact rank.
+and one body checks it and, with every product reversed, its mirror on
+right modules.  All verdicts (closure, surjectivity, membership) are
+decided by exact rank.
 """
 
 from __future__ import annotations
@@ -72,12 +76,18 @@ def _action_matrix(action, r: Vector, dim: int) -> Matrix:
 
 @dataclass(frozen=True)
 class FdLeftModule:
-    """Left module: action[i][p] holds the coordinates of b_i . v_p."""
+    """One-sided module: action[i][p] holds the coordinates of b_i . v_p.
+
+    This is the one presentation of both sides; ``side`` says on which side
+    the basis element b_i acts, and FdRightModule only changes it.
+    """
 
     inst: MrbAlgebraInstance
     dim: int
     action: tuple[tuple[Vector, ...], ...]
     operators: tuple[Matrix, ...]
+
+    side = "left"
 
     def __post_init__(self):
         _validate_action(self.inst.dim, self.dim, self.action)
@@ -87,10 +97,6 @@ class FdLeftModule:
             if m.rows != self.dim or m.cols != self.dim:
                 raise MalformedPresentationError("operator matrix has wrong shape")
 
-    @property
-    def side(self) -> str:
-        return "left"
-
     def action_matrix(self, r: Sequence) -> Matrix:
         return _action_matrix(self.action, vector(r), self.dim)
 
@@ -98,26 +104,18 @@ class FdLeftModule:
         return self.operators[self.inst.omega.index(label)]
 
 
-@dataclass(frozen=True)
-class FdRightModule:
+class FdRightModule(FdLeftModule):
     """Right module: action[i][p] holds the coordinates of v_p . b_i."""
 
-    inst: MrbAlgebraInstance
-    dim: int
-    action: tuple[tuple[Vector, ...], ...]
-    operators: tuple[Matrix, ...]
+    side = "right"
 
-    __post_init__ = FdLeftModule.__post_init__
 
-    @property
-    def side(self) -> str:
-        return "right"
-
-    def action_matrix(self, r: Sequence) -> Matrix:
-        return _action_matrix(self.action, vector(r), self.dim)
-
-    def operator(self, label: str) -> Matrix:
-        return self.operators[self.inst.omega.index(label)]
+def _module_class(side) -> type[FdLeftModule]:
+    """The one-sided presentation class for a side name."""
+    for cls in (FdLeftModule, FdRightModule):
+        if cls.side == side:
+            return cls
+    raise ValueError(f"unknown module side {side!r}")
 
 
 @dataclass(frozen=True)
@@ -138,6 +136,8 @@ class FdBimodule:
     left_operators: tuple[Matrix, ...]
     right_operators: tuple[Matrix, ...]
 
+    side = "bimodule"
+
     def __post_init__(self):
         if self.left_inst.omega != self.right_inst.omega:
             raise MalformedPresentationError("bimodule instances must share operator labels")
@@ -145,10 +145,6 @@ class FdBimodule:
             raise MalformedPresentationError("bimodule instances must share weights")
         _validate_action(self.left_inst.dim, self.dim, self.left_action)
         _validate_action(self.right_inst.dim, self.dim, self.right_action)
-
-    @property
-    def side(self) -> str:
-        return "bimodule"
 
     @property
     def omega(self) -> tuple[str, ...]:
@@ -215,26 +211,28 @@ def module_hom(source, target, matrix, check: bool = True) -> ModuleHom:
 # Checkers
 # ---------------------------------------------------------------------------
 
-def check_action_laws(mod: FdLeftModule | FdRightModule) -> CheckReport:
+def _product_order(mod: FdLeftModule):
+    """Composition of action and operator matrices in the order of mod's
+    side: mul(x, y) is x @ y on a left module and y @ x on a right one, so
+    one formula states both the left axiom and its mirror."""
+    if mod.side == "left":
+        return lambda x, y: x @ y
+    return lambda x, y: y @ x
+
+
+def check_action_laws(mod: FdLeftModule) -> CheckReport:
     """R-module laws of the plain action: associativity and unit."""
-    inst = mod.inst
-    alg = inst.algebra
-    left = mod.side == "left"
+    alg = mod.inst.algebra
+    mul = _product_order(mod)
     violations = []
     unit_m = mod.action_matrix(alg.unit)
     if unit_m != Matrix.identity(mod.dim):
         violations.append(Violation("unit-action", ()))
     for i in range(alg.dim):
         for j in range(alg.dim):
-            prod = alg.multiply(alg.basis_vector(i), alg.basis_vector(j))
-            if left:
-                # (b_i b_j) v = b_i (b_j v)
-                lhs = mod.action_matrix(prod)
-                rhs = mod.action_matrix(alg.basis_vector(i)) @ mod.action_matrix(alg.basis_vector(j))
-            else:
-                # v (b_i b_j) = (v b_i) b_j
-                lhs = mod.action_matrix(prod)
-                rhs = mod.action_matrix(alg.basis_vector(j)) @ mod.action_matrix(alg.basis_vector(i))
+            # (b_i b_j) v = b_i (b_j v), or v (b_i b_j) = (v b_i) b_j
+            lhs = mod.action_matrix(alg.multiply(alg.basis_vector(i), alg.basis_vector(j)))
+            rhs = mul(mod.action_matrix(alg.basis_vector(i)), mod.action_matrix(alg.basis_vector(j)))
             if lhs != rhs:
                 violations.append(Violation("action-associativity", (i, j)))
     return CheckReport("action-laws", tuple(violations))
@@ -242,11 +240,28 @@ def check_action_laws(mod: FdLeftModule | FdRightModule) -> CheckReport:
 
 def check_left_module(mod: FdLeftModule) -> CheckReport:
     """Exhaustive verification of the left axiom on basis pairs."""
+    return _check_one_sided(mod)
+
+
+def check_right_module(mod: FdRightModule) -> CheckReport:
+    """Exhaustive verification of the right axiom on basis pairs."""
+    return _check_one_sided(mod)
+
+
+def _check_one_sided(mod: FdLeftModule) -> CheckReport:
+    """The axiom of mod's side on every basis element, label pair and column.
+
+    Written for the left side; on a right module every product is reversed,
+    which turns it into m_b(v P_a(x)) = m_b(m_a(v) x) + m_b(v) P_a(x)
+    + l_b m_a(v) x + l_a m_b(v) x.
+    """
     laws = check_action_laws(mod)
     if not laws.ok:
         raise PreconditionError("plain module laws fail; fix the action tensor first")
     inst = mod.inst
     alg = inst.algebra
+    mul = _product_order(mod)
+    kind = f"{mod.side}-module"
     violations = []
     for a in inst.omega:
         la = inst.weight(a)
@@ -257,44 +272,16 @@ def check_left_module(mod: FdLeftModule) -> CheckReport:
                 x = alg.basis_vector(i)
                 ax = mod.action_matrix(x)
                 apx = mod.action_matrix(inst.apply_operator(a, x))
-                lhs = apx @ mb
-                rhs = ma @ ax @ mb + mb @ apx + (ma @ ax).scale(lb) + (mb @ ax).scale(la)
+                lhs = mul(apx, mb)
+                ma_x = mul(ma, ax)
+                rhs = mul(ma_x, mb) + mul(mb, apx) + ma_x.scale(lb) + mul(mb, ax).scale(la)
                 if lhs != rhs:
                     diff = lhs - rhs
                     for p in range(mod.dim):
                         col = diff.col(p)
                         if not is_zero_vector(col):
-                            violations.append(Violation("left-module", (i, p, a, b), col))
-    return CheckReport("left-module", tuple(violations))
-
-
-def check_right_module(mod: FdRightModule) -> CheckReport:
-    """Exhaustive verification of the right axiom on basis pairs."""
-    laws = check_action_laws(mod)
-    if not laws.ok:
-        raise PreconditionError("plain module laws fail; fix the action tensor first")
-    inst = mod.inst
-    alg = inst.algebra
-    violations = []
-    for a in inst.omega:
-        la = inst.weight(a)
-        for b in inst.omega:
-            lb = inst.weight(b)
-            ma, mb = mod.operator(a), mod.operator(b)
-            for i in range(alg.dim):
-                x = alg.basis_vector(i)
-                bx = mod.action_matrix(x)
-                bpx = mod.action_matrix(inst.apply_operator(a, x))
-                # m_b(v P_a(x)) = m_b(m_a(v) x) + m_b(v) P_a(x) + l_b m_a(v) x + l_a m_b(v) x
-                lhs = mb @ bpx
-                rhs = mb @ bx @ ma + bpx @ mb + (bx @ ma).scale(lb) + (bx @ mb).scale(la)
-                if lhs != rhs:
-                    diff = lhs - rhs
-                    for p in range(mod.dim):
-                        col = diff.col(p)
-                        if not is_zero_vector(col):
-                            violations.append(Violation("right-module", (i, p, a, b), col))
-    return CheckReport("right-module", tuple(violations))
+                            violations.append(Violation(kind, (i, p, a, b), col))
+    return CheckReport(kind, tuple(violations))
 
 
 def check_bimodule(bm: FdBimodule) -> CheckReport:
@@ -371,10 +358,9 @@ def regular_bimodule(inst: MrbAlgebraInstance) -> FdBimodule:
     )
 
 
-def zero_module(inst: MrbAlgebraInstance, side: str = "left") -> FdLeftModule | FdRightModule:
-    cls = FdLeftModule if side == "left" else FdRightModule
+def zero_module(inst: MrbAlgebraInstance, side: str = "left") -> FdLeftModule:
     action = tuple(() for _ in range(inst.dim))
-    return cls(inst, 0, action, tuple(Matrix.zero(0, 0) for _ in inst.omega))
+    return _module_class(side)(inst, 0, action, tuple(Matrix.zero(0, 0) for _ in inst.omega))
 
 
 @dataclass(frozen=True)
@@ -396,7 +382,6 @@ def direct_sum(mods: Sequence[FdLeftModule | FdRightModule],
         if inst is None:
             raise ValueError("an instance is required for the empty direct sum")
         side = "left"
-    cls = FdLeftModule if side == "left" else FdRightModule
     total = sum(m.dim for m in mods)
     offsets = list(itertools.accumulate([0] + [m.dim for m in mods]))
     action = []
@@ -413,7 +398,7 @@ def direct_sum(mods: Sequence[FdLeftModule | FdRightModule],
         Matrix.block_diag([m.operators[w] for m in mods]) if mods else Matrix.zero(0, 0)
         for w in range(len(inst.omega))
     )
-    out = cls(inst, total, tuple(action), operators)
+    out = _module_class(side)(inst, total, tuple(action), operators)
     inclusions = []
     projections = []
     for k, m in enumerate(mods):
@@ -459,7 +444,7 @@ def quotient_module(mod: FdLeftModule, sub: Subspace,
         ai = qs.project @ mod.action_matrix(inst.algebra.basis_vector(i)) @ sec
         action.append(tuple(ai.col(p) for p in range(qs.dim)))
     operators = tuple(qs.project @ m @ sec for m in mod.operators)
-    out = type(mod)(inst, qs.dim, tuple(action), operators)
+    out = _module_class(mod.side)(inst, qs.dim, tuple(action), operators)
     if with_projection:
         return out, module_hom(mod, out, qs.project)
     return out
@@ -600,9 +585,20 @@ def _coords_in(basis: Sequence[Matrix], m: Matrix) -> Vector | None:
     return Matrix.from_cols(cols).solve(flat)
 
 
-def hom_module(m: FdRightModule | FdLeftModule | FdBimodule,
-               n: FdBimodule | FdLeftModule | FdRightModule,
-               variant: str) -> FdLeftModule | FdRightModule:
+# variant: (the argument that is the bimodule, the part of it in the Hom
+# base, the part of it that acts on the Hom space, the side of the result).
+# The acting part composes after f when the bimodule is the target and
+# before f when it is the source.
+_HOM_VARIANTS = {
+    "a": ("target", "right", "left", "left"),
+    "b": ("target", "left", "right", "right"),
+    "c": ("source", "left", "right", "left"),
+    "d": ("source", "right", "left", "right"),
+}
+
+
+def hom_module(m: FdLeftModule | FdBimodule, n: FdLeftModule | FdBimodule,
+               variant: str) -> FdLeftModule:
     """Equip a Hom space with one of the four induced structures.
 
     variant "a": m right module, n bimodule over (R'', R); left R''-module,
@@ -617,87 +613,43 @@ def hom_module(m: FdRightModule | FdLeftModule | FdBimodule,
     The auxiliary bimodule hypotheses are verified before construction and
     the output is expressed on the hom-space basis.
     """
-    if variant not in ("a", "b", "c", "d"):
+    if variant not in _HOM_VARIANTS:
         raise ValueError("variant must be one of a, b, c, d")
-    if variant in ("a", "b"):
-        if not isinstance(n, FdBimodule):
-            raise PreconditionError("variants a and b need a bimodule target")
-        bireport = check_bimodule(n)
-        if not bireport.ok:
-            raise PreconditionError(
-                f"bimodule hypothesis fails: {bireport.violations[0].kind}"
-            )
-        if variant == "a":
-            base_src, base_dst = m, n.right_part()
-            result_inst = n.left_inst
-            act = n.left_action_matrix
-            qops = n.left_operators
-            result_side = "left"
-        else:
-            base_src, base_dst = m, n.left_part()
-            result_inst = n.right_inst
-            act = n.right_action_matrix
-            qops = n.right_operators
-            result_side = "right"
-        if base_src.side != base_dst.side:
-            raise PreconditionError("module side does not match the bimodule hypothesis")
-        basis = hom_space(base_src, base_dst)
-        maps_action = [
-            (lambda f, a=act(result_inst.algebra.basis_vector(i)): a @ f)
-            for i in range(result_inst.dim)
-        ]
-        maps_ops = [(lambda f, q=q: q @ f) for q in qops]
-    else:
-        if not isinstance(m, FdBimodule):
-            raise PreconditionError("variants c and d need a bimodule source")
-        bireport = check_bimodule(m)
-        if not bireport.ok:
-            raise PreconditionError(
-                f"bimodule hypothesis fails: {bireport.violations[0].kind}"
-            )
-        if variant == "c":
-            base_src, base_dst = m.left_part(), n
-            result_inst = m.right_inst
-            act = m.right_action_matrix
-            qops = m.right_operators
-            result_side = "left"
-        else:
-            base_src, base_dst = m.right_part(), n
-            result_inst = m.left_inst
-            act = m.left_action_matrix
-            qops = m.left_operators
-            result_side = "right"
-        if base_src.side != base_dst.side:
-            raise PreconditionError("module side does not match the bimodule hypothesis")
-        basis = hom_space(base_src, base_dst)
-        maps_action = [
-            (lambda f, a=act(result_inst.algebra.basis_vector(i)): f @ a)
-            for i in range(result_inst.dim)
-        ]
-        maps_ops = [(lambda f, q=q: f @ q) for q in qops]
+    role, base_side, acting_side, result_side = _HOM_VARIANTS[variant]
+    bm = n if role == "target" else m
+    if not isinstance(bm, FdBimodule):
+        same_role = " and ".join(v for v, row in _HOM_VARIANTS.items() if row[0] == role)
+        raise PreconditionError(f"variants {same_role} need a bimodule {role}")
+    bireport = check_bimodule(bm)
+    if not bireport.ok:
+        raise PreconditionError(f"bimodule hypothesis fails: {bireport.violations[0].kind}")
+    parts = {"left": bm.left_part(), "right": bm.right_part()}
+    base, acting = parts[base_side], parts[acting_side]
+    post = role == "target"
+    base_src, base_dst = (m, base) if post else (base, n)
+    if base_src.side != base_dst.side:
+        raise PreconditionError("module side does not match the bimodule hypothesis")
+    basis = hom_space(base_src, base_dst)
 
-    h = len(basis)
-    action = []
-    for i in range(result_inst.dim):
-        rows = []
-        for p in range(h):
-            img = maps_action[i](basis[p])
-            coords = _coords_in(basis, img)
+    def induced(a: Matrix, what: str) -> tuple[Vector, ...]:
+        # coordinates of a o f (post) or f o a (pre) over the basis f
+        out = []
+        for f in basis:
+            coords = _coords_in(basis, a @ f if post else f @ a)
             if coords is None:
-                raise AssertionError("induced action left the hom space")
-            rows.append(coords)
-        action.append(tuple(rows))
-    operators = []
-    for mp in maps_ops:
-        cols = []
-        for p in range(h):
-            coords = _coords_in(basis, mp(basis[p]))
-            if coords is None:
-                raise AssertionError("induced operator left the hom space")
-            cols.append(coords)
-        operators.append(Matrix.from_cols(cols, rows=h))
-    cls = FdLeftModule if result_side == "left" else FdRightModule
-    return cls(result_inst, h, tuple(action), tuple(operators))
+                raise AssertionError(f"induced {what} left the hom space")
+            out.append(coords)
+        return tuple(out)
+
+    inst = acting.inst
+    action = tuple(
+        induced(acting.action_matrix(inst.algebra.basis_vector(i)), "action")
+        for i in range(inst.dim)
+    )
+    operators = tuple(
+        Matrix.from_cols(induced(q, "operator"), rows=len(basis)) for q in acting.operators
+    )
+    return _module_class(result_side)(inst, len(basis), action, operators)
 
 
 def reweight_module(mod: FdLeftModule, spec: ReweightSpec) -> FdLeftModule:
@@ -804,8 +756,7 @@ def module_from_json(doc: Mapping) -> FdLeftModule | FdRightModule | FdBimodule:
             _ops_from_json(inst, doc["operators"]),
             _ops_from_json(right_inst, doc["right_operators"]),
         )
-    cls = FdLeftModule if side == "left" else FdRightModule
-    return cls(
+    return _module_class(side)(
         inst,
         int(doc["dim"]),
         _action_from_json(doc["action"]),

@@ -23,6 +23,7 @@ from .core import CheckReport, PreconditionError, Violation
 from .linalg import Matrix, QuotientSpace, Vector, quotient_space, vector
 from .modules import (
     _coords_in,
+    _module_class,
     FdBimodule,
     FdLeftModule,
     FdRightModule,
@@ -187,20 +188,8 @@ def tensor_left_structure(bimod: FdBimodule, t: TensorSpace) -> FdLeftModule:
     """
     if bimod.right_part() != t.m_factor:
         raise PreconditionError("bimodule right part must be the tensor's M factor")
-    report = check_bimodule(bimod)
-    if not report.ok:
-        raise PreconditionError(f"bimodule hypothesis fails: {report.violations[0].kind}")
-    inst = bimod.left_inst
     idn = Matrix.identity(t.n_factor.dim)
-    action = []
-    for i in range(inst.dim):
-        amb = bimod.left_action_matrix(inst.algebra.basis_vector(i)).kron(idn)
-        qa = _descend(t, t, amb, "structure operator")
-        action.append(tuple(qa.col(p) for p in range(t.dim)))
-    operators = tuple(
-        _descend(t, t, mw.kron(idn), "structure operator") for mw in bimod.left_operators
-    )
-    return FdLeftModule(inst, t.dim, tuple(action), operators)
+    return _tensor_structure(t, bimod, bimod.left_part(), lambda a: a.kron(idn))
 
 
 def tensor_right_structure(t: TensorSpace, bimod: FdBimodule) -> FdRightModule:
@@ -211,20 +200,31 @@ def tensor_right_structure(t: TensorSpace, bimod: FdBimodule) -> FdRightModule:
     """
     if bimod.left_part() != t.n_factor:
         raise PreconditionError("bimodule left part must be the tensor's N factor")
+    idm = Matrix.identity(t.m_factor.dim)
+    return _tensor_structure(t, bimod, bimod.right_part(), lambda a: idm.kron(a))
+
+
+def _tensor_structure(t: TensorSpace, bimod: FdBimodule, acting: FdLeftModule,
+                      on_ambient) -> FdLeftModule:
+    """The structure the bimodule part `acting` induces on t, of its side.
+
+    `on_ambient` lifts a matrix of the acting part to the ambient tensor
+    space, with the identity of the other factor on the other side of the
+    Kronecker product.
+    """
     report = check_bimodule(bimod)
     if not report.ok:
         raise PreconditionError(f"bimodule hypothesis fails: {report.violations[0].kind}")
-    inst = bimod.right_inst
-    idm = Matrix.identity(t.m_factor.dim)
+    inst = acting.inst
     action = []
     for i in range(inst.dim):
-        amb = idm.kron(bimod.right_action_matrix(inst.algebra.basis_vector(i)))
+        amb = on_ambient(acting.action_matrix(inst.algebra.basis_vector(i)))
         qa = _descend(t, t, amb, "structure operator")
         action.append(tuple(qa.col(p) for p in range(t.dim)))
     operators = tuple(
-        _descend(t, t, idm.kron(mw), "structure operator") for mw in bimod.right_operators
+        _descend(t, t, on_ambient(mw), "structure operator") for mw in acting.operators
     )
-    return FdRightModule(inst, t.dim, tuple(action), operators)
+    return _module_class(acting.side)(inst, t.dim, tuple(action), operators)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,37 @@ def test_multi_generator_term_order_pinned(expression, report):
 def test_input_errors_exit_2_with_json_error(tmp_path):
     not_an_object = tmp_path / "list.json"
     not_an_object.write_text("[1, 2]")
+    regular = json.loads((GOLDEN / "inputs" / "regular_right_sp12.json").read_text())
+    bad_side = tmp_path / "bad_side.json"
+    bad_side.write_text(json.dumps({**regular, "side": "top"}))
+    bad_matrix = tmp_path / "bad_matrix.json"
+    bad_matrix.write_text(json.dumps({"source": regular, "target": regular, "matrix": 5}))
+    bad_dim = tmp_path / "bad_dim.json"
+    bad_dim.write_text(json.dumps({"action": [], "dim": "x", "instance": "scaled_projection(1,2)"}))
+    bad_action = tmp_path / "bad_action.json"
+    bad_action.write_text(json.dumps({**regular, "action": 5}))
+    bad_source = tmp_path / "bad_source.json"
+    bad_source.write_text(json.dumps({"source": {**regular, "action": 5}, "target": regular,
+                                      "matrix": [[1, 0], [0, 1]]}))
     cases = [
+        (["check-module", str(bad_side)],
+         f"malformed module document {bad_side}: unknown module side 'top'"),
+        (["reweight", "scaled_projection(1,2)", "[1]"],
+         "malformed reweight spec: a reweight spec must map each new label to an object of coefficients"),
+        (["lift", str(bad_matrix), str(bad_matrix)],
+         f"malformed hom document {bad_matrix}: matrix must be a JSON array of rows"),
+        (["reweight", str(bad_dim), '{"1": {"1": "1"}}'],
+         f"malformed module document {bad_dim}: invalid literal for int() with base 10: 'x'"),
+        (["quotient", "inputs/regular_left_sp12.json", '[["a", 1]]'],
+         "malformed relations: not a rational literal: 'a'"),
+        (["quotient", "inputs/regular_left_sp12.json", "[[0.5, 1]]"],
+         "malformed relations: cannot interpret 0.5 as an exact rational"),
+        (["reweight", "scaled_projection(1,2)", '{"1": {"1": 0.5}}'],
+         "malformed reweight spec: cannot interpret 0.5 as an exact rational"),
+        (["check-module", str(bad_action)],
+         f"malformed module document {bad_action}: 'int' object is not iterable"),
+        (["lift", str(bad_source), str(bad_source)],
+         f"malformed hom document {bad_source}: 'int' object is not iterable"),
         (["check-module", str(not_an_object)],
          f"malformed module document {not_an_object}: a module document must be a JSON object"),
         (["lift", str(not_an_object), str(not_an_object)],

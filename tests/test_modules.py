@@ -83,6 +83,16 @@ def test_regular_right_module_over_trivial_and_scaled(instances):
             assert not report.ok, name
         else:
             assert report.ok, name
+    # the full report on the triangular instance, where left and right differ
+    report = check_right_module(regular_right_module(upper_triangular_instance((1, 2))))
+    assert report.to_json() == {
+        "ok": False,
+        "subject": "right-module",
+        "violations": [
+            {"kind": "right-module", "residual": ["0", r, "0"], "where": [1, 0, a, b]}
+            for r, a, b in (("1", "1", "1"), ("2", "1", "2"), ("2", "2", "1"), ("4", "2", "2"))
+        ],
+    }
 
 
 def test_zero_operator_module_over_trivial_instance():
@@ -102,7 +112,13 @@ def test_perturbed_operator_fails(reg):
 
 def test_perturbed_right_module_fails(reg_r):
     bad = perturb_operator(reg_r, "2")
-    assert not check_right_module(bad).ok
+    report = check_right_module(bad)
+    assert not report.ok
+    assert report.to_json()["violations"] == [
+        {"kind": "right-module", "residual": ["-1/2", "0"], "where": [0, 0, "1", "2"]},
+        {"kind": "right-module", "residual": ["-1/2", "0"], "where": [0, 0, "2", "1"]},
+        {"kind": "right-module", "residual": ["-3", "0"], "where": [0, 0, "2", "2"]},
+    ]
 
 
 def test_action_law_precondition(sp12):
@@ -341,25 +357,28 @@ def test_hom_module_variant_a(sp12, reg_r):
     assert check_left_module(out).ok
 
 
-def test_hom_module_variant_b(sp12, reg):
+def test_hom_module_variant_b(sp12, reg, sp12_regular_doc):
     bm = regular_bimodule(sp12)
     out = hom_module(reg, bm, "b")
     assert out.side == "right"
     assert check_right_module(out).ok
+    assert module_to_json(out) == sp12_regular_doc("right")
 
 
-def test_hom_module_variant_c(sp12, reg):
+def test_hom_module_variant_c(sp12, reg, sp12_regular_doc):
     bm = regular_bimodule(sp12)
     out = hom_module(bm, reg, "c")
     assert out.side == "left"
     assert check_left_module(out).ok
+    assert module_to_json(out) == sp12_regular_doc("left")
 
 
-def test_hom_module_variant_d(sp12, reg_r):
+def test_hom_module_variant_d(sp12, reg_r, sp12_regular_doc):
     bm = regular_bimodule(sp12)
     out = hom_module(bm, reg_r, "d")
     assert out.side == "right"
     assert check_right_module(out).ok
+    assert module_to_json(out) == sp12_regular_doc("right")
 
 
 def test_hom_module_zero_space(sp12, reg_r):
@@ -503,10 +522,15 @@ def test_quotient_by_random_closed_subspaces(instances):
 
 # -- wire format -----------------------------------------------------------------------------
 
-def test_module_json_round_trip(reg):
-    doc = module_to_json(reg)
-    back = module_from_json(json.loads(json.dumps(doc)))
-    assert back == reg
+def test_module_json_round_trip(reg, reg_r):
+    for mod in (reg, reg_r):
+        doc = module_to_json(mod)
+        back = module_from_json(json.loads(json.dumps(doc)))
+        assert back == mod
+    # scaled_projection(1,2) is commutative: the two regular modules share
+    # their data and differ only in side
+    assert (reg_r.action, reg_r.operators) == (reg.action, reg.operators)
+    assert reg_r != reg
 
 
 def test_bimodule_json_round_trip(sp12):

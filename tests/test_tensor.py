@@ -13,6 +13,7 @@ from mrb.modules import (
     direct_sum,
     hom_space,
     module_hom,
+    module_to_json,
     quotient_module,
     regular_bimodule,
     regular_left_module,
@@ -142,20 +143,22 @@ def test_induced_additive_and_functorial(reg_r, reg):
 
 # -- module structures on tensors -----------------------------------------------------
 
-def test_tensor_left_structure_regular(sp12, reg):
+def test_tensor_left_structure_regular(sp12, reg, sp12_regular_doc):
     bm = regular_bimodule(sp12)
     t = tensor_product(bm.right_part(), reg)
     out = tensor_left_structure(bm, t)
     assert out.dim == 2
     assert check_left_module(out).ok
+    assert module_to_json(out) == sp12_regular_doc("left")
 
 
-def test_tensor_right_structure_regular(sp12, reg_r):
+def test_tensor_right_structure_regular(sp12, reg_r, sp12_regular_doc):
     bm = regular_bimodule(sp12)
     t = tensor_product(reg_r, bm.left_part())
     out = tensor_right_structure(t, bm)
     assert out.dim == 2
     assert check_right_module(out).ok
+    assert module_to_json(out) == sp12_regular_doc("right")
 
 
 def test_tensor_structure_zero_space(sp12, reg_r):

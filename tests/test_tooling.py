@@ -1,0 +1,38 @@
+"""Guards on the names the benchmark's span tracer reads from the package.
+
+`bench/spans.py` groups spans by qualified names such as
+``modules.FdLeftModule.action_matrix``.  A name that no longer resolves is
+never wrapped, so its per-layer metric reads zero without any error; these
+tests make such a rename fail here instead.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolves(qualified: str) -> bool:
+    layer, *attrs = qualified.split(".")
+    obj = importlib.import_module(f"mrb.{layer}")
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_span_groups_and_observers_resolve_in_the_package():
+    spans = _load_spans()
+    names = [n for group in spans.GROUPS.values() for n in group] + list(spans.OBSERVERS)
+    assert names
+    missing = [n for n in names if not _resolves(n)]
+    assert missing == []
