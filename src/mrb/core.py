@@ -145,14 +145,14 @@ class WeightFamily:
 class MrbAlgebraInstance:
     """Algebra presentation plus operator and weight families.
 
-    ``verified`` is a latch set only by :func:`check_mrb_identity`; it is
-    excluded from equality.
+    ``verified`` is a latch set only by a passing :func:`check_mrb_identity`;
+    it is not a constructor argument and is excluded from equality.
     """
 
     algebra: AlgebraPresentation
     operators: OperatorFamily
     weights: WeightFamily
-    verified: bool = field(default=False, compare=False)
+    verified: bool = field(default=False, compare=False, init=False)
 
     def __post_init__(self):
         if self.operators.labels != self.weights.labels:
@@ -244,8 +244,11 @@ def check_mrb_identity(inst: MrbAlgebraInstance) -> CheckReport:
     """Exhaustively evaluate the coupled operator identity.
 
     Both sides are computed on every basis pair and every pair of labels,
-    d^2 s^2 evaluations total.  An empty report marks the instance verified.
+    d^2 s^2 evaluations total.  An empty report marks the instance verified;
+    a verified instance is frozen, so its clean report is returned at once.
     """
+    if inst.verified:
+        return CheckReport("mrb-identity", ())
     pres = check_presentation(inst.algebra)
     if not pres.ok:
         raise PreconditionError("presentation must pass check_presentation first")
@@ -424,6 +427,8 @@ class ReweightSpec:
     def from_dict(cls, maps: Mapping[str, Mapping[str, object]]) -> "ReweightSpec":
         if not isinstance(maps, Mapping) or not all(isinstance(c, Mapping) for c in maps.values()):
             raise ValueError("a reweight spec must map each new label to an object of coefficients")
+        if not maps:
+            raise ValueError("reweight spec must be nonempty")
         rows = tuple(
             (str(new), tuple((str(old), frac(a)) for old, a in coeffs.items()))
             for new, coeffs in maps.items()

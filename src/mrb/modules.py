@@ -315,6 +315,13 @@ def check_bimodule(bm: FdBimodule) -> CheckReport:
     return CheckReport("bimodule", tuple(violations))
 
 
+def _require_bimodule(bm: FdBimodule) -> None:
+    """Raise PreconditionError unless the bimodule passes check_bimodule."""
+    report = check_bimodule(bm)
+    if not report.ok:
+        raise PreconditionError(f"bimodule hypothesis fails: {report.violations[0].kind}")
+
+
 # ---------------------------------------------------------------------------
 # Standard constructions
 # ---------------------------------------------------------------------------
@@ -620,9 +627,7 @@ def hom_module(m: FdLeftModule | FdBimodule, n: FdLeftModule | FdBimodule,
     if not isinstance(bm, FdBimodule):
         same_role = " and ".join(v for v, row in _HOM_VARIANTS.items() if row[0] == role)
         raise PreconditionError(f"variants {same_role} need a bimodule {role}")
-    bireport = check_bimodule(bm)
-    if not bireport.ok:
-        raise PreconditionError(f"bimodule hypothesis fails: {bireport.violations[0].kind}")
+    _require_bimodule(bm)
     parts = {"left": bm.left_part(), "right": bm.right_part()}
     base, acting = parts[base_side], parts[acting_side]
     post = role == "target"

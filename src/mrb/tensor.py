@@ -8,29 +8,32 @@ plain coordinate tensor space by the balancing relations
 
 enumerated on basis pairs (the additive relation families are absorbed by
 working linearly over Q).  Induced maps, bimodule structures, the Hom and
-tensor adjunction, and injectivity-preservation probes are all computed on
-the resulting quotient coordinates with exact rank decisions.
+tensor adjunction and the comparison maps all pass one coset test, that an
+ambient map kills every relation, before they act on quotient coordinates;
+only `bilinearity_report` walks the relations itself, to name each failing
+one.  Every verdict is an exact rank decision.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .core import CheckReport, PreconditionError, Violation
-from .linalg import Matrix, QuotientSpace, Vector, quotient_space, vector
+from .linalg import Matrix, QuotientSpace, Vector, quotient_space, unit_vector, vector
 from .modules import (
     _coords_in,
     _module_class,
+    _require_bimodule,
     FdBimodule,
     FdLeftModule,
     FdRightModule,
     ModuleHom,
-    check_bimodule,
     direct_sum,
+    hom_module,
     hom_space,
+    regular_left_module,
 )
 
 
@@ -56,64 +59,51 @@ class TensorSpace:
         return self.quotient.ambient_dim
 
     def pure_tensor_ambient(self, mvec: Sequence, nvec: Sequence) -> Vector:
-        mvec, nvec = vector(mvec), vector(nvec)
-        dn = self.n_factor.dim
-        out = [Fraction(0)] * (self.m_factor.dim * dn)
-        for p, a in enumerate(mvec):
-            if a == 0:
-                continue
-            for q, b in enumerate(nvec):
-                if b != 0:
-                    out[p * dn + q] = a * b
-        return tuple(out)
+        return _pure_tensor(vector(mvec), vector(nvec))
 
     def zeta(self, mvec: Sequence, nvec: Sequence) -> Vector:
         return self.quotient.project.apply(self.pure_tensor_ambient(mvec, nvec))
 
 
+def _pure_tensor(mvec: Vector, nvec: Vector) -> Vector:
+    """Ambient coordinates of mvec (x) nvec, pair (p, q) at p * len(nvec) + q."""
+    dn = len(nvec)
+    out = [Fraction(0)] * (len(mvec) * dn)
+    for p, a in enumerate(mvec):
+        if a == 0:
+            continue
+        for q, b in enumerate(nvec):
+            if b != 0:
+                out[p * dn + q] = a * b
+    return tuple(out)
+
+
 def tensor_product(m: FdRightModule, n: FdLeftModule) -> TensorSpace:
-    """Quotient of the coordinate tensor space by the balancing relations."""
+    """Quotient of the coordinate tensor space by the balancing relations.
+
+    For each pair (A, B) -- the actions of the basis elements in basis order,
+    then the operators label by label -- and each basis pair (p, q), the
+    relation is (A e_p) (x) e_q - e_p (x) (B e_q).
+    """
     if m.inst != n.inst:
         raise ValueError("tensor factors must live over the same instance")
     if m.side != "right" or n.side != "left":
         raise ValueError("tensor_product takes a right module and a left module")
-    inst = m.inst
-    dm, dn = m.dim, n.dim
-    ambient = dm * dn
-    relations: list[Vector] = []
-
-    def pure(p_vec: Vector, q_vec: Vector) -> list[Fraction]:
-        out = [Fraction(0)] * ambient
-        for p, a in enumerate(p_vec):
-            if a == 0:
-                continue
-            for q, b in enumerate(q_vec):
-                if b != 0:
-                    out[p * dn + q] += a * b
-        return out
-
-    for i in range(inst.dim):
-        r = inst.algebra.basis_vector(i)
-        am = m.action_matrix(r)
-        an = n.action_matrix(r)
-        for p in range(dm):
-            vp = tuple(Fraction(1 if t == p else 0) for t in range(dm))
-            for q in range(dn):
-                wq = tuple(Fraction(1 if t == q else 0) for t in range(dn))
-                row = pure(am.col(p), wq)
-                sub = pure(vp, an.col(q))
-                relations.append(tuple(a - b for a, b in zip(row, sub)))
-    for w in inst.omega:
-        mw = m.operator(w)
-        nw = n.operator(w)
-        for p in range(dm):
-            vp = tuple(Fraction(1 if t == p else 0) for t in range(dm))
-            for q in range(dn):
-                wq = tuple(Fraction(1 if t == q else 0) for t in range(dn))
-                row = pure(mw.col(p), wq)
-                sub = pure(vp, nw.col(q))
-                relations.append(tuple(a - b for a, b in zip(row, sub)))
-    qs = quotient_space(ambient, relations)
+    alg = m.inst.algebra
+    pairs = [(m.action_matrix(alg.basis_vector(i)), n.action_matrix(alg.basis_vector(i)))
+             for i in range(alg.dim)]
+    pairs += zip(m.operators, n.operators)
+    units_m = [unit_vector(m.dim, p) for p in range(m.dim)]
+    units_n = [unit_vector(n.dim, q) for q in range(n.dim)]
+    relations = []
+    for a, b in pairs:
+        b_cols = [b.col(q) for q in range(n.dim)]
+        for p, ep in enumerate(units_m):
+            a_ep = a.col(p)
+            for eq, b_eq in zip(units_n, b_cols):
+                row, sub = _pure_tensor(a_ep, eq), _pure_tensor(ep, b_eq)
+                relations.append(tuple(x - y for x, y in zip(row, sub)))
+    qs = quotient_space(m.dim * n.dim, relations)
     return TensorSpace(m, n, qs, tuple(relations))
 
 
@@ -127,12 +117,11 @@ def bilinearity_report(t: TensorSpace) -> CheckReport:
     violations = []
     proj = t.quotient.project
     m, n = t.m_factor, t.n_factor
-    inst = m.inst
     for p in range(m.dim):
-        vp = tuple(Fraction(1 if i == p else 0) for i in range(m.dim))
-        vp2 = tuple(Fraction(2 if i == p else 0) for i in range(m.dim))
+        vp = unit_vector(m.dim, p)
+        vp2 = tuple(2 * a for a in vp)
         for q in range(n.dim):
-            wq = tuple(Fraction(1 if i == q else 0) for i in range(n.dim))
+            wq = unit_vector(n.dim, q)
             lhs = t.zeta(tuple(a + b for a, b in zip(vp, vp2)), wq)
             rhs = tuple(a + b for a, b in zip(t.zeta(vp, wq), t.zeta(vp2, wq)))
             if lhs != rhs:
@@ -169,14 +158,22 @@ def induced_map(src: TensorSpace, dst: TensorSpace, theta: ModuleHom,
     return _descend(src, dst, ambient, "induced map")
 
 
+def _factor(t: TensorSpace, ambient: Matrix) -> Matrix | None:
+    """The map on t's quotient coordinates that an ambient matrix induces,
+    or None when the matrix does not kill every relation of t."""
+    for rel in t.relations:
+        if any(a != 0 for a in ambient.apply(rel)):
+            return None
+    return ambient @ t.quotient.section_matrix()
+
+
 def _descend(src: TensorSpace, dst: TensorSpace, ambient: Matrix, what: str) -> Matrix:
     """The map of quotients induced by an ambient matrix, after checking
     that it sends every relation of src into the relations of dst."""
-    proj_ambient = dst.quotient.project @ ambient
-    for rel in src.relations:
-        if any(a != 0 for a in proj_ambient.apply(rel)):
-            raise AssertionError(f"{what} is not well-defined on cosets")
-    return proj_ambient @ src.quotient.section_matrix()
+    out = _factor(src, dst.quotient.project @ ambient)
+    if out is None:
+        raise AssertionError(f"{what} is not well-defined on cosets")
+    return out
 
 
 def tensor_left_structure(bimod: FdBimodule, t: TensorSpace) -> FdLeftModule:
@@ -188,8 +185,9 @@ def tensor_left_structure(bimod: FdBimodule, t: TensorSpace) -> FdLeftModule:
     """
     if bimod.right_part() != t.m_factor:
         raise PreconditionError("bimodule right part must be the tensor's M factor")
+    _require_bimodule(bimod)
     idn = Matrix.identity(t.n_factor.dim)
-    return _tensor_structure(t, bimod, bimod.left_part(), lambda a: a.kron(idn))
+    return _tensor_structure(t, bimod.left_part(), lambda a: a.kron(idn))
 
 
 def tensor_right_structure(t: TensorSpace, bimod: FdBimodule) -> FdRightModule:
@@ -200,21 +198,17 @@ def tensor_right_structure(t: TensorSpace, bimod: FdBimodule) -> FdRightModule:
     """
     if bimod.left_part() != t.n_factor:
         raise PreconditionError("bimodule left part must be the tensor's N factor")
-    idm = Matrix.identity(t.m_factor.dim)
-    return _tensor_structure(t, bimod, bimod.right_part(), lambda a: idm.kron(a))
+    _require_bimodule(bimod)
+    return _tensor_structure(t, bimod.right_part(), Matrix.identity(t.m_factor.dim).kron)
 
 
-def _tensor_structure(t: TensorSpace, bimod: FdBimodule, acting: FdLeftModule,
-                      on_ambient) -> FdLeftModule:
+def _tensor_structure(t: TensorSpace, acting: FdLeftModule, on_ambient) -> FdLeftModule:
     """The structure the bimodule part `acting` induces on t, of its side.
 
     `on_ambient` lifts a matrix of the acting part to the ambient tensor
     space, with the identity of the other factor on the other side of the
-    Kronecker product.
+    Kronecker product.  The caller has checked the bimodule.
     """
-    report = check_bimodule(bimod)
-    if not report.ok:
-        raise PreconditionError(f"bimodule hypothesis fails: {report.violations[0].kind}")
     inst = acting.inst
     action = []
     for i in range(inst.dim):
@@ -250,18 +244,16 @@ def adjunction_check(m: FdRightModule, s_bimod: FdBimodule, t_mod: FdRightModule
     right instance.  Both Hom spaces are computed as subspaces, the two maps
     as matrices between them, and mutual inverseness as exact identities.
     """
-    from .modules import hom_module
-
     if m.inst != s_bimod.left_inst:
         raise ValueError("M must be a right module over the bimodule's left instance")
-    if t_mod.inst != s_bimod.right_inst:
+    if t_mod.inst != s_bimod.right_inst or t_mod.side != "right":
         raise ValueError("T must be a right module over the bimodule's right instance")
 
     tensor = tensor_product(m, s_bimod.left_part())
-    tensor_as_right = tensor_right_structure(tensor, s_bimod)
+    hom_st = hom_module(s_bimod, t_mod, "d")  # checks the bimodule
+    tensor_as_right = _tensor_structure(tensor, s_bimod.right_part(),
+                                        Matrix.identity(m.dim).kron)
     h1_basis = hom_space(tensor_as_right, t_mod)
-
-    hom_st = hom_module(s_bimod, t_mod, "d")
     inner_basis = hom_space(s_bimod.right_part(), t_mod)
     if hom_st.dim != len(inner_basis):
         raise AssertionError("hom module dimension mismatch")
@@ -271,10 +263,10 @@ def adjunction_check(m: FdRightModule, s_bimod: FdBimodule, t_mod: FdRightModule
         # columns over M's basis; each entry expressed in inner_basis coords
         cols = []
         for p in range(m.dim):
-            mvec = tuple(Fraction(1 if i == p else 0) for i in range(m.dim))
+            mvec = unit_vector(m.dim, p)
             entry_cols = []
             for q in range(s_bimod.dim):
-                svec = tuple(Fraction(1 if i == q else 0) for i in range(s_bimod.dim))
+                svec = unit_vector(s_bimod.dim, q)
                 entry_cols.append(f.apply(tensor.zeta(mvec, svec)))
             entry = Matrix.from_cols(entry_cols, rows=t_mod.dim)
             coords = _coords_in(inner_basis, entry)
@@ -294,11 +286,7 @@ def adjunction_check(m: FdRightModule, s_bimod: FdBimodule, t_mod: FdRightModule
                     gm = gm + inner_basis[h_idx].scale(c)
             for q in range(dn):
                 cols.append(gm.col(q))
-        ambient = Matrix.from_cols(cols, rows=t_mod.dim)
-        for rel in tensor.relations:
-            if any(a != 0 for a in ambient.apply(rel)):
-                return None
-        return ambient @ tensor.quotient.section_matrix()
+        return _factor(tensor, Matrix.from_cols(cols, rows=t_mod.dim))
 
     theta_cols = []
     for f in h1_basis:
@@ -437,8 +425,6 @@ def tensor_unit_check(m: FdRightModule) -> TensorUnitReport:
     when the operator balancing relations evaluate to zero, which depends on
     the instance.
     """
-    from .modules import regular_left_module
-
     r_mod = regular_left_module(m.inst)
     t = tensor_product(m, r_mod)
     dn = r_mod.dim
@@ -446,15 +432,11 @@ def tensor_unit_check(m: FdRightModule) -> TensorUnitReport:
     for p in range(m.dim):
         for j in range(dn):
             cols.append(m.action_matrix(m.inst.algebra.basis_vector(j)).apply(
-                tuple(Fraction(1 if i == p else 0) for i in range(m.dim))
+                unit_vector(m.dim, p)
             ))
-    ambient_eval = Matrix.from_cols(cols, rows=m.dim)
-    well_defined = all(
-        all(a == 0 for a in ambient_eval.apply(rel)) for rel in t.relations
-    )
-    if not well_defined:
+    on_quotient = _factor(t, Matrix.from_cols(cols, rows=m.dim))
+    if on_quotient is None:
         return TensorUnitReport(t.dim, m.dim, False, False, False)
-    on_quotient = ambient_eval @ t.quotient.section_matrix()
     rk = on_quotient.rank()
     return TensorUnitReport(t.dim, m.dim, True, rk == t.dim, rk == m.dim)
 
@@ -486,48 +468,17 @@ def direct_sum_tensor_check(s: FdRightModule, parts: Sequence[FdLeftModule]) -> 
     formula in the source text does not typecheck; the componentwise inverse
     is used and mutual inverseness is verified computationally).
     """
-    if parts:
-        ds = direct_sum(list(parts))
-    else:
-        ds = direct_sum([], inst=s.inst)
+    ds = direct_sum(list(parts), inst=s.inst)
     big = tensor_product(s, ds.module)
     small = [tensor_product(s, p) for p in parts]
-    offsets = list(itertools.accumulate([0] + [p.dim for p in parts]))
     total_small = sum(t.dim for t in small)
 
-    # f1 on ambient: (p, (k, q)) -> block k, (p, q)
-    f1_cols = []
-    for p in range(s.dim):
-        for j in range(ds.module.dim):
-            k = next(i for i in range(len(parts)) if offsets[i] <= j < offsets[i + 1])
-            q = j - offsets[k]
-            amb = [Fraction(0)] * (s.dim * parts[k].dim)
-            amb[p * parts[k].dim + q] = Fraction(1)
-            block = small[k].quotient.project.apply(tuple(amb))
-            col = [Fraction(0)] * total_small
-            pos = sum(t.dim for t in small[:k])
-            for t_i, a in enumerate(block):
-                col[pos + t_i] = a
-            f1_cols.append(tuple(col))
-    f1_ambient = Matrix.from_cols(f1_cols, rows=total_small)
-    for rel in big.relations:
-        if any(a != 0 for a in f1_ambient.apply(rel)):
-            raise AssertionError("f1 is not well-defined on cosets")
-    f1 = f1_ambient @ big.quotient.section_matrix()
-
-    # f2 blockwise: S (x) M_k -> S (x) (+) M_i through the inclusion
-    f2_blocks = []
-    for k, part in enumerate(parts):
-        inc = ds.inclusions[k]
-        f2_blocks.append(induced_map(small[k], big, inc, side="n"))
-    if f2_blocks:
-        cols = []
-        for k, blk in enumerate(f2_blocks):
-            for j in range(blk.cols):
-                cols.append(blk.col(j))
-        f2 = Matrix.from_cols(cols, rows=big.dim)
-    else:
-        f2 = Matrix.zero(big.dim, 0)
+    # f1 stacks id (x) projection_k, f2 lines up id (x) inclusion_k
+    f1_blocks = [induced_map(big, t, prj, side="n") for t, prj in zip(small, ds.projections)]
+    f1 = Matrix.from_rows([row for blk in f1_blocks for row in blk.entries], cols=big.dim)
+    f2_blocks = [induced_map(t, big, inc, side="n") for t, inc in zip(small, ds.inclusions)]
+    f2 = Matrix.from_cols([blk.col(j) for blk in f2_blocks for j in range(blk.cols)],
+                          rows=big.dim)
 
     inverse = (
         f1 @ f2 == Matrix.identity(total_small)

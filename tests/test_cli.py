@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mrb import cli
+from mrb import cli, core
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -151,6 +151,8 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
          "malformed relations: not a rational literal: 'a'"),
         (["quotient", "inputs/regular_left_sp12.json", "[[0.5, 1]]"],
          "malformed relations: cannot interpret 0.5 as an exact rational"),
+        (["reweight", "scaled_projection(1,2)", "{}"],
+         "malformed reweight spec: reweight spec must be nonempty"),
         (["reweight", "scaled_projection(1,2)", '{"1": {"1": 0.5}}'],
          "malformed reweight spec: cannot interpret 0.5 as an exact rational"),
         (["check-module", str(bad_action)],
@@ -179,3 +181,18 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
     for argv, message in cases:
         code, out = run_cli(argv)
         assert (code, json.loads(out)) == (2, {"command": argv[0], "error": message}), argv
+
+
+def test_reweight_instance_path_checks_the_identity_twice(monkeypatch):
+    # once for the catalog instance, once for the reweighted one
+    calls = []
+    check_presentation = core.check_presentation
+
+    def counted(alg):
+        calls.append(alg)
+        return check_presentation(alg)
+
+    monkeypatch.setattr(core, "check_presentation", counted)
+    code, out = run_cli(["reweight", "scaled_projection(1,2)", '{"1": {"1": "1", "2": "1"}}'])
+    assert code == 0 and json.loads(out)["report"]["ok"]
+    assert len(calls) == 2

@@ -185,6 +185,15 @@ def test_reweight_rejects_empty_and_unverified():
         reweight(fresh, ReweightSpec.identity(inst.omega))
 
 
+def test_only_a_passing_check_sets_verified():
+    inst = scaled_projection((1,))
+    with pytest.raises(TypeError):
+        MrbAlgebraInstance(inst.algebra, inst.operators, inst.weights, verified=True)
+    fresh = MrbAlgebraInstance(inst.algebra, inst.operators, inst.weights)
+    assert not fresh.verified
+    assert check_mrb_identity(fresh).ok and fresh.verified
+
+
 def test_reweight_closure_random_specs(instances):
     rng = random.Random(11)
     for name in ("scaled_projection(1,2)", "upper_triangular(1,2)", "trivial(3,2)"):

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from mrb import modules, tensor
 from mrb.core import check_mrb_identity, scaled_projection, trivial_instance
 from mrb.linalg import Matrix, Subspace
 from mrb.modules import (
     FdLeftModule,
     FdRightModule,
+    check_bimodule,
     check_left_module,
     check_right_module,
     direct_sum,
@@ -94,6 +96,51 @@ def test_tensor_trivial_instance_regular_pair(triv22):
     assert t.dim == 2
 
 
+def _kron_relations(m, n):
+    """Reference relation list: the columns of A (x) I - I (x) B over the
+    pairs (A, B), first the basis actions in basis order, then the operators."""
+    alg = m.inst.algebra
+    pairs = [(m.action_matrix(alg.basis_vector(i)), n.action_matrix(alg.basis_vector(i)))
+             for i in range(alg.dim)]
+    pairs += list(zip(m.operators, n.operators))
+    idm, idn = Matrix.identity(m.dim), Matrix.identity(n.dim)
+    out = []
+    for a, b in pairs:
+        diff = a.kron(idn) - idm.kron(b)
+        out += [diff.col(j) for j in range(diff.cols)]
+    return tuple(out)
+
+
+def _permuted(mod, perm):
+    """The same module in the basis v_perm[0], v_perm[1], ..."""
+    n = len(perm)
+    action = tuple(
+        tuple(tuple(block[perm[p]][perm[q]] for q in range(n)) for p in range(n))
+        for block in mod.action
+    )
+    ops = tuple(Matrix([[m.entries[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+                for m in mod.operators)
+    return type(mod)(mod.inst, n, action, ops)
+
+
+@pytest.mark.parametrize(
+    "name", ["scaled_projection(1,2)", "scaled_projection(2,3,5)", "upper_triangular(1,2)"]
+)
+def test_relations_are_kronecker_columns(instances, name):
+    inst = instances[name]
+    m, n = regular_right_module(inst), regular_left_module(inst)
+    assert tensor_product(m, n).relations == _kron_relations(m, n)
+
+
+def test_relations_are_kronecker_columns_in_a_permuted_basis(instances):
+    inst = instances["upper_triangular(1,2)"]
+    two = direct_sum([regular_right_module(inst)] * 2).module
+    perm = list(range(two.dim))
+    random.Random(6).shuffle(perm)
+    m, n = _permuted(two, perm), regular_left_module(inst)
+    assert tensor_product(m, n).relations == _kron_relations(m, n)
+
+
 def test_tensor_requires_matching_instance(reg_r, triv22):
     other = regular_left_module(triv22)
     with pytest.raises(ValueError):
@@ -177,6 +224,20 @@ def test_adjunction_regular_triple(sp12, reg_r):
     rep = adjunction_check(reg_r, bm, reg_r)
     assert rep.ok
     assert rep.dim_hom_tensor == rep.dim_hom_hom == 2
+
+
+def test_adjunction_checks_the_bimodule_once(sp12, reg_r, monkeypatch):
+    calls = []
+
+    def counted(bm):
+        calls.append(bm)
+        return check_bimodule(bm)
+
+    monkeypatch.setattr(modules, "check_bimodule", counted)
+    # also catches a future direct import of the checker into tensor
+    monkeypatch.setattr(tensor, "check_bimodule", counted, raising=False)
+    assert adjunction_check(reg_r, regular_bimodule(sp12), reg_r).ok
+    assert len(calls) == 1
 
 
 def test_adjunction_zero_target(sp12, reg_r):

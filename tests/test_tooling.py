@@ -10,6 +10,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from mrb.core import scaled_projection
+from mrb.modules import regular_left_module, regular_right_module
+from mrb.tensor import tensor_product
+
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
@@ -36,3 +40,15 @@ def test_span_groups_and_observers_resolve_in_the_package():
     assert names
     missing = [n for n in names if not _resolves(n)]
     assert missing == []
+
+
+def test_tensor_observer_reads_a_real_tensor_product():
+    # the observer reads TensorSpace attributes; reshaping them must fail here
+    spans = _load_spans()
+    inst = scaled_projection((1, 2))
+    t = tensor_product(regular_right_module(inst), regular_left_module(inst))
+    raw = {}
+    spans.OBSERVERS["tensor.tensor_product"](raw, (), {}, t)
+    assert raw["tensor.ambient_max"] == 4
+    assert raw["tensor.relation_rank"] == 2
+    assert raw["tensor.relation_rows"] == 16
