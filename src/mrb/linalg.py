@@ -2,9 +2,10 @@
 
 Everything in this package reduces to linear algebra over the rationals:
 axiom checking, Hom spaces, quotients, tensor products.  This module is the
-single substrate for those computations.  All arithmetic uses
-:class:`fractions.Fraction`, so results are exact and every predicate
-(rank, membership, equality) is decided without tolerances.
+single substrate for those computations, with one elimination engine,
+:class:`SparseRowSpace`, under :meth:`Matrix.rref` and all that uses it.
+All arithmetic uses :class:`fractions.Fraction`, so results are exact and
+every predicate (rank, membership, equality) is decided without tolerances.
 
 Vectors are plain tuples of Fractions.  Matrices act on column vectors:
 ``m.apply(v)[i] == sum(m[i][j] * v[j])``.
@@ -55,10 +56,6 @@ def unit_vector(n: int, i: int) -> Vector:
 
 def is_zero_vector(v: Vector) -> bool:
     return all(a == 0 for a in v)
-
-
-def _bitsize(x: Fraction) -> int:
-    return x.numerator.bit_length() + x.denominator.bit_length()
 
 
 class Matrix:
@@ -204,40 +201,28 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices.
 
-        Among candidate pivot rows the entry of smallest bit-size is chosen,
-        which keeps intermediate numerators small at desk scale.
+        The rows go through :class:`SparseRowSpace` with columns numbered
+        from the right, so its largest-column pivot is the leftmost one and
+        its interreduced basis is the RREF, one row per pivot.
         """
-        work = [list(r) for r in self.entries]
-        pivots: list[int] = []
-        rank = 0
-        for col in range(self.cols):
-            best = None
-            for i in range(rank, self.rows):
-                if work[i][col] != 0:
-                    size = _bitsize(work[i][col])
-                    if best is None or size < best[0]:
-                        best = (size, i)
-            if best is None:
-                continue
-            i = best[1]
-            work[rank], work[i] = work[i], work[rank]
-            inv = 1 / work[rank][col]
-            work[rank] = [a * inv for a in work[rank]]
-            for i in range(self.rows):
-                if i != rank and work[i][col] != 0:
-                    f = work[i][col]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-            pivots.append(col)
-            rank += 1
-            if rank == self.rows:
-                break
-        return Matrix(work), tuple(pivots)
+        last = self.cols - 1
+        space = SparseRowSpace()
+        for row in self.entries:
+            space.add({last - c: a for c, a in enumerate(row)})
+        reduced = space.reduced_rows()
+        leads = sorted(reduced, reverse=True)
+        rows = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+        for out, lead in zip(rows, leads):
+            for c, a in reduced[lead].items():
+                out[last - c] = a
+        return Matrix._shaped(rows, self.rows, self.cols), tuple(last - lead for lead in leads)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def nullspace_basis(self) -> "Subspace":
-        """Basis of the right kernel {v : self @ v = 0}."""
+    def _kernel(self) -> tuple[list[int], tuple[Vector, ...]]:
+        """The free columns of the RREF and, for each, the kernel vector that
+        is 1 there, 0 at the other free columns, minus that column at pivots."""
         reduced, pivots = self.rref()
         free = [j for j in range(self.cols) if j not in pivots]
         basis = []
@@ -247,15 +232,18 @@ class Matrix:
             for i, p in enumerate(pivots):
                 v[p] = -reduced.entries[i][f]
             basis.append(tuple(v))
-        return Subspace(self.cols, tuple(basis))
+        return free, tuple(basis)
+
+    def nullspace_basis(self) -> "Subspace":
+        """Basis of the right kernel {v : self @ v = 0}."""
+        return Subspace._independent(self.cols, self._kernel()[1])
 
     def solve(self, b: Sequence) -> Vector | None:
         """One exact solution of self @ x = b, or None if inconsistent."""
         b = vector(b)
         if len(b) != self.rows:
             raise ValueError("rhs length mismatch")
-        aug = Matrix([list(r) + [x] for r, x in zip(self.entries, b)]) if self.rows \
-            else Matrix.zero(0, self.cols + 1)
+        aug = Matrix._shaped([r + (x,) for r, x in zip(self.entries, b)], self.rows, self.cols + 1)
         reduced, pivots = aug.rref()
         if self.cols in pivots:
             return None
@@ -277,8 +265,9 @@ def nullspace_basis(m: Matrix) -> "Subspace":
 class Subspace:
     """A subspace of Q^n given by a linearly independent basis.
 
-    Bases produced by this module are in reduced row echelon form, so two
-    equal subspaces compare equal.
+    Bases from :meth:`spanned_by` are in reduced row echelon form, hence
+    canonical; others, such as :meth:`Matrix.nullspace_basis`'s kernel
+    basis, are not, so re-span them before comparing subspaces.
     """
 
     ambient_dim: int
@@ -292,6 +281,14 @@ class Subspace:
             if Matrix.from_rows(self.basis).rank() != len(self.basis):
                 raise ValueError("basis vectors are linearly dependent")
 
+    @classmethod
+    def _independent(cls, ambient_dim: int, basis: tuple[Vector, ...]) -> "Subspace":
+        """A basis read off an echelon form: independent, so not re-ranked."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "ambient_dim", ambient_dim)
+        object.__setattr__(sub, "basis", basis)
+        return sub
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -299,25 +296,20 @@ class Subspace:
     @classmethod
     def spanned_by(cls, ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
         """Canonical (RREF) basis of the span of the given vectors."""
-        if not vectors:
-            return cls(ambient_dim, ())
+        if any(len(v) != ambient_dim for v in vectors):
+            raise ValueError("basis vector has wrong length")
         reduced, pivots = Matrix.from_rows(vectors, cols=ambient_dim).rref()
-        return cls(ambient_dim, tuple(reduced.entries[i] for i in range(len(pivots))))
+        return cls._independent(ambient_dim, reduced.entries[:len(pivots)])
 
     def contains(self, v: Sequence) -> bool:
-        v = vector(v)
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length mismatch")
-        if not self.basis:
-            return is_zero_vector(v)
-        return Matrix.from_cols(self.basis).solve(v) is not None
+        return self.coordinates(v) is not None
 
     def coordinates(self, v: Sequence) -> Vector | None:
         """Coordinates of v in this basis, or None if v lies outside."""
         v = vector(v)
-        if not self.basis:
-            return () if is_zero_vector(v) else None
-        return Matrix.from_cols(self.basis).solve(v)
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length mismatch")
+        return Matrix.from_cols(self.basis, rows=self.ambient_dim).solve(v)
 
 
 @dataclass(frozen=True)
@@ -341,21 +333,14 @@ class QuotientSpace:
 
 
 def quotient_space(ambient_dim: int, relations: Sequence[Vector]) -> QuotientSpace:
-    """Quotient of Q^ambient_dim by the span of the relation vectors."""
+    """Quotient of Q^ambient_dim by the span of the relation vectors; the
+    projection rows are the kernel basis of the relation matrix."""
     for r in relations:
         if len(r) != ambient_dim:
             raise ValueError("relation vector has wrong length")
-    reduced, pivots = Matrix.from_rows(tuple(relations), cols=ambient_dim).rref()
-    free = [j for j in range(ambient_dim) if j not in pivots]
-    dim = len(free)
-    proj = [[Fraction(0)] * ambient_dim for _ in range(dim)]
-    for k, f in enumerate(free):
-        proj[k][f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            proj[k][p] = -reduced.entries[i][f]
+    free, kernel = Matrix.from_rows(tuple(relations), cols=ambient_dim)._kernel()
     section = tuple(unit_vector(ambient_dim, f) for f in free)
-    project = Matrix(proj) if dim else Matrix.zero(0, ambient_dim)
-    return QuotientSpace(ambient_dim, dim, project, section)
+    return QuotientSpace(ambient_dim, len(free), Matrix.from_rows(kernel, cols=ambient_dim), section)
 
 
 def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
@@ -374,7 +359,8 @@ class SparseRowSpace:
     Rows are dicts mapping column index to a nonzero Fraction.  The pivot of
     a row is its largest column index, so when columns are ordered by word
     degree the elimination mirrors degree-lowering rewriting and fill-in
-    stays small.  Used for the large truncated ideal-span computations.
+    stays small.  It is the package's one elimination engine: the truncated
+    ideal spans use it directly, :meth:`Matrix.rref` with columns reversed.
     """
 
     def __init__(self):

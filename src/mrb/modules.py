@@ -743,15 +743,20 @@ def module_to_json(mod: FdLeftModule | FdRightModule | FdBimodule) -> dict:
     }
 
 
+def _load_verified(doc: Mapping, key: str) -> MrbAlgebraInstance:
+    inst = load_instance(doc[key])
+    if not check_mrb_identity(inst).ok:
+        raise ValueError(f"{key} fails the identity checker; run check-algebra")
+    return inst
+
+
 def module_from_json(doc: Mapping) -> FdLeftModule | FdRightModule | FdBimodule:
     if not isinstance(doc, Mapping):
         raise ValueError("a module document must be a JSON object")
     side = doc.get("side", "left")
-    inst = load_instance(doc["instance"])
-    check_mrb_identity(inst)
+    inst = _load_verified(doc, "instance")
     if side == "bimodule":
-        right_inst = load_instance(doc["right_instance"])
-        check_mrb_identity(right_inst)
+        right_inst = _load_verified(doc, "right_instance")
         return FdBimodule(
             inst,
             right_inst,

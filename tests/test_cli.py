@@ -138,6 +138,19 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
     bad_source = tmp_path / "bad_source.json"
     bad_source.write_text(json.dumps({"source": {**regular, "action": 5}, "target": regular,
                                       "matrix": [[1, 0], [0, 1]]}))
+
+    def perturbed(instance):
+        # one operator entry and one weight changed: the identity fails
+        operators = {**instance["operators"], "1": [["3", "0"], ["0", "0"]]}
+        return {**instance, "operators": operators, "weights": {**instance["weights"], "1": "-1"}}
+
+    left = json.loads((GOLDEN / "inputs" / "regular_left_sp12.json").read_text())
+    bad_identity = tmp_path / "bad_identity.json"
+    bad_identity.write_text(json.dumps({**left, "instance": perturbed(left["instance"])}))
+    bimodule = json.loads((GOLDEN / "inputs" / "regular_bimodule_sp12.json").read_text())
+    bad_right_identity = tmp_path / "bad_right_identity.json"
+    bad_right_identity.write_text(json.dumps(
+        {**bimodule, "right_instance": perturbed(bimodule["right_instance"])}))
     cases = [
         (["check-module", str(bad_side)],
          f"malformed module document {bad_side}: unknown module side 'top'"),
@@ -177,6 +190,15 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
          "unknown operator label '9'"),
         (["check-algebra", "no_such_instance"],
          "unknown catalog instance 'no_such_instance'"),
+        (["mc", str(bad_identity)],
+         f"malformed module document {bad_identity}: "
+         "instance fails the identity checker; run check-algebra"),
+        (["hom", str(bad_identity), str(bad_identity)],
+         f"malformed module document {bad_identity}: "
+         "instance fails the identity checker; run check-algebra"),
+        (["check-module", str(bad_right_identity)],
+         f"malformed module document {bad_right_identity}: "
+         "right_instance fails the identity checker; run check-algebra"),
     ]
     for argv, message in cases:
         code, out = run_cli(argv)

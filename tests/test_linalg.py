@@ -153,6 +153,69 @@ def test_rank_and_nullspace_against_sympy(m):
         assert ours.contains(vec)
 
 
+def _zeroed(args):
+    entries, zero_rows, zero_cols = args
+    return Matrix([[Fraction(0) if i in zero_rows or j in zero_cols else x
+                    for j, x in enumerate(row)] for i, row in enumerate(entries)])
+
+
+def shaped_matrices(max_dim=5):
+    """Tall, wide and square matrices with some rows and columns zeroed."""
+    return st.integers(1, max_dim).flatmap(
+        lambda r: st.integers(1, max_dim).flatmap(
+            lambda c: st.tuples(
+                st.lists(st.lists(rationals, min_size=c, max_size=c), min_size=r, max_size=r),
+                st.sets(st.integers(0, r - 1)),
+                st.sets(st.integers(0, c - 1)),
+            )
+        )
+    ).map(_zeroed)
+
+
+def _assert_rref_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    sm = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                       for row in m.entries for x in row])
+    theirs, their_pivots = sm.rref()
+    ours, pivots = m.rref()
+    assert (ours.rows, ours.cols) == theirs.shape
+    assert pivots == tuple(their_pivots)
+    assert [list(row) for row in ours.entries] == [
+        [Fraction(int(x.p), int(x.q)) for x in row] for row in theirs.tolist()
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(shaped_matrices())
+def test_rref_matches_sympy_entry_by_entry(m):
+    _assert_rref_matches_sympy(m)
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (0, 0)])
+def test_rref_of_empty_shapes_matches_sympy(rows, cols):
+    _assert_rref_matches_sympy(Matrix.zero(rows, cols))
+
+
+def test_subspace_and_kernel_eliminate_once(monkeypatch):
+    calls = []
+    rref = Matrix.rref
+
+    def counted(self):
+        calls.append((self.rows, self.cols))
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    vectors = [(Fraction(2), Fraction(0), Fraction(1)), (Fraction(1), Fraction(1), Fraction(0))]
+    assert Subspace.spanned_by(3, vectors).dim == 2
+    assert calls == [(2, 3)]
+    calls.clear()
+    assert Matrix(vectors).nullspace_basis().dim == 1
+    assert calls == [(2, 3)]
+    calls.clear()
+    assert quotient_space(3, vectors).dim == 1
+    assert calls == [(2, 3)]
+
+
 def test_sparse_row_space_rank_matches_dense():
     rows = [
         {0: Fraction(1), 2: Fraction(2)},
