@@ -29,7 +29,6 @@ from .linalg import (
     is_zero_vector,
     unit_vector,
     vector,
-    zero_vector,
 )
 
 
@@ -90,16 +89,6 @@ class AlgebraPresentation:
                     if c != 0:
                         out[k] += ab * c
         return tuple(out)
-
-    def left_mult_matrix(self, u: Sequence) -> Matrix:
-        """Matrix of v -> u*v in basis coordinates."""
-        cols = [self.multiply(u, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix.from_cols(cols, rows=self.dim)
-
-    def right_mult_matrix(self, u: Sequence) -> Matrix:
-        """Matrix of v -> v*u in basis coordinates."""
-        cols = [self.multiply(self.basis_vector(j), u) for j in range(self.dim)]
-        return Matrix.from_cols(cols, rows=self.dim)
 
 
 @dataclass(frozen=True)
@@ -285,6 +274,14 @@ def check_mrb_identity(inst: MrbAlgebraInstance) -> CheckReport:
     return report
 
 
+def _require_verified(inst: MrbAlgebraInstance, what: str,
+                      error: type[Exception] = ValueError) -> MrbAlgebraInstance:
+    """inst, once it passes the identity checker; else `error` naming `what`."""
+    if not check_mrb_identity(inst).ok:
+        raise error(f"{what} fails the identity checker; run check-algebra")
+    return inst
+
+
 # ---------------------------------------------------------------------------
 # Instance catalog
 # ---------------------------------------------------------------------------
@@ -443,6 +440,14 @@ class ReweightSpec:
         return tuple(name for name, _ in self.rows)
 
 
+def _combine(spec: ReweightSpec, matrix_of, d: int) -> tuple[Matrix, ...]:
+    """The d x d matrices sum_w a_iw matrix_of(w), one per row of the spec."""
+    return tuple(
+        sum((matrix_of(old).scale(a) for old, a in coeffs), Matrix.zero(d, d))
+        for _, coeffs in spec.rows
+    )
+
+
 def reweight(inst: MrbAlgebraInstance, spec: ReweightSpec) -> MrbAlgebraInstance:
     """Instance with operators and weights replaced by the spec's combinations.
 
@@ -455,21 +460,13 @@ def reweight(inst: MrbAlgebraInstance, spec: ReweightSpec) -> MrbAlgebraInstance
     labels = spec.labels()
     if len(set(labels)) != len(labels):
         raise ValueError("reweight spec labels must be distinct")
-    d = inst.dim
-    matrices = []
-    values = []
-    for _, coeffs in spec.rows:
-        m = Matrix.zero(d, d)
-        w = Fraction(0)
-        for old, a in coeffs:
-            m = m + inst.p_matrix(old).scale(a)
-            w += a * inst.weight(old)
-        matrices.append(m)
-        values.append(w)
+    matrices = _combine(spec, inst.p_matrix, inst.dim)
+    values = tuple(sum((a * inst.weight(old) for old, a in coeffs), Fraction(0))
+                   for _, coeffs in spec.rows)
     out = MrbAlgebraInstance(
         inst.algebra,
-        OperatorFamily(labels, tuple(matrices)),
-        WeightFamily(labels, tuple(values)),
+        OperatorFamily(labels, matrices),
+        WeightFamily(labels, values),
     )
     report = check_mrb_identity(out)
     if not report.ok:
@@ -523,12 +520,11 @@ def instance_from_json(doc: Mapping) -> MrbAlgebraInstance:
 
 
 def load_instance(text_or_doc) -> MrbAlgebraInstance:
-    """Accept an instance document, a JSON string, or a catalog name."""
+    """Accept an instance, a JSON string, a catalog name, or else a document."""
     if isinstance(text_or_doc, MrbAlgebraInstance):
         return text_or_doc
-    if isinstance(text_or_doc, Mapping):
+    if not isinstance(text_or_doc, str):
         return instance_from_json(text_or_doc)
-    text = str(text_or_doc)
-    if text.lstrip().startswith("{"):
-        return instance_from_json(json.loads(text))
-    return catalog_instance(text)
+    if text_or_doc.lstrip().startswith("{"):
+        return instance_from_json(json.loads(text_or_doc))
+    return catalog_instance(text_or_doc)

@@ -28,8 +28,10 @@ from .core import (
     PreconditionError,
     ReweightSpec,
     Violation,
-    check_mrb_identity,
-    instance_from_json,
+    _combine,
+    _matrix_from_json,
+    _matrix_to_json,
+    _require_verified,
     instance_to_json,
     load_instance,
     reweight,
@@ -38,7 +40,6 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    frac,
     format_rational,
     is_zero_vector,
     quotient_space,
@@ -174,6 +175,8 @@ class ModuleHom:
     def __post_init__(self):
         if self.source.side != self.target.side:
             raise ValueError("source and target must be modules of the same side")
+        if self.source.side == "bimodule":
+            raise ValueError("source and target must be one-sided modules")
         if self.source.inst != self.target.inst:
             raise ValueError("source and target must live over the same instance")
         if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
@@ -660,14 +663,7 @@ def hom_module(m: FdLeftModule | FdBimodule, n: FdLeftModule | FdBimodule,
 def reweight_module(mod: FdLeftModule, spec: ReweightSpec) -> FdLeftModule:
     """Module over the reweighted instance with combined operator family."""
     new_inst = reweight(mod.inst, spec)
-    d = mod.dim
-    operators = []
-    for _, coeffs in spec.rows:
-        m = Matrix.zero(d, d)
-        for old, a in coeffs:
-            m = m + mod.operator(old).scale(a)
-        operators.append(m)
-    return FdLeftModule(new_inst, d, mod.action, tuple(operators))
+    return FdLeftModule(new_inst, mod.dim, mod.action, _combine(spec, mod.operator, mod.dim))
 
 
 def lift_through_epi(theta: ModuleHom, phi: ModuleHom) -> ModuleHom | None:
@@ -712,14 +708,11 @@ def _action_from_json(data):
 
 
 def _ops_to_json(inst, operators):
-    return {
-        w: [[format_rational(x) for x in row] for row in m.entries]
-        for w, m in zip(inst.omega, operators)
-    }
+    return {w: _matrix_to_json(m) for w, m in zip(inst.omega, operators)}
 
 
 def _ops_from_json(inst, data):
-    return tuple(Matrix([[frac(x) for x in row] for row in data[w]]) for w in inst.omega)
+    return tuple(_matrix_from_json(data[w]) for w in inst.omega)
 
 
 def module_to_json(mod: FdLeftModule | FdRightModule | FdBimodule) -> dict:
@@ -744,10 +737,7 @@ def module_to_json(mod: FdLeftModule | FdRightModule | FdBimodule) -> dict:
 
 
 def _load_verified(doc: Mapping, key: str) -> MrbAlgebraInstance:
-    inst = load_instance(doc[key])
-    if not check_mrb_identity(inst).ok:
-        raise ValueError(f"{key} fails the identity checker; run check-algebra")
-    return inst
+    return _require_verified(load_instance(doc[key]), key)
 
 
 def module_from_json(doc: Mapping) -> FdLeftModule | FdRightModule | FdBimodule:

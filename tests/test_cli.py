@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,10 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
     bad_source = tmp_path / "bad_source.json"
     bad_source.write_text(json.dumps({"source": {**regular, "action": 5}, "target": regular,
                                       "matrix": [[1, 0], [0, 1]]}))
+    bimodule = json.loads((GOLDEN / "inputs" / "regular_bimodule_sp12.json").read_text())
+    bimodule_hom = tmp_path / "bimodule_hom.json"
+    bimodule_hom.write_text(json.dumps({"source": bimodule, "target": bimodule,
+                                        "matrix": [[1, 0], [0, 1]]}))
 
     def perturbed(instance):
         # one operator entry and one weight changed: the identity fails
@@ -147,7 +152,6 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
     left = json.loads((GOLDEN / "inputs" / "regular_left_sp12.json").read_text())
     bad_identity = tmp_path / "bad_identity.json"
     bad_identity.write_text(json.dumps({**left, "instance": perturbed(left["instance"])}))
-    bimodule = json.loads((GOLDEN / "inputs" / "regular_bimodule_sp12.json").read_text())
     bad_right_identity = tmp_path / "bad_right_identity.json"
     bad_right_identity.write_text(json.dumps(
         {**bimodule, "right_instance": perturbed(bimodule["right_instance"])}))
@@ -199,10 +203,62 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
         (["check-module", str(bad_right_identity)],
          f"malformed module document {bad_right_identity}: "
          "right_instance fails the identity checker; run check-algebra"),
+        (["lift", str(bimodule_hom), str(bimodule_hom)],
+         f"malformed hom document {bimodule_hom}: source and target must be one-sided modules"),
+        (["check-algebra", "scaled_projection(0)"],
+         "zero coefficients are rejected; they degenerate to the trivial family"),
+        (["tensor", "inputs/regular_left_sp12.json", "inputs/regular_left_sp12.json"],
+         f"{GOLDEN / 'inputs/regular_left_sp12.json'} holds a left module; expected a right module"),
+        (["adjunction", "inputs/regular_right_sp12.json", "inputs/regular_right_sp12.json",
+          "inputs/regular_right_sp12.json"],
+         f"{GOLDEN / 'inputs/regular_right_sp12.json'} holds a right module; expected a bimodule"),
+        (["mc", "inputs/regular_right_sp12.json"],
+         f"{GOLDEN / 'inputs/regular_right_sp12.json'} holds a right module; expected a left module"),
+        (["direct-sum", "inputs/regular_bimodule_sp12.json"],
+         f"{GOLDEN / 'inputs/regular_bimodule_sp12.json'} holds a bimodule; "
+         "expected a left module or a right module"),
+        (["hom", "inputs/regular_bimodule_sp12.json", "inputs/regular_bimodule_sp12.json"],
+         f"{GOLDEN / 'inputs/regular_bimodule_sp12.json'} holds a bimodule; "
+         "expected a left module or a right module"),
     ]
     for argv, message in cases:
         code, out = run_cli(argv)
         assert (code, json.loads(out)) == (2, {"command": argv[0], "error": message}), argv
+    # usage errors: argparse words them differently across Python versions,
+    # so only the offending token is pinned
+    usage_cases = [
+        (["mc"], "module"),
+        (["hom-module", "inputs/regular_right_sp12.json", "inputs/regular_bimodule_sp12.json"],
+         "--variant"),
+        (["mc", "inputs/regular_left_sp12.json", "--max-qdegree", "7"], "--max-qdegree"),
+    ]
+    for argv, token in usage_cases:
+        code, out = run_cli(argv)
+        doc = json.loads(out)
+        assert (code, doc["command"]) == (2, argv[0]) and token in doc["error"], argv
+
+
+@pytest.mark.parametrize("argv,token", [([], "verb"), (["frobnicate"], "frobnicate")],
+                         ids=["no-verb", "unknown-verb"])
+def test_missing_or_unknown_verb_is_a_json_input_error(argv, token):
+    code, out = run_cli(argv)
+    doc = json.loads(out)
+    assert (code, doc["command"]) == (2, None) and token in doc["error"]
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mc", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mrb mc")
+
+
+def test_every_verb_has_a_golden_pair_and_a_readme_entry():
+    golden_verbs = {e["argv"][0] for e in MANIFEST}
+    assert set(cli.VERBS) <= golden_verbs
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    verb_list = re.search(r"Verbs:(.*?)\.", readme, re.S).group(1)
+    assert set(re.findall(r"`([^`]+)`", verb_list)) == set(cli.VERBS)
 
 
 def test_reweight_instance_path_checks_the_identity_twice(monkeypatch):
