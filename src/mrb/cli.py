@@ -6,7 +6,8 @@ is built from the table; ``main`` runs every argument's loader in table
 order and calls the handler with the loaded values.
 
 Exit codes: 0 success / all checks clean, 1 check violations or failed
-verdicts (report still emitted), 2 input errors, usage errors included;
+verdicts (report still emitted), 2 input errors, usage errors and
+arguments that do not fit together included;
 an error is reported as ``{"command": ..., "error": ...}``.  Reports are
 emitted as canonically ordered JSON so identical inputs produce
 byte-identical output; ``--pretty`` switches to indented rendering.
@@ -23,7 +24,7 @@ from pathlib import Path
 from . import core, modules, opring, parser as expr, tensor
 from .core import PreconditionError
 from .linalg import Matrix, Subspace, frac
-from .modules import ClosureViolationError
+from .modules import ArgumentError, ClosureViolationError
 from .operated import FreeOperatedModule
 
 
@@ -375,7 +376,8 @@ def main(argv=None, stdout=None) -> int:
             raw = getattr(args, name.lstrip("-").replace("-", "_"))
             values.append([load(r) for r in raw] if isinstance(raw, list) else load(raw))
         code, report = handler(*values)
-    except (InputError, expr.ExpressionError, KeyError, json.JSONDecodeError) as exc:
+    except (InputError, ArgumentError, expr.ExpressionError, KeyError,
+            json.JSONDecodeError) as exc:
         code, report = 2, {"error": _message(exc)}
     except (PreconditionError, ClosureViolationError, ValueError) as exc:
         code, report = 1, {"error": str(exc)}

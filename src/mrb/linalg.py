@@ -8,7 +8,9 @@ All arithmetic uses :class:`fractions.Fraction`, so results are exact and
 every predicate (rank, membership, equality) is decided without tolerances.
 
 Vectors are plain tuples of Fractions.  Matrices act on column vectors:
-``m.apply(v)[i] == sum(m[i][j] * v[j])``.
+``m.apply(v)[i] == sum(m[i][j] * v[j])``.  Products and applications skip
+zero entries, and only the public constructor coerces entries: results the
+package computes itself are taken as they are.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?$")
+_ZERO = Fraction(0)
 
 
 def frac(x) -> Fraction:
@@ -80,11 +82,7 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        m = object.__new__(cls)
-        object.__setattr__(m, "entries", ((Fraction(0),) * cols,) * rows)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        return m
+        return cls._shaped(((_ZERO,) * cols,) * rows, rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -114,7 +112,7 @@ class Matrix:
                     out[r + i][c + j] = b.entries[i][j]
             r += b.rows
             c += b.cols
-        return cls(out)
+        return cls._shaped(out, rows, cols)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -138,19 +136,23 @@ class Matrix:
 
     @classmethod
     def _shaped(cls, entries, rows: int, cols: int) -> "Matrix":
-        if rows == 0 or cols == 0:
-            return cls.zero(rows, cols)
-        return cls(entries)
+        """A rows x cols matrix of Fractions the package computed itself,
+        taken as they are: no coercion and no ragged-row check."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", tuple(map(tuple, entries)) if cols else ((),) * rows)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        return m
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix._shaped([[a + b for a, b in zip(r1, r2)]
+        return Matrix._shaped([[a + b if b else a for a, b in zip(r1, r2)]
                                for r1, r2 in zip(self.entries, other.entries)],
                               self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix._shaped([[a - b for a, b in zip(r1, r2)]
+        return Matrix._shaped([[a - b if b else a for a, b in zip(r1, r2)]
                                for r1, r2 in zip(self.entries, other.entries)],
                               self.rows, self.cols)
 
@@ -160,24 +162,33 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        return Matrix._shaped([[c * a for a in r] for r in self.entries],
+        return Matrix._shaped([[c * a if a else a for a in r] for r in self.entries],
                               self.rows, self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = other.transpose().entries
-        return Matrix._shaped([[sum(a * b for a, b in zip(row, col)) for col in ot]
-                               for row in self.entries], self.rows, other.cols)
+        out = []
+        # row i of the product is the sum of a * (row j of other) over the
+        # nonzero entries a = self[i][j]
+        for row in self.entries:
+            acc = [_ZERO] * other.cols
+            for a, orow in zip(row, other.entries):
+                if a:
+                    acc = [s + a * b if b else s for s, b in zip(acc, orow)]
+            out.append(acc)
+        return Matrix._shaped(out, self.rows, other.cols)
 
     def apply(self, v: Sequence) -> Vector:
         v = vector(v)
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        support = [(j, x) for j, x in enumerate(v) if x]
+        return tuple(sum((row[j] * x for j, x in support if row[j]), _ZERO)
+                     for row in self.entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix([self.col(j) for j in range(self.cols)]) if self.cols else Matrix.zero(0, self.rows)
+        return Matrix._shaped(zip(*self.entries), self.cols, self.rows)
 
     def kron(self, other: "Matrix") -> "Matrix":
         out = [[Fraction(0)] * (self.cols * other.cols) for _ in range(self.rows * other.rows)]
@@ -340,7 +351,8 @@ def quotient_space(ambient_dim: int, relations: Sequence[Vector]) -> QuotientSpa
             raise ValueError("relation vector has wrong length")
     free, kernel = Matrix.from_rows(tuple(relations), cols=ambient_dim)._kernel()
     section = tuple(unit_vector(ambient_dim, f) for f in free)
-    return QuotientSpace(ambient_dim, len(free), Matrix.from_rows(kernel, cols=ambient_dim), section)
+    project = Matrix._shaped(kernel, len(kernel), ambient_dim)
+    return QuotientSpace(ambient_dim, len(free), project, section)
 
 
 def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:

@@ -10,13 +10,15 @@ exhaustively on basis pairs, is
                     + lambda_b m_a(x v) + lambda_a m_b(x v),
 
 and one body checks it and, with every product reversed, its mirror on
-right modules.  All verdicts (closure, surjectivity, membership) are
-decided by exact rank.
+right modules: the axiom kernel of :mod:`mrb.core` on the module's action
+tables, built once per check.  All verdicts (closure, surjectivity,
+membership) are decided by exact rank.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -28,10 +30,14 @@ from .core import (
     PreconditionError,
     ReweightSpec,
     Violation,
+    _axiom_violations,
     _combine,
     _matrix_from_json,
     _matrix_to_json,
+    _regular_action,
     _require_verified,
+    _sum_of,
+    _tables,
     instance_to_json,
     load_instance,
     reweight,
@@ -41,16 +47,18 @@ from .linalg import (
     Subspace,
     Vector,
     format_rational,
-    is_zero_vector,
     quotient_space,
     unit_vector,
     vector,
-    zero_vector,
 )
 
 
 class ClosureViolationError(ValueError):
     """A claimed submodule is not closed under the action or the operators."""
+
+
+class ArgumentError(ValueError):
+    """Arguments that do not fit together, such as modules of two sides."""
 
 
 def _validate_action(dim_r: int, dim_m: int, action) -> None:
@@ -62,17 +70,9 @@ def _validate_action(dim_r: int, dim_m: int, action) -> None:
 
 
 def _action_matrix(action, r: Vector, dim: int) -> Matrix:
-    cols = []
-    for p in range(dim):
-        col = [Fraction(0)] * dim
-        for i, ri in enumerate(r):
-            if ri == 0:
-                continue
-            for q, a in enumerate(action[i][p]):
-                if a != 0:
-                    col[q] += ri * a
-        cols.append(tuple(col))
-    return Matrix.from_cols(cols, rows=dim)
+    """sum_i r_i A_i, where column p of A_i is action[i][p]."""
+    return _sum_of(((ri, Matrix.from_cols(block, rows=dim)) for ri, block in zip(r, action) if ri),
+                   dim, dim)
 
 
 @dataclass(frozen=True)
@@ -186,15 +186,9 @@ class ModuleHom:
         return self.matrix.apply(v)
 
     def is_intertwiner(self) -> bool:
-        inst = self.source.inst
-        for i in range(inst.dim):
-            b = inst.algebra.basis_vector(i)
-            if self.matrix @ self.source.action_matrix(b) != self.target.action_matrix(b) @ self.matrix:
-                return False
-        for w in inst.omega:
-            if self.matrix @ self.source.operator(w) != self.target.operator(w) @ self.matrix:
-                return False
-        return True
+        src, dst, f = self.source, self.target, self.matrix
+        return all(f @ a == b @ f for a, b in zip((*_action_tables(src), *src.operators),
+                                                  (*_action_tables(dst), *dst.operators)))
 
     def is_injective(self) -> bool:
         return self.matrix.rank() == self.source.dim
@@ -219,26 +213,34 @@ def _product_order(mod: FdLeftModule):
     side: mul(x, y) is x @ y on a left module and y @ x on a right one, so
     one formula states both the left axiom and its mirror."""
     if mod.side == "left":
-        return lambda x, y: x @ y
+        return operator.matmul
     return lambda x, y: y @ x
+
+
+def _action_tables(mod: FdLeftModule) -> tuple[Matrix, ...]:
+    """A_i, the action matrix of each basis element b_i."""
+    return _tables(mod.action, mod.dim)
+
+
+def _action_law_violations(mod: FdLeftModule, acts: Sequence[Matrix]) -> list[Violation]:
+    """The unit law A_u = 1 and associativity A_{b_i b_j} = mul(A_i, A_j),
+    that is (b_i b_j) v = b_i (b_j v), or v (b_i b_j) = (v b_i) b_j."""
+    alg = mod.inst.algebra
+    mul = _product_order(mod)
+    n = mod.dim
+    violations = []
+    if _sum_of(zip(alg.unit, acts), n, n) != Matrix.identity(n):
+        violations.append(Violation("unit-action", ()))
+    for i, ai in enumerate(acts):
+        for j, aj in enumerate(acts):
+            if _sum_of(zip(alg.structure_constants[i][j], acts), n, n) != mul(ai, aj):
+                violations.append(Violation("action-associativity", (i, j)))
+    return violations
 
 
 def check_action_laws(mod: FdLeftModule) -> CheckReport:
     """R-module laws of the plain action: associativity and unit."""
-    alg = mod.inst.algebra
-    mul = _product_order(mod)
-    violations = []
-    unit_m = mod.action_matrix(alg.unit)
-    if unit_m != Matrix.identity(mod.dim):
-        violations.append(Violation("unit-action", ()))
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            # (b_i b_j) v = b_i (b_j v), or v (b_i b_j) = (v b_i) b_j
-            lhs = mod.action_matrix(alg.multiply(alg.basis_vector(i), alg.basis_vector(j)))
-            rhs = mul(mod.action_matrix(alg.basis_vector(i)), mod.action_matrix(alg.basis_vector(j)))
-            if lhs != rhs:
-                violations.append(Violation("action-associativity", (i, j)))
-    return CheckReport("action-laws", tuple(violations))
+    return CheckReport("action-laws", tuple(_action_law_violations(mod, _action_tables(mod))))
 
 
 def check_left_module(mod: FdLeftModule) -> CheckReport:
@@ -254,37 +256,17 @@ def check_right_module(mod: FdRightModule) -> CheckReport:
 def _check_one_sided(mod: FdLeftModule) -> CheckReport:
     """The axiom of mod's side on every basis element, label pair and column.
 
-    Written for the left side; on a right module every product is reversed,
-    which turns it into m_b(v P_a(x)) = m_b(m_a(v) x) + m_b(v) P_a(x)
-    + l_b m_a(v) x + l_a m_b(v) x.
+    The axiom kernel on the module's own action tables, after the plain
+    action laws on the same tables.  Written for the left side; on a right
+    module every product is reversed, which turns it into
+    m_b(v P_a(x)) = m_b(m_a(v) x) + m_b(v) P_a(x) + l_b m_a(v) x + l_a m_b(v) x.
     """
-    laws = check_action_laws(mod)
-    if not laws.ok:
+    acts = _action_tables(mod)
+    if _action_law_violations(mod, acts):
         raise PreconditionError("plain module laws fail; fix the action tensor first")
-    inst = mod.inst
-    alg = inst.algebra
-    mul = _product_order(mod)
     kind = f"{mod.side}-module"
-    violations = []
-    for a in inst.omega:
-        la = inst.weight(a)
-        for b in inst.omega:
-            lb = inst.weight(b)
-            ma, mb = mod.operator(a), mod.operator(b)
-            for i in range(alg.dim):
-                x = alg.basis_vector(i)
-                ax = mod.action_matrix(x)
-                apx = mod.action_matrix(inst.apply_operator(a, x))
-                lhs = mul(apx, mb)
-                ma_x = mul(ma, ax)
-                rhs = mul(ma_x, mb) + mul(mb, apx) + ma_x.scale(lb) + mul(mb, ax).scale(la)
-                if lhs != rhs:
-                    diff = lhs - rhs
-                    for p in range(mod.dim):
-                        col = diff.col(p)
-                        if not is_zero_vector(col):
-                            violations.append(Violation(kind, (i, p, a, b), col))
-    return CheckReport(kind, tuple(violations))
+    return CheckReport(kind, tuple(_axiom_violations(
+        kind, mod.inst, acts, mod.operators, _product_order(mod))))
 
 
 def check_bimodule(bm: FdBimodule) -> CheckReport:
@@ -294,21 +276,19 @@ def check_bimodule(bm: FdBimodule) -> CheckReport:
     violations = list(left_report.violations) + list(right_report.violations)
     la = bm.left_inst.algebra
     ra = bm.right_inst.algebra
-    for i in range(la.dim):
-        ai = bm.left_action_matrix(la.basis_vector(i))
-        for j in range(ra.dim):
-            bj = bm.right_action_matrix(ra.basis_vector(j))
+    lefts = [bm.left_action_matrix(la.basis_vector(i)) for i in range(la.dim)]
+    rights = [bm.right_action_matrix(ra.basis_vector(j)) for j in range(ra.dim)]
+    for i, ai in enumerate(lefts):
+        for j, bj in enumerate(rights):
             if ai @ bj != bj @ ai:
                 violations.append(Violation("actions-commute", (i, j)))
     for k, w in enumerate(bm.omega):
         mw = bm.right_operators[k]
-        for i in range(la.dim):
-            ai = bm.left_action_matrix(la.basis_vector(i))
+        for i, ai in enumerate(lefts):
             if mw @ ai != ai @ mw:
                 violations.append(Violation("right-family-vs-left-action", (w, i)))
         nw = bm.left_operators[k]
-        for j in range(ra.dim):
-            bj = bm.right_action_matrix(ra.basis_vector(j))
+        for j, bj in enumerate(rights):
             if nw @ bj != bj @ nw:
                 violations.append(Violation("left-family-vs-right-action", (w, j)))
     for k, w in enumerate(bm.omega):
@@ -329,26 +309,15 @@ def _require_bimodule(bm: FdBimodule) -> None:
 # Standard constructions
 # ---------------------------------------------------------------------------
 
-def _regular_action(inst: MrbAlgebraInstance, left: bool):
-    alg = inst.algebra
-    out = []
-    for i in range(alg.dim):
-        bi = alg.basis_vector(i)
-        rows = []
-        for p in range(alg.dim):
-            bp = alg.basis_vector(p)
-            rows.append(alg.multiply(bi, bp) if left else alg.multiply(bp, bi))
-        out.append(tuple(rows))
-    return tuple(out)
-
-
 def regular_left_module(inst: MrbAlgebraInstance) -> FdLeftModule:
     """R acting on itself on the left, operators P_w."""
-    return FdLeftModule(inst, inst.dim, _regular_action(inst, True), inst.operators.matrices)
+    return FdLeftModule(inst, inst.dim, _regular_action(inst.algebra, True),
+                        inst.operators.matrices)
 
 
 def regular_right_module(inst: MrbAlgebraInstance) -> FdRightModule:
-    return FdRightModule(inst, inst.dim, _regular_action(inst, False), inst.operators.matrices)
+    return FdRightModule(inst, inst.dim, _regular_action(inst.algebra, False),
+                         inst.operators.matrices)
 
 
 def regular_bimodule(inst: MrbAlgebraInstance) -> FdBimodule:
@@ -361,8 +330,8 @@ def regular_bimodule(inst: MrbAlgebraInstance) -> FdBimodule:
         inst,
         inst,
         inst.dim,
-        _regular_action(inst, True),
-        _regular_action(inst, False),
+        _regular_action(inst.algebra, True),
+        _regular_action(inst.algebra, False),
         inst.operators.matrices,
         inst.operators.matrices,
     )
@@ -387,28 +356,22 @@ def direct_sum(mods: Sequence[FdLeftModule | FdRightModule],
         inst = mods[0].inst
         side = mods[0].side
         if any(m.inst != inst or m.side != side for m in mods):
-            raise ValueError("all summands must share the instance and side")
+            raise ArgumentError("all summands must share the instance and side")
     else:
         if inst is None:
-            raise ValueError("an instance is required for the empty direct sum")
+            raise ArgumentError("an instance is required for the empty direct sum")
         side = "left"
     total = sum(m.dim for m in mods)
     offsets = list(itertools.accumulate([0] + [m.dim for m in mods]))
-    action = []
-    for i in range(inst.dim):
-        rows = []
-        for k, m in enumerate(mods):
-            for p in range(m.dim):
-                row = [Fraction(0)] * total
-                for q, a in enumerate(m.action[i][p]):
-                    row[offsets[k] + q] = a
-                rows.append(tuple(row))
-        action.append(tuple(rows))
+    zero = (Fraction(0),)
+    action = tuple(tuple(zero * offsets[k] + tuple(v) + zero * (total - offsets[k] - m.dim)
+                         for k, m in enumerate(mods) for v in m.action[i])
+                   for i in range(inst.dim))
     operators = tuple(
         Matrix.block_diag([m.operators[w] for m in mods]) if mods else Matrix.zero(0, 0)
         for w in range(len(inst.omega))
     )
-    out = _module_class(side)(inst, total, tuple(action), operators)
+    out = _module_class(side)(inst, total, action, operators)
     inclusions = []
     projections = []
     for k, m in enumerate(mods):
@@ -422,9 +385,10 @@ def direct_sum(mods: Sequence[FdLeftModule | FdRightModule],
 def submodule_closure_check(mod: FdLeftModule | FdRightModule, sub: Subspace) -> str | None:
     """Return a description of the first closure violation, or None."""
     inst = mod.inst
+    acts = _action_tables(mod)
     for v in sub.basis:
-        for i in range(inst.dim):
-            img = mod.action_matrix(inst.algebra.basis_vector(i)).apply(v)
+        for i, act in enumerate(acts):
+            img = act.apply(v)
             if not sub.contains(img):
                 return f"action of basis element {inst.algebra.basis_labels[i]}"
         for w in inst.omega:
@@ -449,12 +413,9 @@ def quotient_module(mod: FdLeftModule, sub: Subspace,
     qs = quotient_space(mod.dim, sub.basis)
     sec = qs.section_matrix()
     inst = mod.inst
-    action = []
-    for i in range(inst.dim):
-        ai = qs.project @ mod.action_matrix(inst.algebra.basis_vector(i)) @ sec
-        action.append(tuple(ai.col(p) for p in range(qs.dim)))
+    action = tuple((qs.project @ act @ sec).transpose().entries for act in _action_tables(mod))
     operators = tuple(qs.project @ m @ sec for m in mod.operators)
-    out = _module_class(mod.side)(inst, qs.dim, tuple(action), operators)
+    out = _module_class(mod.side)(inst, qs.dim, action, operators)
     if with_projection:
         return out, module_hom(mod, out, qs.project)
     return out
@@ -462,15 +423,12 @@ def quotient_module(mod: FdLeftModule, sub: Subspace,
 
 def module_constants(mod: FdLeftModule) -> Subspace:
     """Solution space of m_w(r v) = P_w(r) v over all basis r and labels w."""
-    inst = mod.inst
+    acts, n = _action_tables(mod), mod.dim
     blocks = []
-    for w in inst.omega:
-        mw = mod.operator(w)
-        for i in range(inst.dim):
-            b = inst.algebra.basis_vector(i)
-            lhs = mw @ mod.action_matrix(b)
-            rhs = mod.action_matrix(inst.apply_operator(w, b))
-            blocks.extend((lhs - rhs).entries)
+    for mw, pw in zip(mod.operators, mod.inst.operators.matrices):
+        for i, act in enumerate(acts):
+            # m_w(b_i v) - P_w(b_i) v, with P_w(b_i) acting as sum_k (P_w)_{k,i} A_k
+            blocks.extend((mw @ act - _sum_of(zip(pw.col(i), acts), n, n)).entries)
     if not blocks:
         return Subspace.spanned_by(mod.dim, [unit_vector(mod.dim, i) for i in range(mod.dim)])
     stacked = Matrix.from_rows(blocks, cols=mod.dim)
@@ -486,7 +444,7 @@ def restricted_free(inst: MrbAlgebraInstance, generators: Sequence[str]) -> FdLe
     """
     gens = tuple(generators)
     if len(set(gens)) != len(gens):
-        raise ValueError("generator names must be distinct")
+        raise ArgumentError("generator names must be distinct")
     n = len(gens)
     reg = regular_left_module(inst)
     parts = [reg] * n
@@ -520,22 +478,15 @@ def restricted_lift(free: FdLeftModule, images: Mapping[str, Sequence] | Sequenc
             raise PreconditionError(
                 f"image of generator {k} is not a module constant of the target"
             )
-    unit = inst.algebra.unit
-    cols: list[Vector] = []
-    for k in range(n):
-        for i in range(d):
-            b = inst.algebra.basis_vector(i)
-            cols.append(target.action_matrix(b).apply(image_list[k]))
-    mat = Matrix.from_cols(cols, rows=target.dim)
+    # the slot of b_i in generator k's copy of R goes to b_i . image_k
+    acts = _action_tables(target)
+    mat = Matrix.from_cols([act.apply(img) for img in image_list for act in acts], rows=target.dim)
     hom = module_hom(free, target, mat, check=False)
     if not hom.is_intertwiner():
         raise AssertionError("restricted lift failed to intertwine; target axioms suspect")
+    zero = (Fraction(0),) * d
     for k, img in enumerate(image_list):
-        coords = zero_vector(free.dim)
-        coords = list(coords)
-        for i in range(d):
-            coords[k * d + i] = unit[i]
-        if hom(tuple(coords)) != img:
+        if hom(zero * k + tuple(inst.algebra.unit) + zero * (n - k - 1)) != img:
             raise AssertionError("lift does not reproduce the generator image")
     return hom
 
@@ -559,7 +510,7 @@ def _intertwiner_space(ns: int, nt: int, src_pairs, dst_pairs) -> tuple[Matrix, 
     if not rows:
         basis = [unit_vector(nt * ns, i) for i in range(nt * ns)]
     else:
-        basis = Matrix.from_rows(rows, cols=nt * ns).nullspace_basis().basis
+        basis = Matrix._shaped(rows, len(rows), nt * ns).nullspace_basis().basis
     out = []
     for v in basis:
         out.append(Matrix([[v[i * ns + j] for j in range(ns)] for i in range(nt)]))
@@ -569,15 +520,11 @@ def _intertwiner_space(ns: int, nt: int, src_pairs, dst_pairs) -> tuple[Matrix, 
 def hom_space(src: FdLeftModule | FdRightModule, dst: FdLeftModule | FdRightModule) -> tuple[Matrix, ...]:
     """Basis of the space of module homs as matrices (canonical order)."""
     if src.side != dst.side:
-        raise ValueError("hom space requires modules of the same side")
+        raise ArgumentError("hom space requires modules of the same side")
     if src.inst != dst.inst:
-        raise ValueError("hom space requires modules over the same instance")
-    inst = src.inst
-    src_ms = [src.action_matrix(inst.algebra.basis_vector(i)) for i in range(inst.dim)]
-    dst_ms = [dst.action_matrix(inst.algebra.basis_vector(i)) for i in range(inst.dim)]
-    src_ms += [src.operator(w) for w in inst.omega]
-    dst_ms += [dst.operator(w) for w in inst.omega]
-    return _intertwiner_space(src.dim, dst.dim, src_ms, dst_ms)
+        raise ArgumentError("hom space requires modules over the same instance")
+    return _intertwiner_space(src.dim, dst.dim, (*_action_tables(src), *src.operators),
+                              (*_action_tables(dst), *dst.operators))
 
 
 def hom_subspace(src, dst) -> Subspace:
@@ -649,15 +596,11 @@ def hom_module(m: FdLeftModule | FdBimodule, n: FdLeftModule | FdBimodule,
             out.append(coords)
         return tuple(out)
 
-    inst = acting.inst
-    action = tuple(
-        induced(acting.action_matrix(inst.algebra.basis_vector(i)), "action")
-        for i in range(inst.dim)
-    )
+    action = tuple(induced(act, "action") for act in _action_tables(acting))
     operators = tuple(
         Matrix.from_cols(induced(q, "operator"), rows=len(basis)) for q in acting.operators
     )
-    return _module_class(result_side)(inst, len(basis), action, operators)
+    return _module_class(result_side)(acting.inst, len(basis), action, operators)
 
 
 def reweight_module(mod: FdLeftModule, spec: ReweightSpec) -> FdLeftModule:

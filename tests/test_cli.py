@@ -220,6 +220,16 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
         (["hom", "inputs/regular_bimodule_sp12.json", "inputs/regular_bimodule_sp12.json"],
          f"{GOLDEN / 'inputs/regular_bimodule_sp12.json'} holds a bimodule; "
          "expected a left module or a right module"),
+        (["restricted-free", "scaled_projection(1,2)", "a,b,a"],
+         "generator names must be distinct"),
+        (["direct-sum", "inputs/regular_left_sp12.json", "inputs/regular_right_sp12.json"],
+         "all summands must share the instance and side"),
+        (["hom", "inputs/regular_left_sp12.json", "inputs/regular_right_sp12.json"],
+         "hom space requires modules of the same side"),
+        (["check-algebra", "trivial(1)"],
+         "trivial expects 2 arguments, as in trivial(d,s); got 1"),
+        (["check-algebra", "trivial(1,2,3)"],
+         "trivial expects 2 arguments, as in trivial(d,s); got 3"),
     ]
     for argv, message in cases:
         code, out = run_cli(argv)

@@ -196,6 +196,50 @@ def test_rref_of_empty_shapes_matches_sympy(rows, cols):
     _assert_rref_matches_sympy(Matrix.zero(rows, cols))
 
 
+def _sympy_matrix(m):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                         for row in m.entries for x in row])
+
+
+def _from_sympy(rows):
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in row) for row in rows)
+
+
+# most entries zero, as in action and operator tables
+sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
+
+
+def _sparse_matrix(rows, cols):
+    if rows == 0 or cols == 0:
+        return st.just(Matrix.zero(rows, cols))
+    row = st.lists(sparse_rationals, min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows).map(Matrix)
+
+
+@st.composite
+def sparse_products(draw):
+    """(a, b, v): a is r x k, b is k x c and v has length k, every dimension
+    in 0..4, so empty shapes such as 0 x n and n x 0 come up."""
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    vector = st.lists(sparse_rationals, min_size=k, max_size=k).map(tuple)
+    return draw(_sparse_matrix(r, k)), draw(_sparse_matrix(k, c)), draw(vector)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_products())
+def test_matmul_and_apply_match_sympy_and_stay_fractions(args):
+    a, b, v = args
+    product = a @ b
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert product.entries == _from_sympy((_sympy_matrix(a) * _sympy_matrix(b)).tolist())
+    applied = a.apply(v)
+    column = Matrix.from_cols([v], rows=len(v))
+    assert applied == _from_sympy((_sympy_matrix(a) * _sympy_matrix(column)).T.tolist())[0]
+    entries = [x for row in product.entries for x in row] + list(applied)
+    assert all(type(x) is Fraction for x in entries)
+
+
 def test_subspace_and_kernel_eliminate_once(monkeypatch):
     calls = []
     rref = Matrix.rref
