@@ -152,9 +152,11 @@ def _cmd_check_module(mod):
     if mod.side == "bimodule":
         rep = modules.check_bimodule(mod)
     else:
-        rep = modules.check_action_laws(mod)
-        if rep.ok:
+        # the side's check runs the action laws first and raises when they fail
+        try:
             rep = _side_check(mod)
+        except PreconditionError:
+            rep = modules.check_action_laws(mod)
     return (0 if rep.ok else 1), {"report": rep.to_json()}
 
 

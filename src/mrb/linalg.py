@@ -191,16 +191,12 @@ class Matrix:
         return Matrix._shaped(zip(*self.entries), self.cols, self.rows)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        out = [[Fraction(0)] * (self.cols * other.cols) for _ in range(self.rows * other.rows)]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.entries[i][j]
-                if a == 0:
-                    continue
-                for p in range(other.rows):
-                    for q in range(other.cols):
-                        out[i * other.rows + p][j * other.cols + q] = a * other.entries[p][q]
-        return Matrix._shaped(out, self.rows * other.rows, self.cols * other.cols)
+        """The Kronecker product: entry (i * p + k, j * q + l) is
+        self[i][j] * other[k][l] for other of shape p x q; products with a
+        zero factor are skipped."""
+        return Matrix._shaped([[a * b if a and b else _ZERO for a in row for b in orow]
+                               for row in self.entries for orow in other.entries],
+                              self.rows * other.rows, self.cols * other.cols)
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.entries for a in r)
@@ -251,17 +247,27 @@ class Matrix:
 
     def solve(self, b: Sequence) -> Vector | None:
         """One exact solution of self @ x = b, or None if inconsistent."""
-        b = vector(b)
-        if len(b) != self.rows:
+        sols = self._solve_many((b,))
+        return None if sols is None else sols[0]
+
+    def _solve_many(self, bs: Sequence[Sequence]) -> tuple[Vector, ...] | None:
+        """One exact solution of self @ x = b for each b of bs, read off one
+        elimination of [self | bs]; None if any b is inconsistent."""
+        bs = [vector(b) for b in bs]
+        if any(len(b) != self.rows for b in bs):
             raise ValueError("rhs length mismatch")
-        aug = Matrix._shaped([r + (x,) for r, x in zip(self.entries, b)], self.rows, self.cols + 1)
+        aug = Matrix._shaped([r + tuple(b[i] for b in bs) for i, r in enumerate(self.entries)],
+                             self.rows, self.cols + len(bs))
         reduced, pivots = aug.rref()
-        if self.cols in pivots:
+        if any(p >= self.cols for p in pivots):
             return None
-        x = [Fraction(0)] * self.cols
-        for i, p in enumerate(pivots):
-            x[p] = reduced.entries[i][self.cols]
-        return tuple(x)
+        sols = []
+        for k in range(self.cols, self.cols + len(bs)):
+            x = [_ZERO] * self.cols
+            for i, p in enumerate(pivots):
+                x[p] = reduced.entries[i][k]
+            sols.append(tuple(x))
+        return tuple(sols)
 
 
 def rank(m: Matrix) -> int:

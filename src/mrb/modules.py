@@ -44,6 +44,7 @@ from .core import (
 )
 from .linalg import (
     Matrix,
+    SparseRowSpace,
     Subspace,
     Vector,
     format_rational,
@@ -274,10 +275,7 @@ def check_bimodule(bm: FdBimodule) -> CheckReport:
     left_report = check_left_module(bm.left_part())
     right_report = check_right_module(bm.right_part())
     violations = list(left_report.violations) + list(right_report.violations)
-    la = bm.left_inst.algebra
-    ra = bm.right_inst.algebra
-    lefts = [bm.left_action_matrix(la.basis_vector(i)) for i in range(la.dim)]
-    rights = [bm.right_action_matrix(ra.basis_vector(j)) for j in range(ra.dim)]
+    lefts, rights = _tables(bm.left_action, bm.dim), _tables(bm.right_action, bm.dim)
     for i, ai in enumerate(lefts):
         for j, bj in enumerate(rights):
             if ai @ bj != bj @ ai:
@@ -386,14 +384,15 @@ def submodule_closure_check(mod: FdLeftModule | FdRightModule, sub: Subspace) ->
     """Return a description of the first closure violation, or None."""
     inst = mod.inst
     acts = _action_tables(mod)
+    space = SparseRowSpace()
+    for v in sub.basis:
+        space.add(dict(enumerate(v)))
     for v in sub.basis:
         for i, act in enumerate(acts):
-            img = act.apply(v)
-            if not sub.contains(img):
+            if not space.contains(dict(enumerate(act.apply(v)))):
                 return f"action of basis element {inst.algebra.basis_labels[i]}"
         for w in inst.omega:
-            img = mod.operator(w).apply(v)
-            if not sub.contains(img):
+            if not space.contains(dict(enumerate(mod.operator(w).apply(v)))):
                 return f"operator {w}"
     return None
 
@@ -496,25 +495,17 @@ def restricted_lift(free: FdLeftModule, images: Mapping[str, Sequence] | Sequenc
 # ---------------------------------------------------------------------------
 
 def _intertwiner_space(ns: int, nt: int, src_pairs, dst_pairs) -> tuple[Matrix, ...]:
-    """Basis of {f : f A = B f for each paired (A, B)}, f of shape nt x ns."""
-    rows = []
-    for a_mat, b_mat in zip(src_pairs, dst_pairs):
-        for i in range(nt):
-            for j in range(ns):
-                row = [Fraction(0)] * (nt * ns)
-                for k in range(ns):
-                    row[i * ns + k] += a_mat.entries[k][j]
-                for k in range(nt):
-                    row[k * ns + j] -= b_mat.entries[i][k]
-                rows.append(tuple(row))
-    if not rows:
-        basis = [unit_vector(nt * ns, i) for i in range(nt * ns)]
-    else:
-        basis = Matrix._shaped(rows, len(rows), nt * ns).nullspace_basis().basis
-    out = []
-    for v in basis:
-        out.append(Matrix([[v[i * ns + j] for j in range(ns)] for i in range(nt)]))
-    return tuple(out)
+    """Basis of {f : f A = B f for each paired (A, B)}, f of shape nt x ns.
+
+    With f flattened row by row, f A - B f is (I (x) A^T - B (x) I) f, so the
+    equations are the rows of these Kronecker differences, pair by pair.
+    """
+    idt, ids = Matrix.identity(nt), Matrix.identity(ns)
+    rows = [row for a, b in zip(src_pairs, dst_pairs)
+            for row in (idt.kron(a.transpose()) - b.kron(ids)).entries]
+    kernel = Matrix._shaped(rows, len(rows), nt * ns).nullspace_basis().basis
+    return tuple(Matrix._shaped([v[i * ns:(i + 1) * ns] for i in range(nt)], nt, ns)
+                 for v in kernel)
 
 
 def hom_space(src: FdLeftModule | FdRightModule, dst: FdLeftModule | FdRightModule) -> tuple[Matrix, ...]:
@@ -534,12 +525,12 @@ def hom_subspace(src, dst) -> Subspace:
     return Subspace.spanned_by(src.dim * dst.dim, flat)
 
 
-def _coords_in(basis: Sequence[Matrix], m: Matrix) -> Vector | None:
-    if not basis:
-        return () if m.is_zero() else None
-    cols = [tuple(x for row in b.entries for x in row) for b in basis]
-    flat = tuple(x for row in m.entries for x in row)
-    return Matrix.from_cols(cols).solve(flat)
+def _coords_in(basis: Sequence[Matrix], ms: Sequence[Matrix]) -> tuple[Vector, ...] | None:
+    """Coordinates of each of ms over the matrices of basis, read off one
+    elimination of [basis | ms]; None if one lies outside their span."""
+    flat = [tuple(x for row in b.entries for x in row) for b in (*basis, *ms)]
+    n = len(basis)
+    return Matrix.from_cols(flat[:n], rows=len(flat[0]) if flat else 0)._solve_many(flat[n:])
 
 
 # variant: (the argument that is the bimodule, the part of it in the Hom
@@ -588,13 +579,10 @@ def hom_module(m: FdLeftModule | FdBimodule, n: FdLeftModule | FdBimodule,
 
     def induced(a: Matrix, what: str) -> tuple[Vector, ...]:
         # coordinates of a o f (post) or f o a (pre) over the basis f
-        out = []
-        for f in basis:
-            coords = _coords_in(basis, a @ f if post else f @ a)
-            if coords is None:
-                raise AssertionError(f"induced {what} left the hom space")
-            out.append(coords)
-        return tuple(out)
+        coords = _coords_in(basis, [a @ f if post else f @ a for f in basis])
+        if coords is None:
+            raise AssertionError(f"induced {what} left the hom space")
+        return coords
 
     action = tuple(induced(act, "action") for act in _action_tables(acting))
     operators = tuple(

@@ -6,8 +6,12 @@ plain coordinate tensor space by the balancing relations
     (v . r) (x) w - v (x) (r . w)          for basis r,
     m_w(v) (x) w - v (x) n_w(w)            for each label w,
 
-enumerated on basis pairs (the additive relation families are absorbed by
-working linearly over Q).  Induced maps, bimodule structures, the Hom and
+on basis pairs (v, w): for the action tables and operators A of M and B of
+N, the rows of the Kronecker differences A^T (x) I - I (x) B^T, the same
+Sylvester operator whose kernel is a Hom space (the additive relation
+families are absorbed by working linearly over Q).  The module structures
+and the Hom and tensor adjunction read their matrices off the same tables
+and Kronecker products.  Induced maps, bimodule structures, the Hom and
 tensor adjunction and the comparison maps all pass one coset test, that an
 ambient map kills every relation, before they act on quotient coordinates;
 only `bilinearity_report` walks the relations itself, to name each failing
@@ -17,12 +21,12 @@ one.  Every verdict is an exact rank decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .core import CheckReport, PreconditionError, Violation
-from .linalg import Matrix, QuotientSpace, Vector, quotient_space, unit_vector, vector
+from .linalg import _ZERO, Matrix, QuotientSpace, Vector, quotient_space, unit_vector, vector
 from .modules import (
+    _action_tables,
     _coords_in,
     _module_class,
     _require_bimodule,
@@ -59,23 +63,11 @@ class TensorSpace:
         return self.quotient.ambient_dim
 
     def pure_tensor_ambient(self, mvec: Sequence, nvec: Sequence) -> Vector:
-        return _pure_tensor(vector(mvec), vector(nvec))
+        nvec = vector(nvec)
+        return tuple(a * b if a and b else _ZERO for a in vector(mvec) for b in nvec)
 
     def zeta(self, mvec: Sequence, nvec: Sequence) -> Vector:
         return self.quotient.project.apply(self.pure_tensor_ambient(mvec, nvec))
-
-
-def _pure_tensor(mvec: Vector, nvec: Vector) -> Vector:
-    """Ambient coordinates of mvec (x) nvec, pair (p, q) at p * len(nvec) + q."""
-    dn = len(nvec)
-    out = [Fraction(0)] * (len(mvec) * dn)
-    for p, a in enumerate(mvec):
-        if a == 0:
-            continue
-        for q, b in enumerate(nvec):
-            if b != 0:
-                out[p * dn + q] = a * b
-    return tuple(out)
 
 
 def tensor_product(m: FdRightModule, n: FdLeftModule) -> TensorSpace:
@@ -83,28 +75,18 @@ def tensor_product(m: FdRightModule, n: FdLeftModule) -> TensorSpace:
 
     For each pair (A, B) -- the actions of the basis elements in basis order,
     then the operators label by label -- and each basis pair (p, q), the
-    relation is (A e_p) (x) e_q - e_p (x) (B e_q).
+    relation is (A e_p) (x) e_q - e_p (x) (B e_q): row (p, q) of the
+    Kronecker difference A^T (x) I - I (x) B^T.
     """
     if m.inst != n.inst:
         raise ValueError("tensor factors must live over the same instance")
     if m.side != "right" or n.side != "left":
         raise ValueError("tensor_product takes a right module and a left module")
-    alg = m.inst.algebra
-    pairs = [(m.action_matrix(alg.basis_vector(i)), n.action_matrix(alg.basis_vector(i)))
-             for i in range(alg.dim)]
-    pairs += zip(m.operators, n.operators)
-    units_m = [unit_vector(m.dim, p) for p in range(m.dim)]
-    units_n = [unit_vector(n.dim, q) for q in range(n.dim)]
-    relations = []
-    for a, b in pairs:
-        b_cols = [b.col(q) for q in range(n.dim)]
-        for p, ep in enumerate(units_m):
-            a_ep = a.col(p)
-            for eq, b_eq in zip(units_n, b_cols):
-                row, sub = _pure_tensor(a_ep, eq), _pure_tensor(ep, b_eq)
-                relations.append(tuple(x - y for x, y in zip(row, sub)))
-    qs = quotient_space(m.dim * n.dim, relations)
-    return TensorSpace(m, n, qs, tuple(relations))
+    idm, idn = Matrix.identity(m.dim), Matrix.identity(n.dim)
+    relations = tuple(row for a, b in zip((*_action_tables(m), *m.operators),
+                                          (*_action_tables(n), *n.operators))
+                      for row in (a.transpose().kron(idn) - idm.kron(b.transpose())).entries)
+    return TensorSpace(m, n, quotient_space(m.dim * n.dim, relations), relations)
 
 
 def bilinearity_report(t: TensorSpace) -> CheckReport:
@@ -209,16 +191,11 @@ def _tensor_structure(t: TensorSpace, acting: FdLeftModule, on_ambient) -> FdLef
     space, with the identity of the other factor on the other side of the
     Kronecker product.  The caller has checked the bimodule.
     """
-    inst = acting.inst
-    action = []
-    for i in range(inst.dim):
-        amb = on_ambient(acting.action_matrix(inst.algebra.basis_vector(i)))
-        qa = _descend(t, t, amb, "structure operator")
-        action.append(tuple(qa.col(p) for p in range(t.dim)))
-    operators = tuple(
-        _descend(t, t, on_ambient(mw), "structure operator") for mw in acting.operators
-    )
-    return _module_class(acting.side)(inst, t.dim, tuple(action), operators)
+    action = tuple(_descend(t, t, on_ambient(a), "structure operator").transpose().entries
+                   for a in _action_tables(acting))
+    operators = tuple(_descend(t, t, on_ambient(mw), "structure operator")
+                      for mw in acting.operators)
+    return _module_class(acting.side)(acting.inst, t.dim, action, operators)
 
 
 # ---------------------------------------------------------------------------
@@ -259,55 +236,33 @@ def adjunction_check(m: FdRightModule, s_bimod: FdBimodule, t_mod: FdRightModule
         raise AssertionError("hom module dimension mismatch")
     h2_basis = hom_space(m, hom_st)
 
-    def theta_of(f: Matrix) -> Matrix | None:
-        # columns over M's basis; each entry expressed in inner_basis coords
-        cols = []
-        for p in range(m.dim):
-            mvec = unit_vector(m.dim, p)
-            entry_cols = []
-            for q in range(s_bimod.dim):
-                svec = unit_vector(s_bimod.dim, q)
-                entry_cols.append(f.apply(tensor.zeta(mvec, svec)))
-            entry = Matrix.from_cols(entry_cols, rows=t_mod.dim)
-            coords = _coords_in(inner_basis, entry)
-            if coords is None:
-                return None
-            cols.append(coords)
-        return Matrix.from_cols(cols, rows=len(inner_basis))
-
-    def theta_prime_of(g: Matrix) -> Matrix | None:
-        # ambient evaluation (p, q) -> g(m_p)(s_q), then factor through zeta
-        dn = s_bimod.dim
-        cols = []
-        for p in range(m.dim):
-            gm = Matrix.zero(t_mod.dim, dn)
-            for h_idx, c in enumerate(g.col(p)):
-                if c != 0:
-                    gm = gm + inner_basis[h_idx].scale(c)
-            for q in range(dn):
-                cols.append(gm.col(q))
-        return _factor(tensor, Matrix.from_cols(cols, rows=t_mod.dim))
-
-    theta_cols = []
-    for f in h1_basis:
-        img = theta_of(f)
-        if img is None:
-            raise AssertionError("theta image left the hom space")
-        coords = _coords_in(h2_basis, img)
-        if coords is None:
-            raise AssertionError("theta image is not a module hom")
-        theta_cols.append(coords)
+    # block p of f o project is s -> f(m_p (x) s); its coordinates over
+    # inner_basis are column p of th(f)
+    dm, dn, proj = m.dim, s_bimod.dim, tensor.quotient.project
+    images = [(f @ proj).entries for f in h1_basis]
+    blocks = [Matrix._shaped([row[p * dn:(p + 1) * dn] for row in fp], t_mod.dim, dn)
+              for fp in images for p in range(dm)]
+    entries = _coords_in(inner_basis, blocks)
+    if entries is None:
+        raise AssertionError("theta image left the hom space")
+    theta_cols = _coords_in(h2_basis, [Matrix.from_cols(entries[k * dm:(k + 1) * dm],
+                                                        rows=len(inner_basis))
+                                       for k in range(len(h1_basis))])
+    if theta_cols is None:
+        raise AssertionError("theta image is not a module hom")
     theta = Matrix.from_cols(theta_cols, rows=len(h2_basis))
 
-    theta_prime_cols = []
-    for g in h2_basis:
-        img = theta_prime_of(g)
-        if img is None:
-            raise AssertionError("theta' image is not well-defined on cosets")
-        coords = _coords_in(h1_basis, img)
-        if coords is None:
-            raise AssertionError("theta' image is not a module hom")
-        theta_prime_cols.append(coords)
+    # th'(g) sends pair (p, q) to g(m_p)(s_q) = sum_h g[h][p] inner_h s_q: the
+    # ambient matrix sum_h (row h of g) (x) inner_h, factored through zeta
+    zero = Matrix.zero(t_mod.dim, dm * dn)
+    primes = [_factor(tensor, sum((Matrix._shaped([g.row(h)], 1, dm).kron(b)
+                                   for h, b in enumerate(inner_basis)), zero))
+              for g in h2_basis]
+    if any(img is None for img in primes):
+        raise AssertionError("theta' image is not well-defined on cosets")
+    theta_prime_cols = _coords_in(h1_basis, primes)
+    if theta_prime_cols is None:
+        raise AssertionError("theta' image is not a module hom")
     theta_prime = Matrix.from_cols(theta_prime_cols, rows=len(h1_basis))
 
     inverse = (
@@ -427,13 +382,9 @@ def tensor_unit_check(m: FdRightModule) -> TensorUnitReport:
     """
     r_mod = regular_left_module(m.inst)
     t = tensor_product(m, r_mod)
-    dn = r_mod.dim
-    cols = []
-    for p in range(m.dim):
-        for j in range(dn):
-            cols.append(m.action_matrix(m.inst.algebra.basis_vector(j)).apply(
-                unit_vector(m.dim, p)
-            ))
+    # pair (p, j) goes to v_p . b_j, column p of the action table A_j
+    acts = _action_tables(m)
+    cols = [a.col(p) for p in range(m.dim) for a in acts]
     on_quotient = _factor(t, Matrix.from_cols(cols, rows=m.dim))
     if on_quotient is None:
         return TensorUnitReport(t.dim, m.dim, False, False, False)

@@ -1,6 +1,7 @@
 import pytest
 
 from mrb.core import catalog, instance_to_json, scaled_projection
+from mrb.linalg import Matrix
 from mrb.opring import OperatorRing
 
 
@@ -34,3 +35,35 @@ def sp12_regular_doc():
         }
 
     return doc
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """The shapes of the `Matrix.rref` calls made during the test; clear it
+    after the setup that is not to be counted."""
+    calls = []
+    rref = Matrix.rref
+
+    def counted(self):
+        calls.append((self.rows, self.cols))
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    return calls
+
+
+@pytest.fixture
+def permuted():
+    """permuted(mod, perm) is the same module in the basis v_perm[0], v_perm[1], ..."""
+
+    def change_basis(mod, perm):
+        n = len(perm)
+        action = tuple(
+            tuple(tuple(block[perm[p]][perm[q]] for q in range(n)) for p in range(n))
+            for block in mod.action
+        )
+        ops = tuple(Matrix([[m.entries[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+                    for m in mod.operators)
+        return type(mod)(mod.inst, n, action, ops)
+
+    return change_basis

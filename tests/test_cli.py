@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mrb import cli, core
+from mrb import cli, core, modules
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -284,3 +284,30 @@ def test_reweight_instance_path_checks_the_identity_twice(monkeypatch):
     code, out = run_cli(["reweight", "scaled_projection(1,2)", '{"1": {"1": "1", "2": "1"}}'])
     assert code == 0 and json.loads(out)["report"]["ok"]
     assert len(calls) == 2
+
+
+def test_check_module_evaluates_the_action_laws_once(monkeypatch):
+    calls = []
+    violations = modules._action_law_violations
+
+    def counted(mod, acts):
+        calls.append(mod)
+        return violations(mod, acts)
+
+    monkeypatch.setattr(modules, "_action_law_violations", counted)
+    code, out = run_cli(["check-module", "inputs/regular_left_sp12.json"])
+    assert code == 0 and json.loads(out)["report"]["subject"] == "left-module"
+    assert len(calls) == 1
+
+
+def test_check_module_reports_a_failing_unit_law(tmp_path):
+    # the zero action is associative, but the unit does not act as 1
+    doc = json.loads((GOLDEN / "inputs" / "regular_left_sp12.json").read_text())
+    doc["action"] = [[["0", "0"], ["0", "0"]]] * 2
+    path = tmp_path / "zero_action.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["check-module", str(path)])
+    report = json.loads(out)["report"]
+    assert code == 1
+    assert report["subject"] == "action-laws"
+    assert [v["kind"] for v in report["violations"]] == ["unit-action"]

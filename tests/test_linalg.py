@@ -229,6 +229,7 @@ def sparse_products(draw):
 @settings(max_examples=80, deadline=None)
 @given(sparse_products())
 def test_matmul_and_apply_match_sympy_and_stay_fractions(args):
+    sympy = pytest.importorskip("sympy")
     a, b, v = args
     product = a @ b
     assert (product.rows, product.cols) == (a.rows, b.cols)
@@ -236,7 +237,16 @@ def test_matmul_and_apply_match_sympy_and_stay_fractions(args):
     applied = a.apply(v)
     column = Matrix.from_cols([v], rows=len(v))
     assert applied == _from_sympy((_sympy_matrix(a) * _sympy_matrix(column)).T.tolist())[0]
-    entries = [x for row in product.entries for x in row] + list(applied)
+    kron = a.kron(b)
+    assert (kron.rows, kron.cols) == (a.rows * b.rows, a.cols * b.cols)
+    if a.rows and a.cols:
+        theirs = sympy.kronecker_product(_sympy_matrix(a), _sympy_matrix(b))
+        assert kron.entries == _from_sympy(theirs.tolist())
+    else:
+        # sympy's kronecker_product fails on an empty first factor; the
+        # product then has no rows or no columns
+        assert kron.entries == ((),) * kron.rows
+    entries = [x for m in (product, kron) for row in m.entries for x in row] + list(applied)
     assert all(type(x) is Fraction for x in entries)
 
 

@@ -12,7 +12,7 @@ from mrb.core import (
     trivial_instance,
     upper_triangular_instance,
 )
-from mrb.linalg import Matrix, Subspace
+from mrb.linalg import Matrix, Subspace, unit_vector
 from mrb.modules import (
     ClosureViolationError,
     FdBimodule,
@@ -38,8 +38,10 @@ from mrb.modules import (
     restricted_free,
     restricted_lift,
     reweight_module,
+    submodule_closure_check,
     zero_module,
 )
+from mrb.modules import _coords_in
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +206,29 @@ def test_quotient_closure_violation_names_generator(reg):
     assert "e1" in str(err.value)
 
 
+def test_quotient_closure_violation_names_operator(instances):
+    # the unit acts as 1 and span{e2} is closed under it, but the operator
+    # sends e2 to e1
+    inst = instances["trivial(1,1)"]
+    identity = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    mod = FdLeftModule(inst, 2, (identity,), (Matrix([[0, 1], [0, 0]]),))
+    n = Subspace.spanned_by(2, [(Fraction(0), Fraction(1))])
+    with pytest.raises(ClosureViolationError) as err:
+        quotient_module(mod, n)
+    assert str(err.value) == "subspace is not closed under operator 1"
+
+
+def test_closure_check_makes_no_rref_call(instances, rref_calls):
+    # the first of three summands is closed, so all 3 x (3 + 2) images of
+    # its basis are tested
+    inst = instances["upper_triangular(1,2)"]
+    mod = direct_sum([regular_left_module(inst)] * 3).module
+    sub = Subspace.spanned_by(9, [unit_vector(9, i) for i in range(3)])
+    rref_calls.clear()
+    assert submodule_closure_check(mod, sub) is None
+    assert rref_calls == []
+
+
 # -- direct sums ------------------------------------------------------------------
 
 def test_direct_sum_singleton(reg):
@@ -347,6 +372,64 @@ def test_hom_space_closed_under_subtraction(reg):
     assert sub.contains(tuple(x for row in diff.entries for x in row))
 
 
+def _hand_indexed_hom_space(src, dst):
+    """Reference Hom basis: the equations (f A - B f)[i][j] = 0 written out
+    entry by entry, with f flattened row by row, then the kernel reshaped."""
+    ns, nt = src.dim, dst.dim
+    alg = src.inst.algebra
+    src_mats = [src.action_matrix(alg.basis_vector(i)) for i in range(alg.dim)]
+    dst_mats = [dst.action_matrix(alg.basis_vector(i)) for i in range(alg.dim)]
+    rows = []
+    for a_mat, b_mat in zip(src_mats + list(src.operators), dst_mats + list(dst.operators)):
+        for i in range(nt):
+            for j in range(ns):
+                row = [Fraction(0)] * (nt * ns)
+                for k in range(ns):
+                    row[i * ns + k] += a_mat.entries[k][j]
+                for k in range(nt):
+                    row[k * ns + j] -= b_mat.entries[i][k]
+                rows.append(tuple(row))
+    basis = Matrix.from_rows(rows, cols=nt * ns).nullspace_basis().basis
+    return tuple(Matrix([[v[i * ns + j] for j in range(ns)] for i in range(nt)]) for v in basis)
+
+
+@pytest.mark.parametrize(
+    "name", ["scaled_projection(1,2)", "scaled_projection(2,3,5)", "upper_triangular(1,2)"]
+)
+def test_hom_space_matches_the_hand_indexed_equations(instances, permuted, name):
+    inst = instances[name]
+    rng = random.Random(10)
+    for regular in (regular_left_module, regular_right_module):
+        sums = []
+        for k in (1, 2, 3):
+            mod = direct_sum([regular(inst)] * k).module
+            perm = list(range(mod.dim))
+            rng.shuffle(perm)
+            sums.append(permuted(mod, perm))
+        for src in sums:
+            for dst in sums:
+                assert hom_space(src, dst) == _hand_indexed_hom_space(src, dst)
+
+
+def test_coords_in_reads_a_batch_off_one_elimination(reg, rref_calls):
+    basis = hom_space(reg, reg)
+    inside = [Matrix.identity(2), basis[0].scale(3) - basis[1]]
+    rref_calls.clear()
+    coords = _coords_in(basis, inside)
+    assert len(rref_calls) == 1
+    for c, m in zip(coords, inside):
+        assert sum((b.scale(x) for x, b in zip(c, basis)), Matrix.zero(2, 2)) == m
+    assert _coords_in(basis, [*inside, Matrix([[0, 1], [0, 0]])]) is None
+    # a repeated basis matrix still gives coordinates that rebuild each matrix
+    for c, m in zip(_coords_in([*basis, basis[0]], inside), inside):
+        assert sum((b.scale(x) for x, b in zip(c, [*basis, basis[0]])), Matrix.zero(2, 2)) == m
+
+
+def test_coords_in_an_empty_basis():
+    assert _coords_in((), [Matrix.zero(2, 3)]) == ((),)
+    assert _coords_in((), [Matrix([[0, 0, 1], [0, 0, 0]])]) is None
+
+
 # -- the four hom module structures ---------------------------------------------------
 
 def test_hom_module_variant_a(sp12, reg_r):
@@ -379,6 +462,13 @@ def test_hom_module_variant_d(sp12, reg_r, sp12_regular_doc):
     assert out.side == "right"
     assert check_right_module(out).ok
     assert module_to_json(out) == sp12_regular_doc("right")
+
+
+def test_hom_module_eliminates_once_per_induced_matrix(sp12, reg_r, rref_calls):
+    # one elimination for the hom space, then one per action and operator
+    # of the acting part: 1 + 2 + 2
+    assert hom_module(reg_r, regular_bimodule(sp12), "a").dim == 2
+    assert len(rref_calls) == 5
 
 
 def test_hom_module_zero_space(sp12, reg_r):

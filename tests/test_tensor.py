@@ -111,18 +111,6 @@ def _kron_relations(m, n):
     return tuple(out)
 
 
-def _permuted(mod, perm):
-    """The same module in the basis v_perm[0], v_perm[1], ..."""
-    n = len(perm)
-    action = tuple(
-        tuple(tuple(block[perm[p]][perm[q]] for q in range(n)) for p in range(n))
-        for block in mod.action
-    )
-    ops = tuple(Matrix([[m.entries[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
-                for m in mod.operators)
-    return type(mod)(mod.inst, n, action, ops)
-
-
 @pytest.mark.parametrize(
     "name", ["scaled_projection(1,2)", "scaled_projection(2,3,5)", "upper_triangular(1,2)"]
 )
@@ -132,12 +120,12 @@ def test_relations_are_kronecker_columns(instances, name):
     assert tensor_product(m, n).relations == _kron_relations(m, n)
 
 
-def test_relations_are_kronecker_columns_in_a_permuted_basis(instances):
+def test_relations_are_kronecker_columns_in_a_permuted_basis(instances, permuted):
     inst = instances["upper_triangular(1,2)"]
     two = direct_sum([regular_right_module(inst)] * 2).module
     perm = list(range(two.dim))
     random.Random(6).shuffle(perm)
-    m, n = _permuted(two, perm), regular_left_module(inst)
+    m, n = permuted(two, perm), regular_left_module(inst)
     assert tensor_product(m, n).relations == _kron_relations(m, n)
 
 
@@ -238,6 +226,15 @@ def test_adjunction_checks_the_bimodule_once(sp12, reg_r, monkeypatch):
     monkeypatch.setattr(tensor, "check_bimodule", counted, raising=False)
     assert adjunction_check(reg_r, regular_bimodule(sp12), reg_r).ok
     assert len(calls) == 1
+
+
+def test_adjunction_eliminates_once_per_batch(rref_calls):
+    # the tensor quotient 1, hom module "d" 1 + 2 actions + 3 operators, the
+    # three hom spaces 3, theta 2 and theta' 1
+    inst = scaled_projection((2, 3, 5))
+    m = direct_sum([regular_right_module(inst)] * 3).module
+    assert adjunction_check(m, regular_bimodule(inst), regular_right_module(inst)).ok
+    assert len(rref_calls) == 13
 
 
 def test_adjunction_zero_target(sp12, reg_r):
