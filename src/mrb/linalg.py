@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -318,15 +319,20 @@ class Subspace:
         reduced, pivots = Matrix.from_rows(vectors, cols=ambient_dim).rref()
         return cls._independent(ambient_dim, reduced.entries[:len(pivots)])
 
-    def contains(self, v: Sequence) -> bool:
-        return self.coordinates(v) is not None
+    @cached_property
+    def _rows(self) -> SparseRowSpace:
+        space = SparseRowSpace()
+        for v in self.basis:
+            space.add(dict(enumerate(v)))
+        return space
 
-    def coordinates(self, v: Sequence) -> Vector | None:
-        """Coordinates of v in this basis, or None if v lies outside."""
+    def contains(self, v: Sequence) -> bool:
+        """Whether v lies in the span; the basis is eliminated once per
+        subspace and each vector is reduced against it."""
         v = vector(v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        return Matrix.from_cols(self.basis, rows=self.ambient_dim).solve(v)
+        return self._rows.contains(dict(enumerate(v)))
 
 
 @dataclass(frozen=True)

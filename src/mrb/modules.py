@@ -44,7 +44,6 @@ from .core import (
 )
 from .linalg import (
     Matrix,
-    SparseRowSpace,
     Subspace,
     Vector,
     format_rational,
@@ -246,23 +245,22 @@ def check_action_laws(mod: FdLeftModule) -> CheckReport:
 
 def check_left_module(mod: FdLeftModule) -> CheckReport:
     """Exhaustive verification of the left axiom on basis pairs."""
-    return _check_one_sided(mod)
+    return _check_one_sided(mod, _action_tables(mod))
 
 
 def check_right_module(mod: FdRightModule) -> CheckReport:
     """Exhaustive verification of the right axiom on basis pairs."""
-    return _check_one_sided(mod)
+    return _check_one_sided(mod, _action_tables(mod))
 
 
-def _check_one_sided(mod: FdLeftModule) -> CheckReport:
+def _check_one_sided(mod: FdLeftModule, acts: Sequence[Matrix]) -> CheckReport:
     """The axiom of mod's side on every basis element, label pair and column.
 
-    The axiom kernel on the module's own action tables, after the plain
+    The axiom kernel on acts, the module's action tables, after the plain
     action laws on the same tables.  Written for the left side; on a right
     module every product is reversed, which turns it into
     m_b(v P_a(x)) = m_b(m_a(v) x) + m_b(v) P_a(x) + l_b m_a(v) x + l_a m_b(v) x.
     """
-    acts = _action_tables(mod)
     if _action_law_violations(mod, acts):
         raise PreconditionError("plain module laws fail; fix the action tensor first")
     kind = f"{mod.side}-module"
@@ -272,10 +270,9 @@ def _check_one_sided(mod: FdLeftModule) -> CheckReport:
 
 def check_bimodule(bm: FdBimodule) -> CheckReport:
     """The two one-sided axioms plus the three compatibility families."""
-    left_report = check_left_module(bm.left_part())
-    right_report = check_right_module(bm.right_part())
-    violations = list(left_report.violations) + list(right_report.violations)
     lefts, rights = _tables(bm.left_action, bm.dim), _tables(bm.right_action, bm.dim)
+    violations = [*_check_one_sided(bm.left_part(), lefts).violations,
+                  *_check_one_sided(bm.right_part(), rights).violations]
     for i, ai in enumerate(lefts):
         for j, bj in enumerate(rights):
             if ai @ bj != bj @ ai:
@@ -384,15 +381,12 @@ def submodule_closure_check(mod: FdLeftModule | FdRightModule, sub: Subspace) ->
     """Return a description of the first closure violation, or None."""
     inst = mod.inst
     acts = _action_tables(mod)
-    space = SparseRowSpace()
-    for v in sub.basis:
-        space.add(dict(enumerate(v)))
     for v in sub.basis:
         for i, act in enumerate(acts):
-            if not space.contains(dict(enumerate(act.apply(v)))):
+            if not sub.contains(act.apply(v)):
                 return f"action of basis element {inst.algebra.basis_labels[i]}"
         for w in inst.omega:
-            if not space.contains(dict(enumerate(mod.operator(w).apply(v)))):
+            if not sub.contains(mod.operator(w).apply(v)):
                 return f"operator {w}"
     return None
 

@@ -3,13 +3,14 @@
 Words have the shape r1 (x) w1 (x) r2 (x) ... (x) rn (x) x: algebra slots
 interleaved with operator labels, closed by a generator.  Such a word is the
 pair (r1 Q[w1] r2 ... rn, x) of an operator word and a generator, so
-elements are `mrb.opring.FreeModuleElement`s, the same type as the free
-module over the operator ring.  The depth of a word is its slot count n, one
-more than the q_degree of its operator word; prepending operators raises
-depth by one and the algebra action multiplies into the leading slot, so
-elements are graded by depth.  Slots hold basis indices; words with general
-vector slots expand multilinearly, which makes equality a coefficient
-comparison.
+elements are `mrb.opring.FreeModuleElement`s, the elements of the free
+module over the operator ring, and the structure maps are that ring's left
+action: the algebra element r acts as the ring element r, and the operator
+m_a as 1 Q[a] 1.  The depth of a word is its slot count n, one more than
+the q_degree of its operator word; operators raise depth by one and the
+algebra action multiplies into the leading slot, so elements are graded by
+depth.  Slots hold basis indices; words with general vector slots expand
+multilinearly, which makes equality a coefficient comparison.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
-from .core import MrbAlgebraInstance, PreconditionError
-from .linalg import Vector, frac, vector
-from .modules import FdLeftModule
-from .opring import FreeModuleElement, OpWord, basis_word, expand_word
+from .core import MrbAlgebraInstance
+from .linalg import Matrix, Vector, frac, vector
+from .modules import FdLeftModule, _action_tables
+from .opring import FreeModuleElement, OperatorRing, OpWord, basis_word
 
 
 @dataclass(frozen=True)
@@ -55,45 +57,22 @@ class FreeOperatedModule:
     def element(self, slots: Sequence[int], ops: Sequence[str], gen: str, coeff=1) -> FreeModuleElement:
         return FreeModuleElement.from_dict({self.word(slots, ops, gen): frac(coeff)})
 
-    def word_element(self, vectors: Sequence[Sequence], ops: Sequence[str], gen: str) -> FreeModuleElement:
-        """Multilinear expansion of a word with general vector slots."""
-        self.gens.index(gen)
-        terms = expand_word(self.inst, vectors, ops)
-        return FreeModuleElement.from_dict({(w, gen): c for w, c in terms.items()})
-
-    def generator(self, name: str) -> FreeModuleElement:
-        """The image of a generator, 1_R (x) x."""
-        return self.word_element([self.inst.algebra.unit], [], name)
+    @cached_property
+    def ring(self) -> OperatorRing:
+        """The operator ring whose left action the structure maps are; built
+        on first use, so binding words needs no verified instance."""
+        return OperatorRing(self.inst)
 
     # -- structure maps ------------------------------------------------------
 
     def act(self, r: Sequence, e: FreeModuleElement) -> FreeModuleElement:
-        """Multiply the leading slot of every word by the algebra element r."""
-        r = vector(r)
-        alg = self.inst.algebra
-        out: dict[tuple[OpWord, str], Fraction] = {}
-        for (w, g), c in e.terms:
-            prod = alg.multiply(r, alg.basis_vector(w.slots[0]))
-            for t, a in enumerate(prod):
-                if a == 0:
-                    continue
-                key = (OpWord((t,) + w.slots[1:], w.ops), g)
-                out[key] = out.get(key, Fraction(0)) + c * a
-        return FreeModuleElement.from_dict(out)
+        """r . e, the ring's left action by the algebra element r."""
+        return self.ring.act(self.ring.word_element([r], []), e)
 
     def apply_operator(self, label: str, e: FreeModuleElement) -> FreeModuleElement:
-        """Prepend 1_R (x) label; depth rises by exactly one."""
-        if label not in self.inst.omega:
-            raise KeyError(f"unknown operator label {label!r}")
-        unit = self.inst.algebra.unit
-        out: dict[tuple[OpWord, str], Fraction] = {}
-        for (w, g), c in e.terms:
-            for t, a in enumerate(unit):
-                if a == 0:
-                    continue
-                key = (OpWord((t,) + w.slots, (label,) + w.ops), g)
-                out[key] = out.get(key, Fraction(0)) + c * a
-        return FreeModuleElement.from_dict(out)
+        """1 (x) label (x) e, the ring's left action by 1 Q[label] 1; depth
+        rises by exactly one."""
+        return self.ring.act(self.ring.q_letter(label), e)
 
     # -- enumeration ---------------------------------------------------------
 
@@ -109,39 +88,21 @@ class FreeOperatedModule:
         return out
 
     def ideal_generators(self, max_depth: int = 4) -> list[FreeModuleElement]:
-        """Defect elements of the coupled axiom over basis data.
+        """Defect elements -g . a of the coupled axiom, for each basis word a
+        of depth <= max_depth and each ring ideal generator g, in that order.
 
-        For each basis r, each basis word a of depth <= max_depth and each
-        label pair (alpha, beta):
+        With g = Q_a r Q_b - P_a(r) Q_b + Q_b P_a(r) + l_b Q_a r + l_a Q_b r
+        (`OperatorRing.ideal_generator`), -g . a is
 
             P_a(r) m_b'(a) - m_a'(r m_b'(a)) - m_b'(P_a(r) a)
-                - l_b m_a'(r a) - l_a m_b'(r a).
+                - l_b m_a'(r a) - l_a m_b'(r a),
 
-        The nested m_a'(r m_b'(a)) term makes the result two levels deeper
-        than a.
+        two levels deeper than a.
         """
-        if not self.inst.verified:
-            raise PreconditionError("instance must pass check_mrb_identity first")
-        out = []
-        alg = self.inst.algebra
-        for a_word in self.basis_words(max_depth):
-            a_elem = FreeModuleElement.from_dict({a_word: Fraction(1)})
-            for i in range(alg.dim):
-                r = alg.basis_vector(i)
-                for alpha in self.inst.omega:
-                    p_r = self.inst.apply_operator(alpha, r)
-                    la = self.inst.weight(alpha)
-                    for beta in self.inst.omega:
-                        lb = self.inst.weight(beta)
-                        mb_a = self.apply_operator(beta, a_elem)
-                        ra = self.act(r, a_elem)
-                        g = self.act(p_r, mb_a)
-                        g = g - self.apply_operator(alpha, self.act(r, mb_a))
-                        g = g - self.apply_operator(beta, self.act(p_r, a_elem))
-                        g = g - self.apply_operator(alpha, ra).scale(lb)
-                        g = g - self.apply_operator(beta, ra).scale(la)
-                        out.append(g)
-        return out
+        ring = self.ring
+        defects = [-g for g in ring.ideal_generators()]
+        return [ring.act(g, FreeModuleElement(((a, Fraction(1)),)))
+                for a in self.basis_words(max_depth) for g in defects]
 
     # -- universal property --------------------------------------------------
 
@@ -181,14 +142,16 @@ class OperatedModuleHom:
     def image_of(self, gen: str) -> Vector:
         return self.images[self.module.gens.index(gen)]
 
+    @cached_property
+    def _acts(self) -> tuple[Matrix, ...]:
+        return _action_tables(self.target)
+
     def evaluate_word(self, w: OpWord, gen: str) -> Vector:
-        target = self.target
-        inst = self.module.inst
+        acts, target = self._acts, self.target
         v = self.image_of(gen)
         for slot, op in zip(reversed(w.slots[1:]), reversed(w.ops)):
-            v = target.action_matrix(inst.algebra.basis_vector(slot)).apply(v)
-            v = target.operator(op).apply(v)
-        return target.action_matrix(inst.algebra.basis_vector(w.slots[0])).apply(v)
+            v = target.operator(op).apply(acts[slot].apply(v))
+        return acts[w.slots[0]].apply(v)
 
     def __call__(self, e: FreeModuleElement) -> Vector:
         out = [Fraction(0)] * self.target.dim

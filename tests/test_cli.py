@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mrb import cli, core, modules
+from mrb import cli, core, modules, opring
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -298,6 +298,20 @@ def test_check_module_evaluates_the_action_laws_once(monkeypatch):
     code, out = run_cli(["check-module", "inputs/regular_left_sp12.json"])
     assert code == 0 and json.loads(out)["report"]["subject"] == "left-module"
     assert len(calls) == 1
+
+
+def test_normalize_of_a_mixable_tensor_builds_one_ring(monkeypatch):
+    # the free operated module only binds the words; its ring stays unbuilt
+    calls = []
+    init = opring.OperatorRing.__init__
+
+    def counted(self, inst):
+        calls.append(inst)
+        init(self, inst)
+
+    monkeypatch.setattr(opring.OperatorRing, "__init__", counted)
+    code, _ = run_cli(["normalize", "scaled_projection(1)", "e1 . 1 . e1 . 1 . e1 : x"])
+    assert code == 0 and len(calls) == 1
 
 
 def test_check_module_reports_a_failing_unit_law(tmp_path):

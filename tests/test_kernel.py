@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrb import modules
 from mrb.core import (
     AlgebraPresentation,
     MrbAlgebraInstance,
@@ -32,9 +33,11 @@ from mrb.linalg import Matrix
 from mrb.modules import (
     FdLeftModule,
     check_action_laws,
+    check_bimodule,
     check_left_module,
     check_right_module,
     direct_sum,
+    regular_bimodule,
     regular_left_module,
     regular_right_module,
 )
@@ -285,6 +288,19 @@ def test_module_check_builds_its_action_tables_once(monkeypatch):
     # at most one table per basis element and one more; the per-pair
     # evaluation took 1 + 3 d^2 + 2 s^2 d
     assert len(calls) <= inst.dim + 1
+
+
+def test_bimodule_check_builds_each_side_tables_once(monkeypatch):
+    calls = []
+    tables = modules._tables
+
+    def counted(action, dim):
+        calls.append(dim)
+        return tables(action, dim)
+
+    monkeypatch.setattr(modules, "_tables", counted)
+    assert check_bimodule(regular_bimodule(scaled_projection((2, 3, 5)))).ok
+    assert len(calls) == 2
 
 
 def test_identity_check_makes_no_apply_call(monkeypatch):

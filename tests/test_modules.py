@@ -337,6 +337,28 @@ def test_restricted_lift_rejects_non_constant(sp12, reg):
         restricted_lift(f, [outside], bad_target)
 
 
+def test_restricted_lift_tests_images_without_elimination(sp12, rref_calls):
+    # module_constants eliminates twice (its nullspace, then the canonical
+    # basis); each image is then reduced against that basis, not solved for
+    target = direct_sum([regular_left_module(sp12)] * 3).module
+    free = restricted_free(sp12, ["x", "y", "z"])
+    images = [(1, 0, 0, 2, 0, 0), (0, 1, 0, 0, 0, 3), (0, 0, 0, 0, 1, 1)]
+    h = restricted_lift(free, images, target)
+    assert len(rref_calls) == 2
+    unit, zero = tuple(sp12.algebra.unit), (0, 0)
+    for k, img in enumerate(images):
+        assert h(zero * k + unit + zero * (2 - k)) == img
+
+
+def test_restricted_lift_names_the_first_bad_image(sp12, reg):
+    target = direct_sum([perturb_operator(reg, "1", 0, 1)] * 2).module
+    free = restricted_free(sp12, ["x", "y"])
+    with pytest.raises(PreconditionError, match="^image of generator 1 is not a module constant"):
+        restricted_lift(free, [(0, 0, 0, 0), (1, 1, 0, 0)], target)
+    with pytest.raises(ValueError, match="^vector length mismatch$"):
+        restricted_lift(free, [(0, 0, 0), (1, 1, 0, 0)], target)
+
+
 def test_restricted_lift_uniqueness(sp12, reg):
     # solver dimension: homs out of the free module agreeing on generators
     # are unique, i.e. evaluation at generators is injective on hom_space

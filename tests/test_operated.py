@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mrb.core import PreconditionError, scaled_projection, trivial_instance
-from mrb.modules import regular_left_module
+from mrb.modules import FdLeftModule, regular_left_module
 from mrb.operated import FreeOperatedModule, GeneratorSet
 from mrb.opring import FreeModuleElement, OpWord
 
@@ -251,3 +251,22 @@ def test_module_axioms_on_random_elements(free_sp12, sp12):
         rs = alg.multiply(r, s)
         assert free_sp12.act(rs, e1) == free_sp12.act(r, free_sp12.act(s, e1))
         assert free_sp12.act(alg.unit, e1) == e1
+
+
+def test_lift_evaluation_reads_the_action_tables(sp12, monkeypatch):
+    fom = FreeOperatedModule(sp12, ["x"])
+    h = fom.lift({"x": (1, 2)}, regular_left_module(sp12))
+    calls = []
+    action_matrix = FdLeftModule.action_matrix
+
+    def counted(self, r):
+        calls.append(r)
+        return action_matrix(self, r)
+
+    monkeypatch.setattr(FdLeftModule, "action_matrix", counted)
+    words = fom.basis_words(3)
+    assert len(words) == 42
+    for w in words:
+        h(FreeModuleElement.from_dict({w: Fraction(1)}))
+    # an action matrix per slot would make 2 * 1 + 8 * 2 + 32 * 3 = 114 calls
+    assert calls == []
