@@ -169,18 +169,14 @@ def _cmd_normalize(inst, expression):
         printer = expr.print_operated_element
     else:
         element = expr.bind_op_expression(ast, ring)
-        printer = expr.print_free_module_element
-    if isinstance(element, opring.FreeModuleElement):
-        out = ring.free_module_normal_form(element)
-        apps = sum(ring._nf_word(w)[1] for (w, _), _ in element.terms)
-    else:
-        report = ring.normalize(element)
-        out, apps, printer = report.output, report.applications, expr.print_op_element
+        printer = (expr.print_free_module_element if isinstance(element, opring.FreeModuleElement)
+                   else expr.print_op_element)
+    report = ring.normalize(element)
     return 0, {
         "input": printer(element, inst),
-        "normal_form": printer(out, inst),
-        "applications": apps,
-        "strategy": "leftmost-innermost",
+        "normal_form": printer(report.output, inst),
+        "applications": report.applications,
+        "strategy": report.strategy,
     }
 
 

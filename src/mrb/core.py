@@ -356,11 +356,9 @@ def upper_triangular_algebra() -> AlgebraPresentation:
     )
 
 
-def trivial_instance(d: int, s: int, algebra: AlgebraPresentation | None = None) -> MrbAlgebraInstance:
-    """Zero operators and zero weights over a d-dimensional algebra."""
-    alg = algebra if algebra is not None else componentwise_algebra(d)
-    if alg.dim != d:
-        raise ValueError("algebra dimension does not match d")
+def trivial_instance(d: int, s: int) -> MrbAlgebraInstance:
+    """Zero operators and zero weights on Q^d, with s labels."""
+    alg = componentwise_algebra(d)
     labels = tuple(str(i + 1) for i in range(s))
     ops = OperatorFamily(labels, tuple(Matrix.zero(d, d) for _ in labels))
     weights = WeightFamily(labels, tuple(Fraction(0) for _ in labels))
@@ -404,18 +402,16 @@ def upper_triangular_instance(c: Sequence = (1, 2)) -> MrbAlgebraInstance:
     return inst
 
 
+_CATALOG_NAMES = (
+    *(f"trivial({d},{s})" for d in (1, 2, 3) for s in (1, 2, 3)),
+    "scaled_projection(1)", "scaled_projection(1,2)", "scaled_projection(2,3,5)",
+    "upper_triangular(1,2)",
+)
+
+
 def catalog() -> dict[str, MrbAlgebraInstance]:
     """Named verified instances used throughout the test suite."""
-    entries: dict[str, MrbAlgebraInstance] = {}
-    for d in (1, 2, 3):
-        for s in (1, 2, 3):
-            inst = trivial_instance(d, s)
-            check_mrb_identity(inst)
-            entries[f"trivial({d},{s})"] = inst
-    for c in ((1,), (1, 2), (2, 3, 5)):
-        entries[f"scaled_projection({','.join(map(str, c))})"] = scaled_projection(c)
-    entries["upper_triangular(1,2)"] = upper_triangular_instance((1, 2))
-    return entries
+    return {name: catalog_instance(name) for name in _CATALOG_NAMES}
 
 
 _CATALOG_NAME_RE = re.compile(r"(trivial|scaled_projection|upper_triangular)\(([^)]*)\)$")

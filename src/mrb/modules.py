@@ -3,7 +3,8 @@
 A one-sided module presentation is an action tensor plus one operator
 matrix per label.  Left and right modules share it: FdRightModule differs
 from FdLeftModule only in its ``side``, and the side picks the order in
-which action and operator matrices compose.  The left axiom, checked
+which action and operator matrices compose.  A bimodule is the pair of a
+left and a right module on one space.  The left axiom, checked
 exhaustively on basis pairs, is
 
     P_a(x) m_b(v) = m_a(x m_b(v)) + m_b(P_a(x) v)
@@ -48,7 +49,6 @@ from .linalg import (
     Vector,
     format_rational,
     quotient_space,
-    unit_vector,
     vector,
 )
 
@@ -121,47 +121,37 @@ def _module_class(side) -> type[FdLeftModule]:
 
 @dataclass(frozen=True)
 class FdBimodule:
-    """Bimodule presentation with both actions and both operator families.
+    """A left module and a right module on one space.
 
-    ``left_operators`` is the family making the space a left module over
-    ``left_inst``; ``right_operators`` the family for the right module over
-    ``right_inst``.  The two instances must share labels and weights, as the
-    coupled axioms draw both weight slots from one family.
+    ``left`` makes the space a left module over its instance, ``right`` a
+    right module over its own; each part validates its own presentation.
+    The pair checks what binds the parts together: one dimension, and
+    instances that share labels and weights, as the coupled axioms draw
+    both weight slots from one family.
     """
 
-    left_inst: MrbAlgebraInstance
-    right_inst: MrbAlgebraInstance
-    dim: int
-    left_action: tuple[tuple[Vector, ...], ...]
-    right_action: tuple[tuple[Vector, ...], ...]
-    left_operators: tuple[Matrix, ...]
-    right_operators: tuple[Matrix, ...]
+    left: FdLeftModule
+    right: FdRightModule
 
     side = "bimodule"
 
     def __post_init__(self):
-        if self.left_inst.omega != self.right_inst.omega:
+        if self.left.inst.omega != self.right.inst.omega:
             raise MalformedPresentationError("bimodule instances must share operator labels")
-        if self.left_inst.weights.values != self.right_inst.weights.values:
+        if self.left.inst.weights.values != self.right.inst.weights.values:
             raise MalformedPresentationError("bimodule instances must share weights")
-        _validate_action(self.left_inst.dim, self.dim, self.left_action)
-        _validate_action(self.right_inst.dim, self.dim, self.right_action)
+        if self.left.dim != self.right.dim:
+            raise MalformedPresentationError("bimodule parts must share one dimension")
 
     @property
-    def omega(self) -> tuple[str, ...]:
-        return self.left_inst.omega
-
-    def left_part(self) -> FdLeftModule:
-        return FdLeftModule(self.left_inst, self.dim, self.left_action, self.left_operators)
-
-    def right_part(self) -> FdRightModule:
-        return FdRightModule(self.right_inst, self.dim, self.right_action, self.right_operators)
+    def dim(self) -> int:
+        return self.left.dim
 
     def left_action_matrix(self, r: Sequence) -> Matrix:
-        return _action_matrix(self.left_action, vector(r), self.dim)
+        return self.left.action_matrix(r)
 
     def right_action_matrix(self, r: Sequence) -> Matrix:
-        return _action_matrix(self.right_action, vector(r), self.dim)
+        return self.right.action_matrix(r)
 
 
 @dataclass(frozen=True)
@@ -270,25 +260,24 @@ def _check_one_sided(mod: FdLeftModule, acts: Sequence[Matrix]) -> CheckReport:
 
 def check_bimodule(bm: FdBimodule) -> CheckReport:
     """The two one-sided axioms plus the three compatibility families."""
-    lefts, rights = _tables(bm.left_action, bm.dim), _tables(bm.right_action, bm.dim)
-    violations = [*_check_one_sided(bm.left_part(), lefts).violations,
-                  *_check_one_sided(bm.right_part(), rights).violations]
+    lefts, rights = _action_tables(bm.left), _action_tables(bm.right)
+    violations = [*_check_one_sided(bm.left, lefts).violations,
+                  *_check_one_sided(bm.right, rights).violations]
     for i, ai in enumerate(lefts):
         for j, bj in enumerate(rights):
             if ai @ bj != bj @ ai:
                 violations.append(Violation("actions-commute", (i, j)))
-    for k, w in enumerate(bm.omega):
-        mw = bm.right_operators[k]
+    omega = bm.left.inst.omega
+    for w, mw, nw in zip(omega, bm.right.operators, bm.left.operators):
         for i, ai in enumerate(lefts):
             if mw @ ai != ai @ mw:
                 violations.append(Violation("right-family-vs-left-action", (w, i)))
-        nw = bm.left_operators[k]
         for j, bj in enumerate(rights):
             if nw @ bj != bj @ nw:
                 violations.append(Violation("left-family-vs-right-action", (w, j)))
-    for k, w in enumerate(bm.omega):
-        for k2, w2 in enumerate(bm.omega):
-            if bm.right_operators[k] @ bm.left_operators[k2] != bm.left_operators[k2] @ bm.right_operators[k]:
+    for w, mw in zip(omega, bm.right.operators):
+        for w2, nw2 in zip(omega, bm.left.operators):
+            if mw @ nw2 != nw2 @ mw:
                 violations.append(Violation("families-commute", (w, w2)))
     return CheckReport("bimodule", tuple(violations))
 
@@ -321,15 +310,7 @@ def regular_bimodule(inst: MrbAlgebraInstance) -> FdBimodule:
     Whether this satisfies the bimodule compatibilities depends on the
     instance; run check_bimodule on the result.
     """
-    return FdBimodule(
-        inst,
-        inst,
-        inst.dim,
-        _regular_action(inst.algebra, True),
-        _regular_action(inst.algebra, False),
-        inst.operators.matrices,
-        inst.operators.matrices,
-    )
+    return FdBimodule(regular_left_module(inst), regular_right_module(inst))
 
 
 def zero_module(inst: MrbAlgebraInstance, side: str = "left") -> FdLeftModule:
@@ -422,10 +403,7 @@ def module_constants(mod: FdLeftModule) -> Subspace:
         for i, act in enumerate(acts):
             # m_w(b_i v) - P_w(b_i) v, with P_w(b_i) acting as sum_k (P_w)_{k,i} A_k
             blocks.extend((mw @ act - _sum_of(zip(pw.col(i), acts), n, n)).entries)
-    if not blocks:
-        return Subspace.spanned_by(mod.dim, [unit_vector(mod.dim, i) for i in range(mod.dim)])
-    stacked = Matrix.from_rows(blocks, cols=mod.dim)
-    null = stacked.nullspace_basis()
+    null = Matrix.from_rows(blocks, cols=mod.dim).nullspace_basis()
     return Subspace.spanned_by(mod.dim, null.basis)
 
 
@@ -563,8 +541,7 @@ def hom_module(m: FdLeftModule | FdBimodule, n: FdLeftModule | FdBimodule,
         same_role = " and ".join(v for v, row in _HOM_VARIANTS.items() if row[0] == role)
         raise PreconditionError(f"variants {same_role} need a bimodule {role}")
     _require_bimodule(bm)
-    parts = {"left": bm.left_part(), "right": bm.right_part()}
-    base, acting = parts[base_side], parts[acting_side]
+    base, acting = getattr(bm, base_side), getattr(bm, acting_side)
     post = role == "target"
     base_src, base_dst = (m, base) if post else (base, n)
     if base_src.side != base_dst.side:
@@ -597,26 +574,15 @@ def lift_through_epi(theta: ModuleHom, phi: ModuleHom) -> ModuleHom | None:
     theta: M -> N must be surjective; phi: S -> N.  The search runs over
     hom-space coordinates so any solution is automatically a module hom.
     """
-    if theta.target.dim != phi.target.dim or theta.target != phi.target:
-        raise ValueError("theta and phi must share a target")
+    if theta.target != phi.target:
+        raise ArgumentError("theta and phi must share a target")
     if not theta.is_surjective():
         raise PreconditionError("theta is not surjective")
     basis = hom_space(phi.source, theta.source)
-    if not basis:
-        return None if not phi.matrix.is_zero() else module_hom(
-            phi.source, theta.source, Matrix.zero(theta.source.dim, phi.source.dim), check=False
-        )
-    cols = []
-    for b in basis:
-        comp = theta.matrix @ b
-        cols.append(tuple(x for row in comp.entries for x in row))
-    rhs = tuple(x for row in phi.matrix.entries for x in row)
-    sol = Matrix.from_cols(cols).solve(rhs)
-    if sol is None:
+    coords = _coords_in([theta.matrix @ b for b in basis], [phi.matrix])
+    if coords is None:
         return None
-    out = Matrix.zero(theta.source.dim, phi.source.dim)
-    for c, b in zip(sol, basis):
-        out = out + b.scale(c)
+    out = _sum_of(zip(coords[0], basis), theta.source.dim, phi.source.dim)
     return module_hom(phi.source, theta.source, out, check=False)
 
 
@@ -624,66 +590,39 @@ def lift_through_epi(theta: ModuleHom, phi: ModuleHom) -> ModuleHom | None:
 # JSON wire format
 # ---------------------------------------------------------------------------
 
-def _action_to_json(action):
-    return [[[format_rational(x) for x in v] for v in block] for block in action]
-
-
-def _action_from_json(data):
-    return tuple(tuple(vector(v) for v in block) for block in data)
-
-
-def _ops_to_json(inst, operators):
-    return {w: _matrix_to_json(m) for w, m in zip(inst.omega, operators)}
-
-
-def _ops_from_json(inst, data):
-    return tuple(_matrix_from_json(data[w]) for w in inst.omega)
-
-
-def module_to_json(mod: FdLeftModule | FdRightModule | FdBimodule) -> dict:
-    if isinstance(mod, FdBimodule):
-        return {
-            "side": "bimodule",
-            "dim": mod.dim,
-            "instance": instance_to_json(mod.left_inst),
-            "right_instance": instance_to_json(mod.right_inst),
-            "action": _action_to_json(mod.left_action),
-            "right_action": _action_to_json(mod.right_action),
-            "operators": _ops_to_json(mod.left_inst, mod.left_operators),
-            "right_operators": _ops_to_json(mod.right_inst, mod.right_operators),
-        }
+def _part_to_json(mod: FdLeftModule, prefix: str = "") -> dict:
+    """The fields of a one-sided module but its side and dim, under prefix."""
     return {
-        "side": mod.side,
-        "dim": mod.dim,
-        "instance": instance_to_json(mod.inst),
-        "action": _action_to_json(mod.action),
-        "operators": _ops_to_json(mod.inst, mod.operators),
+        prefix + "instance": instance_to_json(mod.inst),
+        prefix + "action": [[[format_rational(x) for x in v] for v in block]
+                            for block in mod.action],
+        prefix + "operators": {w: _matrix_to_json(m) for w, m in zip(mod.inst.omega, mod.operators)},
     }
 
 
-def _load_verified(doc: Mapping, key: str) -> MrbAlgebraInstance:
-    return _require_verified(load_instance(doc[key]), key)
+def module_to_json(mod: FdLeftModule | FdRightModule | FdBimodule) -> dict:
+    """A one-sided module's fields; a bimodule's are its left part's plus
+    its right part's under a ``right_`` prefix, with one shared ``dim``."""
+    if isinstance(mod, FdBimodule):
+        parts = {**_part_to_json(mod.left), **_part_to_json(mod.right, "right_")}
+    else:
+        parts = _part_to_json(mod)
+    return {"side": mod.side, "dim": mod.dim, **parts}
+
+
+def _part_from_json(doc: Mapping, side: str, prefix: str = "") -> FdLeftModule:
+    """The module of the given side in doc's fields under prefix."""
+    inst = _require_verified(load_instance(doc[prefix + "instance"]), prefix + "instance")
+    return _module_class(side)(
+        inst, int(doc["dim"]),
+        tuple(tuple(vector(v) for v in block) for block in doc[prefix + "action"]),
+        tuple(_matrix_from_json(doc[prefix + "operators"][w]) for w in inst.omega))
 
 
 def module_from_json(doc: Mapping) -> FdLeftModule | FdRightModule | FdBimodule:
     if not isinstance(doc, Mapping):
         raise ValueError("a module document must be a JSON object")
     side = doc.get("side", "left")
-    inst = _load_verified(doc, "instance")
     if side == "bimodule":
-        right_inst = _load_verified(doc, "right_instance")
-        return FdBimodule(
-            inst,
-            right_inst,
-            int(doc["dim"]),
-            _action_from_json(doc["action"]),
-            _action_from_json(doc["right_action"]),
-            _ops_from_json(inst, doc["operators"]),
-            _ops_from_json(right_inst, doc["right_operators"]),
-        )
-    return _module_class(side)(
-        inst,
-        int(doc["dim"]),
-        _action_from_json(doc["action"]),
-        _ops_from_json(inst, doc["operators"]),
-    )
+        return FdBimodule(_part_from_json(doc, "left"), _part_from_json(doc, "right", "right_"))
+    return _part_from_json(doc, side)

@@ -76,11 +76,11 @@ class FreeOperatedModule:
 
     # -- enumeration ---------------------------------------------------------
 
-    def basis_words(self, max_depth: int = 4, min_depth: int = 1) -> list[tuple[OpWord, str]]:
+    def basis_words(self, max_depth: int = 4) -> list[tuple[OpWord, str]]:
         """Basis words by depth, then generator, slots and labels."""
         d = self.inst.dim
         out = []
-        for n in range(max(min_depth, 1), max_depth + 1):
+        for n in range(1, max_depth + 1):
             for gen in self.gens.names:
                 for slots in itertools.product(range(d), repeat=n):
                     for ops in itertools.product(self.inst.omega, repeat=n - 1):

@@ -94,13 +94,25 @@ class OpElement:
 
     `terms` holds (key, coefficient) pairs with nonzero coefficients, ordered
     by the class-level `key_order`, whose value leads with the key's
-    q_degree.  Subclasses change only the key type and `key_order`; the
-    arithmetic is shared and returns the subclass.
+    q_degree.  Subclasses change only the key type, `key_order` and the
+    two hooks `word_of` and `rekey` that take a key apart and put it back
+    on another word; the arithmetic, the ring's product and its normal
+    form are shared and return the subclass.
     """
 
     terms: tuple[tuple[OpWord, Fraction], ...]
 
     key_order = staticmethod(OpWord.sort_key)
+
+    @staticmethod
+    def word_of(key) -> OpWord:
+        """The operator word of a term key."""
+        return key
+
+    @staticmethod
+    def rekey(key, word: OpWord):
+        """The key of `key`'s kind on another operator word."""
+        return word
 
     @classmethod
     def from_dict(cls, terms: Mapping) -> "OpElement":
@@ -155,6 +167,14 @@ class FreeModuleElement(OpElement):
     def key_order(key):
         w, gen = key
         return (w.q_degree, w.slots, w.ops, gen)
+
+    @staticmethod
+    def word_of(key) -> OpWord:
+        return key[0]
+
+    @staticmethod
+    def rekey(key, word: OpWord):
+        return word, key[1]
 
 
 @dataclass(frozen=True)
@@ -245,13 +265,19 @@ class OperatorRing:
             yield OpWord(a.slots[:-1] + (t,) + b.slots[1:], a.ops + b.ops), c
 
     def multiply(self, a: OpElement, b: OpElement) -> OpElement:
-        """Free-product multiplication; the result is not normalized."""
-        out: dict[OpWord, Fraction] = {}
+        """Free-product multiplication a b, not normalized.  The right factor
+        may be a free-module element, on which the ring acts from the left;
+        the product has b's element type."""
+        cls = type(b)
+        out: dict = {}
         for wa, ca in a.terms:
-            for wb, cb in b.terms:
-                for w, c in self._concat(wa, wb):
-                    out[w] = out.get(w, Fraction(0)) + ca * cb * c
-        return OpElement.from_dict(out)
+            for kb, cb in b.terms:
+                for w, c in self._concat(wa, cls.word_of(kb)):
+                    key = cls.rekey(kb, w)
+                    out[key] = out.get(key, Fraction(0)) + ca * cb * c
+        return cls.from_dict(out)
+
+    act = multiply
 
     # -- rewriting ----------------------------------------------------------
 
@@ -317,16 +343,21 @@ class OperatorRing:
         """Completed normal form: rewrite to q_degree <= 1, then reduce
         modulo `linear_rules`.  Within the truncations checked (see
         `linear_rules`), two elements have equal normal forms exactly when
-        their difference lies in the ideal."""
-        out: dict[OpWord, Fraction] = {}
-        for w, c in e.terms:
-            for w2, c2 in self._completed_word(w).terms:
-                out[w2] = out.get(w2, Fraction(0)) + c * c2
-        return OpElement.from_dict(out)
+        their difference lies in the ideal.  A free-module element is
+        normalized word by word, each generator kept."""
+        cls = type(e)
+        out: dict = {}
+        for k, c in e.terms:
+            for w2, c2 in self._completed_word(cls.word_of(k)).terms:
+                key = cls.rekey(k, w2)
+                out[key] = out.get(key, Fraction(0)) + c * c2
+        return cls.from_dict(out)
+
+    free_module_normal_form = normal_form
 
     def normalize(self, e: OpElement) -> RewriteReport:
         """`normal_form`, with the number of rewrite-rule applications."""
-        apps = sum(self._nf_word(w)[1] for w, _ in e.terms)
+        apps = sum(self._nf_word(e.word_of(k))[1] for k, _ in e.terms)
         return RewriteReport(e, self.normal_form(e), apps)
 
     def _completed_word(self, w: OpWord) -> OpElement:
@@ -557,24 +588,6 @@ class OperatorRing:
 
     def module_word(self, slots: Sequence[int], ops: Sequence[str], gen: str) -> FreeModuleElement:
         return FreeModuleElement.from_dict({(self.word(slots, ops), gen): Fraction(1)})
-
-    def act(self, a: OpElement, m: FreeModuleElement) -> FreeModuleElement:
-        """Left action of the ring on free-module elements."""
-        out: dict[tuple[OpWord, str], Fraction] = {}
-        for wa, ca in a.terms:
-            for (wm, g), cm in m.terms:
-                for w, c in self._concat(wa, wm):
-                    key = (w, g)
-                    out[key] = out.get(key, Fraction(0)) + ca * cm * c
-        return FreeModuleElement.from_dict(out)
-
-    def free_module_normal_form(self, m: FreeModuleElement) -> FreeModuleElement:
-        out: dict[tuple[OpWord, str], Fraction] = {}
-        for (w, g), c in m.terms:
-            for w2, c2 in self._completed_word(w).terms:
-                key = (w2, g)
-                out[key] = out.get(key, Fraction(0)) + c * c2
-        return FreeModuleElement.from_dict(out)
 
     def from_operated(self, e: FreeModuleElement) -> FreeModuleElement:
         """Mixable-tensor words already are (operator word, generator) pairs,

@@ -30,6 +30,7 @@ from .modules import (
     _coords_in,
     _module_class,
     _require_bimodule,
+    ArgumentError,
     FdBimodule,
     FdLeftModule,
     FdRightModule,
@@ -79,9 +80,9 @@ def tensor_product(m: FdRightModule, n: FdLeftModule) -> TensorSpace:
     Kronecker difference A^T (x) I - I (x) B^T.
     """
     if m.inst != n.inst:
-        raise ValueError("tensor factors must live over the same instance")
+        raise ArgumentError("tensor factors must live over the same instance")
     if m.side != "right" or n.side != "left":
-        raise ValueError("tensor_product takes a right module and a left module")
+        raise ArgumentError("tensor_product takes a right module and a left module")
     idm, idn = Matrix.identity(m.dim), Matrix.identity(n.dim)
     relations = tuple(row for a, b in zip((*_action_tables(m), *m.operators),
                                           (*_action_tables(n), *n.operators))
@@ -165,11 +166,11 @@ def tensor_left_structure(bimod: FdBimodule, t: TensorSpace) -> FdLeftModule:
     left instance supplies the action and the q operators come from the
     bimodule's left family.
     """
-    if bimod.right_part() != t.m_factor:
+    if bimod.right != t.m_factor:
         raise PreconditionError("bimodule right part must be the tensor's M factor")
     _require_bimodule(bimod)
     idn = Matrix.identity(t.n_factor.dim)
-    return _tensor_structure(t, bimod.left_part(), lambda a: a.kron(idn))
+    return _tensor_structure(t, bimod.left, lambda a: a.kron(idn))
 
 
 def tensor_right_structure(t: TensorSpace, bimod: FdBimodule) -> FdRightModule:
@@ -178,10 +179,10 @@ def tensor_right_structure(t: TensorSpace, bimod: FdBimodule) -> FdRightModule:
     The bimodule's left part must be the tensor's left-module factor; the
     right instance and the bimodule's right family supply the structure.
     """
-    if bimod.left_part() != t.n_factor:
+    if bimod.left != t.n_factor:
         raise PreconditionError("bimodule left part must be the tensor's N factor")
     _require_bimodule(bimod)
-    return _tensor_structure(t, bimod.right_part(), Matrix.identity(t.m_factor.dim).kron)
+    return _tensor_structure(t, bimod.right, Matrix.identity(t.m_factor.dim).kron)
 
 
 def _tensor_structure(t: TensorSpace, acting: FdLeftModule, on_ambient) -> FdLeftModule:
@@ -221,17 +222,16 @@ def adjunction_check(m: FdRightModule, s_bimod: FdBimodule, t_mod: FdRightModule
     right instance.  Both Hom spaces are computed as subspaces, the two maps
     as matrices between them, and mutual inverseness as exact identities.
     """
-    if m.inst != s_bimod.left_inst:
-        raise ValueError("M must be a right module over the bimodule's left instance")
-    if t_mod.inst != s_bimod.right_inst or t_mod.side != "right":
-        raise ValueError("T must be a right module over the bimodule's right instance")
+    if m.inst != s_bimod.left.inst:
+        raise ArgumentError("M must be a right module over the bimodule's left instance")
+    if t_mod.inst != s_bimod.right.inst or t_mod.side != "right":
+        raise ArgumentError("T must be a right module over the bimodule's right instance")
 
-    tensor = tensor_product(m, s_bimod.left_part())
+    tensor = tensor_product(m, s_bimod.left)
     hom_st = hom_module(s_bimod, t_mod, "d")  # checks the bimodule
-    tensor_as_right = _tensor_structure(tensor, s_bimod.right_part(),
-                                        Matrix.identity(m.dim).kron)
+    tensor_as_right = _tensor_structure(tensor, s_bimod.right, Matrix.identity(m.dim).kron)
     h1_basis = hom_space(tensor_as_right, t_mod)
-    inner_basis = hom_space(s_bimod.right_part(), t_mod)
+    inner_basis = hom_space(s_bimod.right, t_mod)
     if hom_st.dim != len(inner_basis):
         raise AssertionError("hom module dimension mismatch")
     h2_basis = hom_space(m, hom_st)

@@ -312,10 +312,10 @@ def test_criterion_08_tensor_suite():
         failures.append("tensor unit map is not an isomorphism on the regular module")
 
     from mrb.tensor import tensor_left_structure, tensor_right_structure
-    left_struct = tensor_left_structure(bm, tensor_product(bm.right_part(), reg))
+    left_struct = tensor_left_structure(bm, tensor_product(bm.right, reg))
     if not check_left_module(left_struct).ok:
         failures.append("left structure on the tensor failed its checker")
-    right_struct = tensor_right_structure(tensor_product(reg_r, bm.left_part()), bm)
+    right_struct = tensor_right_structure(tensor_product(reg_r, bm.left), bm)
     if not check_right_module(right_struct).ok:
         failures.append("right structure on the tensor failed its checker")
 

@@ -155,6 +155,25 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
     bad_right_identity = tmp_path / "bad_right_identity.json"
     bad_right_identity.write_text(json.dumps(
         {**bimodule, "right_instance": perturbed(bimodule["right_instance"])}))
+    bad_right_operator = tmp_path / "bad_right_operator.json"
+    bad_right_operator.write_text(json.dumps({**bimodule, "right_operators": {
+        **bimodule["right_operators"], "1": [["1"]]}}))
+    bad_left_operator = tmp_path / "bad_left_operator.json"
+    bad_left_operator.write_text(json.dumps({**bimodule, "operators": {
+        **bimodule["operators"], "2": [["1"]]}}))
+
+    # modules over another instance, and homs that do not fit together
+    sp13 = core.catalog_instance("scaled_projection(1,3)")
+    right13, left13 = tmp_path / "right13.json", tmp_path / "left13.json"
+    right13.write_text(json.dumps(modules.module_to_json(modules.regular_right_module(sp13))))
+    left13.write_text(json.dumps(modules.module_to_json(modules.regular_left_module(sp13))))
+    identity13 = tmp_path / "identity13.json"
+    identity13.write_text(json.dumps({"source": json.loads(left13.read_text()),
+                                      "target": json.loads(left13.read_text()),
+                                      "matrix": [["1", "0"], ["0", "1"]]}))
+    identity_right = tmp_path / "identity_right.json"
+    identity_right.write_text(json.dumps({"source": regular, "target": regular,
+                                          "matrix": [["1", "0"], ["0", "1"]]}))
     cases = [
         (["check-module", str(bad_side)],
          f"malformed module document {bad_side}: unknown module side 'top'"),
@@ -230,6 +249,21 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
          "trivial expects 2 arguments, as in trivial(d,s); got 1"),
         (["check-algebra", "trivial(1,2,3)"],
          "trivial expects 2 arguments, as in trivial(d,s); got 3"),
+        (["check-module", str(bad_right_operator)],
+         f"malformed module document {bad_right_operator}: operator matrix has wrong shape"),
+        (["check-module", str(bad_left_operator)],
+         f"malformed module document {bad_left_operator}: operator matrix has wrong shape"),
+        (["tensor", str(right13), "inputs/regular_left_sp12.json"],
+         "tensor factors must live over the same instance"),
+        (["flat-probe", str(right13), "inputs/inclusion_sub_e2.json"],
+         "tensor factors must live over the same instance"),
+        (["flat-probe", "inputs/regular_right_sp12.json", str(identity_right)],
+         "tensor_product takes a right module and a left module"),
+        (["adjunction", str(right13), "inputs/regular_bimodule_sp12.json",
+          "inputs/regular_right_sp12.json"],
+         "M must be a right module over the bimodule's left instance"),
+        (["lift", "inputs/identity_reg.json", str(identity13)],
+         "theta and phi must share a target"),
     ]
     for argv, message in cases:
         code, out = run_cli(argv)

@@ -1,6 +1,8 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -154,10 +156,7 @@ def test_regular_bimodule_over_noncommutative_instance_reports():
 def test_bimodule_noncommuting_operator_pair(sp12):
     bm = regular_bimodule(sp12)
     swapped = Matrix([[0, 1], [1, 0]])
-    bad = FdBimodule(
-        bm.left_inst, bm.right_inst, bm.dim, bm.left_action, bm.right_action,
-        bm.left_operators, (swapped, bm.right_operators[1]),
-    )
+    bad = FdBimodule(bm.left, replace(bm.right, operators=(swapped, bm.right.operators[1])))
     report = check_bimodule(bad)
     assert any(v.kind == "families-commute" for v in report.violations)
 
@@ -562,6 +561,17 @@ def test_lift_through_projection_of_sum(reg):
     assert theta.matrix @ out.matrix == phi.matrix
 
 
+def test_lift_from_the_zero_module_is_the_zero_hom(reg, sp12):
+    # Hom(S, M) has an empty basis when S is the zero module; the lift is
+    # still found, as the zero hom of shape dim M x 0
+    z = zero_module(sp12, "left")
+    ds = direct_sum([reg, reg])
+    assert hom_space(z, ds.module) == ()
+    out = lift_through_epi(ds.projections[0], module_hom(z, reg, Matrix.zero(2, 0)))
+    assert out is not None
+    assert (out.source, out.target, out.matrix) == (z, ds.module, Matrix.zero(4, 0))
+
+
 def test_lift_requires_surjection(reg, sp12):
     z = zero_module(sp12, "left")
     theta = module_hom(z, reg, Matrix.zero(2, 0))
@@ -651,3 +661,12 @@ def test_bimodule_json_round_trip(sp12):
     back = module_from_json(json.loads(json.dumps(doc)))
     assert back == bm
     assert doc["side"] == "bimodule"
+    # the golden document reads back to itself: the left part's fields plus
+    # the right part's under a right_ prefix, with one shared dim
+    path = Path(__file__).parent / "golden" / "inputs" / "regular_bimodule_sp12.json"
+    golden = json.loads(path.read_text())
+    assert module_to_json(module_from_json(golden)) == golden
+    assert golden == {**module_to_json(bm.left), "side": "bimodule",
+                      **{"right_" + k: v for k, v in module_to_json(bm.right).items()
+                         if k not in ("side", "dim")}}
+

@@ -437,6 +437,24 @@ def test_free_module_unit_word_fixed(ring12):
     assert ring12.free_module_normal_form(e) == e
 
 
+def test_free_module_elements_share_the_product_and_normal_form(ring12):
+    # a free-module word is its operator word closed by a generator: the
+    # ring's product and normal form act on the word and keep the generator
+    a = ring12.element((1, 0), ("1",)) + ring12.q_letter("2")
+    word = ring12.element((0, 1, 1), ("2", "1"), 3) - ring12.element((1,), ())
+    gens = ("x", "y")
+    m = FreeModuleElement.from_dict({(w, g): c for g in gens for w, c in word.terms})
+
+    def closed(e):
+        return FreeModuleElement.from_dict({(w, g): c for g in gens for w, c in e.terms})
+
+    assert ring12.multiply(a, m) == closed(ring12.multiply(a, word))
+    assert type(ring12.multiply(a, m)) is FreeModuleElement
+    report, plain = ring12.normalize(m), ring12.normalize(word)
+    assert report.output == closed(plain.output) == ring12.free_module_normal_form(m)
+    assert report.applications == 2 * plain.applications > 0
+
+
 def test_free_module_translation_of_ideal_generators():
     for c in ((1,), (1, 2)):
         inst = scaled_projection(c)

@@ -180,7 +180,7 @@ def test_induced_additive_and_functorial(reg_r, reg):
 
 def test_tensor_left_structure_regular(sp12, reg, sp12_regular_doc):
     bm = regular_bimodule(sp12)
-    t = tensor_product(bm.right_part(), reg)
+    t = tensor_product(bm.right, reg)
     out = tensor_left_structure(bm, t)
     assert out.dim == 2
     assert check_left_module(out).ok
@@ -189,7 +189,7 @@ def test_tensor_left_structure_regular(sp12, reg, sp12_regular_doc):
 
 def test_tensor_right_structure_regular(sp12, reg_r, sp12_regular_doc):
     bm = regular_bimodule(sp12)
-    t = tensor_product(reg_r, bm.left_part())
+    t = tensor_product(reg_r, bm.left)
     out = tensor_right_structure(t, bm)
     assert out.dim == 2
     assert check_right_module(out).ok
@@ -199,7 +199,7 @@ def test_tensor_right_structure_regular(sp12, reg_r, sp12_regular_doc):
 def test_tensor_structure_zero_space(sp12, reg_r):
     bm = regular_bimodule(sp12)
     z = zero_module(sp12, "left")
-    t = tensor_product(bm.right_part(), z)
+    t = tensor_product(bm.right, z)
     out = tensor_left_structure(bm, t)
     assert out.dim == 0
     assert check_left_module(out).ok

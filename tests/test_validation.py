@@ -1,5 +1,6 @@
 """Constructor and precondition error paths across the package."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from mrb.modules import (
     FdBimodule,
     FdLeftModule,
     ModuleHom,
+    direct_sum,
     hom_space,
     module_hom,
     quotient_module,
@@ -126,8 +128,15 @@ def test_bimodule_requires_shared_labels_and_weights():
     b = scaled_projection((2,))
     reg = regular_left_module(a)
     with pytest.raises(MalformedPresentationError):
-        FdBimodule(a, b, 2, reg.action, regular_right_module(a).action,
-                   a.operators.matrices, b.operators.matrices)
+        FdBimodule(reg, replace(regular_right_module(a), inst=b,
+                                operators=b.operators.matrices))
+
+
+def test_bimodule_parts_must_share_one_dimension():
+    inst = scaled_projection((1, 2))
+    reg_r = regular_right_module(inst)
+    with pytest.raises(MalformedPresentationError):
+        FdBimodule(regular_left_module(inst), direct_sum([reg_r, reg_r]).module)
 
 
 def test_quotient_wrong_ambient():
