@@ -11,6 +11,13 @@ Vectors are plain tuples of Fractions.  Matrices act on column vectors:
 ``m.apply(v)[i] == sum(m[i][j] * v[j])``.  Products and applications skip
 zero entries, and only the public constructor coerces entries: results the
 package computes itself are taken as they are.
+
+Linear systems that are sparse by construction never pass through a dense
+row.  :func:`kron_difference_rows` builds the rows of a Kronecker difference
+x (x) I - I (x) y as ``{column: Fraction}`` dicts from the nonzeros of x and
+y, and :func:`_kernel` reads the free columns and the kernel basis straight
+off the engine's reduced rows; it serves :meth:`Matrix.nullspace_basis` and
+:func:`quotient_space` alike.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ Vector = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?$")
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -50,11 +58,13 @@ def vector(entries: Iterable) -> Vector:
 
 
 def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
+    return (_ZERO,) * n
 
 
 def unit_vector(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+    v = [_ZERO] * n
+    v[i] = _ONE
+    return tuple(v)
 
 
 def is_zero_vector(v: Vector) -> bool:
@@ -87,7 +97,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._shaped([unit_vector(n, i) for i in range(n)], n, n)
 
     @classmethod
     def from_rows(cls, vectors: Sequence[Vector], cols: int | None = None) -> "Matrix":
@@ -105,7 +115,7 @@ class Matrix:
     def block_diag(cls, blocks: Sequence["Matrix"]) -> "Matrix":
         rows = sum(b.rows for b in blocks)
         cols = sum(b.cols for b in blocks)
-        out = [[Fraction(0)] * cols for _ in range(rows)]
+        out = [[_ZERO] * cols for _ in range(rows)]
         r = c = 0
         for b in blocks:
             for i in range(b.rows):
@@ -207,19 +217,12 @@ class Matrix:
             raise ValueError("shape mismatch")
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices.
-
-        The rows go through :class:`SparseRowSpace` with columns numbered
-        from the right, so its largest-column pivot is the leftmost one and
-        its interreduced basis is the RREF, one row per pivot.
-        """
+        """Reduced row echelon form and the pivot column indices, read off
+        :func:`_reduced_from_right`: one row per pivot, leftmost first."""
         last = self.cols - 1
-        space = SparseRowSpace()
-        for row in self.entries:
-            space.add({last - c: a for c, a in enumerate(row)})
-        reduced = space.reduced_rows()
+        reduced = _reduced_from_right(self._sparse_rows(), self.cols)
         leads = sorted(reduced, reverse=True)
-        rows = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+        rows = [[_ZERO] * self.cols for _ in range(self.rows)]
         for out, lead in zip(rows, leads):
             for c, a in reduced[lead].items():
                 out[last - c] = a
@@ -228,23 +231,12 @@ class Matrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def _kernel(self) -> tuple[list[int], tuple[Vector, ...]]:
-        """The free columns of the RREF and, for each, the kernel vector that
-        is 1 there, 0 at the other free columns, minus that column at pivots."""
-        reduced, pivots = self.rref()
-        free = [j for j in range(self.cols) if j not in pivots]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for i, p in enumerate(pivots):
-                v[p] = -reduced.entries[i][f]
-            basis.append(tuple(v))
-        return free, tuple(basis)
+    def _sparse_rows(self) -> list[dict[int, Fraction]]:
+        return [{c: a for c, a in enumerate(row) if a} for row in self.entries]
 
     def nullspace_basis(self) -> "Subspace":
         """Basis of the right kernel {v : self @ v = 0}."""
-        return Subspace._independent(self.cols, self._kernel()[1])
+        return Subspace._independent(self.cols, _kernel(self._sparse_rows(), self.cols)[1])
 
     def solve(self, b: Sequence) -> Vector | None:
         """One exact solution of self @ x = b, or None if inconsistent."""
@@ -355,22 +347,85 @@ class QuotientSpace:
         return Matrix.from_cols(self.section, rows=self.ambient_dim)
 
 
-def quotient_space(ambient_dim: int, relations: Sequence[Vector]) -> QuotientSpace:
-    """Quotient of Q^ambient_dim by the span of the relation vectors; the
-    projection rows are the kernel basis of the relation matrix."""
+def quotient_space(ambient_dim: int,
+                   relations: Sequence[Vector | dict[int, Fraction]]) -> QuotientSpace:
+    """Quotient of Q^ambient_dim by the span of the relations, each a dense
+    vector or a sparse ``{column: Fraction}`` row; the projection rows are
+    the kernel basis of the relation system, read off by :func:`_kernel`."""
+    rows = []
     for r in relations:
-        if len(r) != ambient_dim:
+        if isinstance(r, dict):
+            if r and (min(r) < 0 or max(r) >= ambient_dim):
+                raise ValueError("relation row has a column out of range")
+            rows.append(r)
+        elif len(r) != ambient_dim:
             raise ValueError("relation vector has wrong length")
-    free, kernel = Matrix.from_rows(tuple(relations), cols=ambient_dim)._kernel()
+        else:
+            rows.append(dict(enumerate(vector(r))))
+    free, kernel = _kernel(rows, ambient_dim)
     section = tuple(unit_vector(ambient_dim, f) for f in free)
     project = Matrix._shaped(kernel, len(kernel), ambient_dim)
     return QuotientSpace(ambient_dim, len(free), project, section)
 
 
+def kron_difference_rows(x: Matrix, y: Matrix) -> list[dict[int, Fraction]]:
+    """The rows of x (x) I_q - I_p (x) y for x of shape p x p and y of shape
+    q x q, as {column: Fraction} dicts of nonzeros built from the nonzeros
+    of x and y.  Row i * q + k holds x[i][j] at column j * q + k and
+    -y[k][l] at column i * q + l; the two meet only on the diagonal."""
+    q = y.rows
+    xs = [[(j * q, a) for j, a in enumerate(row) if a] for row in x.entries]
+    ys = [[(l, -b) for l, b in enumerate(row) if b] for row in y.entries]
+    ydiag = [row[k] for k, row in enumerate(y.entries)]
+    rows = []
+    for i, xi in enumerate(xs):
+        base, xii = i * q, x.entries[i][i]
+        for k, yk in enumerate(ys):
+            row = {jq + k: a for jq, a in xi}
+            row.update((base + l, b) for l, b in yk)
+            if xii and ydiag[k]:
+                # -y[k][k] overwrote x[i][i]; when either is zero, the
+                # entry left there is already the difference
+                diag = xii - ydiag[k]
+                if diag:
+                    row[base + k] = diag
+                else:
+                    del row[base + k]
+            rows.append(row)
+    return rows
+
+
+def _reduced_from_right(rows: Iterable[dict[int, Fraction]], cols: int) -> dict[int, dict[int, Fraction]]:
+    """The reduced rows of the span of sparse rows, with column c numbered
+    cols - 1 - c: the engine's largest-column pivot is then the leftmost
+    one, and its interreduced basis is the RREF."""
+    last = cols - 1
+    space = SparseRowSpace()
+    for row in rows:
+        space.add({last - c: a for c, a in row.items()})
+    return space.reduced_rows()
+
+
+def _kernel(rows: Iterable[dict[int, Fraction]], cols: int) -> tuple[list[int], tuple[Vector, ...]]:
+    """The free columns of the RREF of the sparse rows and, for each, the
+    kernel vector that is 1 there, 0 at the other free columns, and minus
+    that column of the RREF at the pivots, read off the reduced rows."""
+    last = cols - 1
+    reduced = _reduced_from_right(rows, cols)
+    free = [j for j in range(cols) if last - j not in reduced]
+    kernel = {f: list(unit_vector(cols, f)) for f in free}
+    for lead, row in reduced.items():
+        # interreduced: every column of a row but its pivot is free
+        for c, a in row.items():
+            if c != lead:
+                kernel[last - c][last - lead] = -a
+    return free, tuple(tuple(kernel[f]) for f in free)
+
+
 def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
     """row -= f * other in place, dropping entries that cancel."""
     for c, v in other.items():
-        nv = row.get(c, Fraction(0)) - f * v
+        nv = row.get(c, _ZERO) - f * v
         if nv == 0:
             row.pop(c, None)
         else:

@@ -47,7 +47,9 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _kernel,
     format_rational,
+    kron_difference_rows,
     quotient_space,
     vector,
 )
@@ -469,15 +471,14 @@ def restricted_lift(free: FdLeftModule, images: Mapping[str, Sequence] | Sequenc
 def _intertwiner_space(ns: int, nt: int, src_pairs, dst_pairs) -> tuple[Matrix, ...]:
     """Basis of {f : f A = B f for each paired (A, B)}, f of shape nt x ns.
 
-    With f flattened row by row, f A - B f is (I (x) A^T - B (x) I) f, so the
-    equations are the rows of these Kronecker differences, pair by pair.
+    With f flattened row by row, B f - f A is (B (x) I - I (x) A^T) f, so
+    the equations are the sparse rows of these Kronecker differences, pair
+    by pair, and the basis is the kernel read off their one elimination.
     """
-    idt, ids = Matrix.identity(nt), Matrix.identity(ns)
     rows = [row for a, b in zip(src_pairs, dst_pairs)
-            for row in (idt.kron(a.transpose()) - b.kron(ids)).entries]
-    kernel = Matrix._shaped(rows, len(rows), nt * ns).nullspace_basis().basis
+            for row in kron_difference_rows(b, a.transpose())]
     return tuple(Matrix._shaped([v[i * ns:(i + 1) * ns] for i in range(nt)], nt, ns)
-                 for v in kernel)
+                 for v in _kernel(rows, nt * ns)[1])
 
 
 def hom_space(src: FdLeftModule | FdRightModule, dst: FdLeftModule | FdRightModule) -> tuple[Matrix, ...]:
@@ -539,13 +540,13 @@ def hom_module(m: FdLeftModule | FdBimodule, n: FdLeftModule | FdBimodule,
     bm = n if role == "target" else m
     if not isinstance(bm, FdBimodule):
         same_role = " and ".join(v for v, row in _HOM_VARIANTS.items() if row[0] == role)
-        raise PreconditionError(f"variants {same_role} need a bimodule {role}")
+        raise ArgumentError(f"variants {same_role} need a bimodule {role}")
     _require_bimodule(bm)
     base, acting = getattr(bm, base_side), getattr(bm, acting_side)
     post = role == "target"
     base_src, base_dst = (m, base) if post else (base, n)
     if base_src.side != base_dst.side:
-        raise PreconditionError("module side does not match the bimodule hypothesis")
+        raise ArgumentError("module side does not match the bimodule hypothesis")
     basis = hom_space(base_src, base_dst)
 
     def induced(a: Matrix, what: str) -> tuple[Vector, ...]:

@@ -9,22 +9,35 @@ plain coordinate tensor space by the balancing relations
 on basis pairs (v, w): for the action tables and operators A of M and B of
 N, the rows of the Kronecker differences A^T (x) I - I (x) B^T, the same
 Sylvester operator whose kernel is a Hom space (the additive relation
-families are absorbed by working linearly over Q).  The module structures
-and the Hom and tensor adjunction read their matrices off the same tables
-and Kronecker products.  Induced maps, bimodule structures, the Hom and
-tensor adjunction and the comparison maps all pass one coset test, that an
-ambient map kills every relation, before they act on quotient coordinates;
-only `bilinearity_report` walks the relations itself, to name each failing
-one.  Every verdict is an exact rank decision.
+families are absorbed by working linearly over Q).  The relations are kept
+as sparse ``{column: Fraction}`` rows built from the tables' nonzeros, and
+the quotient is read off their one elimination.  The module structures and
+the Hom and tensor adjunction read their matrices off the same tables and
+Kronecker products.  Induced maps, bimodule structures, the Hom and tensor
+adjunction and the comparison maps all pass one coset test, that an
+ambient map kills every relation, walking each relation's nonzeros, before
+they act on quotient coordinates; only `bilinearity_report` walks the
+relations itself, to name each failing one.  Every verdict is an exact rank
+decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from fractions import Fraction
+from typing import Iterator, Sequence
 
 from .core import CheckReport, PreconditionError, Violation
-from .linalg import _ZERO, Matrix, QuotientSpace, Vector, quotient_space, unit_vector, vector
+from .linalg import (
+    _ZERO,
+    Matrix,
+    QuotientSpace,
+    Vector,
+    kron_difference_rows,
+    quotient_space,
+    unit_vector,
+    vector,
+)
 from .modules import (
     _action_tables,
     _coords_in,
@@ -48,12 +61,14 @@ class TensorSpace:
 
     Ambient coordinates are pairs (p, q) flattened as p * dim(N) + q; zeta
     sends a vector pair to the projected coordinates of its pure tensor.
+    Each relation is a sparse row, a dict from ambient coordinate to its
+    nonzero coefficient.
     """
 
     m_factor: FdRightModule
     n_factor: FdLeftModule
     quotient: QuotientSpace
-    relations: tuple[Vector, ...]
+    relations: tuple[dict[int, Fraction], ...]
 
     @property
     def dim(self) -> int:
@@ -77,16 +92,16 @@ def tensor_product(m: FdRightModule, n: FdLeftModule) -> TensorSpace:
     For each pair (A, B) -- the actions of the basis elements in basis order,
     then the operators label by label -- and each basis pair (p, q), the
     relation is (A e_p) (x) e_q - e_p (x) (B e_q): row (p, q) of the
-    Kronecker difference A^T (x) I - I (x) B^T.
+    Kronecker difference A^T (x) I - I (x) B^T, built sparse from the
+    nonzeros of A and B and eliminated once.
     """
     if m.inst != n.inst:
         raise ArgumentError("tensor factors must live over the same instance")
     if m.side != "right" or n.side != "left":
         raise ArgumentError("tensor_product takes a right module and a left module")
-    idm, idn = Matrix.identity(m.dim), Matrix.identity(n.dim)
     relations = tuple(row for a, b in zip((*_action_tables(m), *m.operators),
                                           (*_action_tables(n), *n.operators))
-                      for row in (a.transpose().kron(idn) - idm.kron(b.transpose())).entries)
+                      for row in kron_difference_rows(a.transpose(), b.transpose()))
     return TensorSpace(m, n, quotient_space(m.dim * n.dim, relations), relations)
 
 
@@ -113,10 +128,10 @@ def bilinearity_report(t: TensorSpace) -> CheckReport:
             rhs = tuple(2 * a for a in t.zeta(vp, wq))
             if lhs != rhs:
                 violations.append(Violation("additivity-right", (p, q)))
-    for idx, rel in enumerate(t.relations):
-        img = proj.apply(rel)
-        if any(a != 0 for a in img):
-            violations.append(Violation("balancing", (idx,), img))
+    for idx, img in enumerate(_images(proj, t.relations)):
+        if img:
+            violations.append(Violation("balancing", (idx,),
+                                        tuple(img.get(r, _ZERO) for r in range(proj.rows))))
     return CheckReport("bilinearity", tuple(violations))
 
 
@@ -141,12 +156,23 @@ def induced_map(src: TensorSpace, dst: TensorSpace, theta: ModuleHom,
     return _descend(src, dst, ambient, "induced map")
 
 
+def _images(ambient: Matrix, relations) -> Iterator[dict[int, Fraction]]:
+    """The image of each sparse relation under an ambient matrix, as the
+    dict of its nonzero coordinates, over the nonzeros of both."""
+    cols = [[(r, a) for r, a in enumerate(col) if a] for col in ambient.transpose().entries]
+    for rel in relations:
+        img: dict[int, Fraction] = {}
+        for c, v in rel.items():
+            for r, a in cols[c]:
+                img[r] = img.get(r, _ZERO) + a * v
+        yield {r: x for r, x in img.items() if x}
+
+
 def _factor(t: TensorSpace, ambient: Matrix) -> Matrix | None:
     """The map on t's quotient coordinates that an ambient matrix induces,
     or None when the matrix does not kill every relation of t."""
-    for rel in t.relations:
-        if any(a != 0 for a in ambient.apply(rel)):
-            return None
+    if any(_images(ambient, t.relations)):
+        return None
     return ambient @ t.quotient.section_matrix()
 
 

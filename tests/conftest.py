@@ -1,7 +1,7 @@
 import pytest
 
 from mrb.core import catalog, instance_to_json, scaled_projection
-from mrb.linalg import Matrix
+from mrb.linalg import Matrix, SparseRowSpace
 from mrb.opring import OperatorRing
 
 
@@ -39,16 +39,18 @@ def sp12_regular_doc():
 
 @pytest.fixture
 def rref_calls(monkeypatch):
-    """The shapes of the `Matrix.rref` calls made during the test; clear it
-    after the setup that is not to be counted."""
+    """The ranks of the eliminations made during the test, one per
+    `SparseRowSpace.reduced_rows` call: every elimination, `Matrix.rref` and
+    the kernel read-off alike, ends there.  Clear it after the setup that is
+    not to be counted."""
     calls = []
-    rref = Matrix.rref
+    reduced_rows = SparseRowSpace.reduced_rows
 
     def counted(self):
-        calls.append((self.rows, self.cols))
-        return rref(self)
+        calls.append(self.rank)
+        return reduced_rows(self)
 
-    monkeypatch.setattr(Matrix, "rref", counted)
+    monkeypatch.setattr(SparseRowSpace, "reduced_rows", counted)
     return calls
 
 

@@ -264,6 +264,12 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
          "M must be a right module over the bimodule's left instance"),
         (["lift", "inputs/identity_reg.json", str(identity13)],
          "theta and phi must share a target"),
+        (["hom-module", "--variant", "a", "inputs/regular_left_sp12.json",
+          "inputs/regular_bimodule_sp12.json"],
+         "module side does not match the bimodule hypothesis"),
+        (["hom-module", "--variant", "a", "inputs/regular_right_sp12.json",
+          "inputs/regular_right_sp12.json"],
+         "variants a and b need a bimodule target"),
     ]
     for argv, message in cases:
         code, out = run_cli(argv)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from mrb.linalg import (
     Matrix,
     SparseRowSpace,
     Subspace,
+    _kernel,
     frac,
+    kron_difference_rows,
     nullspace_basis,
     quotient_space,
     rank,
@@ -250,24 +253,55 @@ def test_matmul_and_apply_match_sympy_and_stay_fractions(args):
     assert all(type(x) is Fraction for x in entries)
 
 
-def test_subspace_and_kernel_eliminate_once(monkeypatch):
-    calls = []
-    rref = Matrix.rref
-
-    def counted(self):
-        calls.append((self.rows, self.cols))
-        return rref(self)
-
-    monkeypatch.setattr(Matrix, "rref", counted)
+def test_subspace_and_kernel_eliminate_once(rref_calls):
     vectors = [(Fraction(2), Fraction(0), Fraction(1)), (Fraction(1), Fraction(1), Fraction(0))]
     assert Subspace.spanned_by(3, vectors).dim == 2
-    assert calls == [(2, 3)]
-    calls.clear()
+    assert rref_calls == [2]
+    rref_calls.clear()
     assert Matrix(vectors).nullspace_basis().dim == 1
-    assert calls == [(2, 3)]
-    calls.clear()
+    assert rref_calls == [2]
+    rref_calls.clear()
     assert quotient_space(3, vectors).dim == 1
-    assert calls == [(2, 3)]
+    assert rref_calls == [2]
+
+
+def _kron_difference_pairs(p, q, rng):
+    """Pairs of square tables x (p x p) and y (q x q): a drawn pair with most
+    entries zero, each drawn table beside a zero one, two zero tables, and
+    twice the identity on both sides, where every diagonal entry of the
+    difference cancels."""
+    def drawn(n):
+        return Matrix([[rng.choice((0, 0, 0, 1, -1, 2, Fraction(1, 2))) for _ in range(n)]
+                       for _ in range(n)])
+
+    x, y = drawn(p), drawn(q)
+    zx, zy = Matrix.zero(p, p), Matrix.zero(q, q)
+    return [(x, y), (zx, y), (x, zy), (zx, zy),
+            (Matrix.identity(p).scale(2), Matrix.identity(q).scale(2))]
+
+
+@pytest.mark.parametrize("p", range(5))
+@pytest.mark.parametrize("q", range(5))
+def test_kron_difference_rows_match_the_dense_expression(p, q):
+    rng = random.Random(10 * p + q)
+    for x, y in [pair for _ in range(4) for pair in _kron_difference_pairs(p, q, rng)]:
+        dense = (x.kron(Matrix.identity(q)) - Matrix.identity(p).kron(y)).entries
+        rows = kron_difference_rows(x, y)
+        assert len(rows) == len(dense)
+        for row, expected in zip(rows, dense):
+            assert all(row.values())
+            assert tuple(row.get(c, Fraction(0)) for c in range(p * q)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices(), shaped_matrices()))
+def test_kernel_read_off_matches_sympy_nullspace(m):
+    sm = _sympy_matrix(m)
+    free, kernel = _kernel(m._sparse_rows(), m.cols)
+    pivots = sm.rref()[1]
+    assert free == [j for j in range(m.cols) if j not in pivots]
+    assert kernel == _from_sympy([v.T.tolist()[0] for v in sm.nullspace()])
+    assert m.nullspace_basis().basis == kernel
 
 
 def test_sparse_row_space_rank_matches_dense():

@@ -3,7 +3,8 @@
 `bench/spans.py` groups spans by qualified names such as
 ``modules.FdLeftModule.action_matrix``.  A name that no longer resolves is
 never wrapped, so its per-layer metric reads zero without any error; these
-tests make such a rename fail here instead.
+tests make such a rename fail here instead.  The last test pins how
+`tools/bench_pairs.py` counts a pair as won in each metric direction.
 """
 
 import importlib
@@ -52,3 +53,28 @@ def test_tensor_observer_reads_a_real_tensor_product():
     assert raw["tensor.ambient_max"] == 4
     assert raw["tensor.relation_rank"] == 2
     assert raw["tensor.relation_rows"] == 16
+
+
+def _load_tool(name):
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_counts_wins_in_each_metric_direction():
+    tool = _load_tool("bench_pairs")
+    assert tool.parse_seeds("7,8,1301-1303") == [7, 8, 1301, 1302, 1303]
+    metrics = [{"name": "jobs_per_s", "unit": "1/s", "better": "higher"},
+               {"name": "job_p50_ms", "unit": "ms", "better": "lower"}]
+
+    def runs(rates):
+        return [{"metrics": {"jobs_per_s": {"value": r}, "job_p50_ms": {"value": 1000 / r}}}
+                for r in rates]
+
+    out = tool.summarise(metrics, {"parent": runs([10, 20, 30]), "change": runs([30, 10, 60])})
+    assert out["jobs_per_s"]["change_wins"] == out["job_p50_ms"]["change_wins"] == "2/3"
+    assert (out["jobs_per_s"]["parent_median"], out["jobs_per_s"]["change_median"]) == (20, 30)
+    assert out["jobs_per_s"]["ratio"] == 1.5
+    assert out["jobs_per_s"]["parent_quartiles"] == [15, 25]
