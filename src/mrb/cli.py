@@ -126,13 +126,9 @@ def _max_qdegree(n: int) -> int:
 # (exit_code, report_dict); main adds the "command" field
 # ---------------------------------------------------------------------------
 
-def _side_check(mod):
-    return (modules.check_left_module if mod.side == "left" else modules.check_right_module)(mod)
-
-
 def _checked_module(mod, **report):
     """Exit code and report for a constructed module and its side's check."""
-    rep = _side_check(mod)
+    rep = modules.check_left_module(mod)
     report.update(module=modules.module_to_json(mod), report=rep.to_json())
     return (0 if rep.ok else 1), report
 
@@ -154,7 +150,7 @@ def _cmd_check_module(mod):
     else:
         # the side's check runs the action laws first and raises when they fail
         try:
-            rep = _side_check(mod)
+            rep = modules.check_left_module(mod)
         except PreconditionError:
             rep = modules.check_action_laws(mod)
     return (0 if rep.ok else 1), {"report": rep.to_json()}

@@ -207,16 +207,12 @@ class CheckReport:
         }
 
 
-def _regular_action(alg: AlgebraPresentation, left: bool) -> tuple[tuple[Vector, ...], ...]:
-    """The action tensor of the algebra on itself: [i][j] is b_i b_j, or b_j b_i."""
+def _regular_tables(alg: AlgebraPresentation, left: bool) -> tuple[Matrix, ...]:
+    """The multiplication tables of the algebra on itself: L_i, column j
+    being b_i b_j, or with left false R_i, column j being b_j b_i."""
     sc, d = alg.structure_constants, alg.dim
-    return tuple(tuple(vector(sc[i][j] if left else sc[j][i]) for j in range(d))
+    return tuple(Matrix.from_cols([sc[i][j] if left else sc[j][i] for j in range(d)], rows=d)
                  for i in range(d))
-
-
-def _tables(action, dim: int) -> tuple[Matrix, ...]:
-    """The action matrices A_i of an action tensor: column p of A_i is action[i][p]."""
-    return tuple(Matrix.from_cols(block, rows=dim) for block in action)
 
 
 def _sum_of(terms, rows: int, cols: int) -> Matrix:
@@ -239,8 +235,7 @@ def check_presentation(alg: AlgebraPresentation) -> CheckReport:
     difference being the residual at (i, j, k).
     """
     d = alg.dim
-    left = _tables(_regular_action(alg, True), d)
-    right = _tables(_regular_action(alg, False), d)
+    left, right = _regular_tables(alg, True), _regular_tables(alg, False)
     one = Matrix.identity(d)
     units = [(kind, (_sum_of(zip(alg.unit, table), d, d) - one).transpose().entries)
              for kind, table in (("unit-left", left), ("unit-right", right))]
@@ -298,7 +293,7 @@ def check_mrb_identity(inst: MrbAlgebraInstance) -> CheckReport:
     pres = check_presentation(inst.algebra)
     if not pres.ok:
         raise PreconditionError("presentation must pass check_presentation first")
-    acts = _tables(_regular_action(inst.algebra, True), inst.dim)
+    acts = _regular_tables(inst.algebra, True)
     report = CheckReport("mrb-identity", tuple(_axiom_violations(
         "mrb-identity", inst, acts, inst.operators.matrices, operator.matmul)))
     if report.ok:

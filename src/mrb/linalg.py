@@ -344,7 +344,8 @@ class QuotientSpace:
     section: tuple[Vector, ...]
 
     def section_matrix(self) -> Matrix:
-        return Matrix.from_cols(self.section, rows=self.ambient_dim)
+        """The representatives as the columns of an ambient_dim x dim matrix."""
+        return Matrix._shaped(zip(*self.section), self.ambient_dim, self.dim)
 
 
 def quotient_space(ambient_dim: int,

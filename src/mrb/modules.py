@@ -1,19 +1,19 @@
 """Finite-dimensional modules over multiple Rota-Baxter algebras.
 
-A one-sided module presentation is an action tensor plus one operator
-matrix per label.  Left and right modules share it: FdRightModule differs
-from FdLeftModule only in its ``side``, and the side picks the order in
-which action and operator matrices compose.  A bimodule is the pair of a
-left and a right module on one space.  The left axiom, checked
-exhaustively on basis pairs, is
+A one-sided module is its structure maps, ``maps``: the action table A_i
+of each basis element b_i, then one operator matrix per label, built once
+per module.  Every construction applies one transformation to each map and
+turns the results back into a module with ``_from_maps``.  FdRightModule
+differs from FdLeftModule only in its ``side``, which picks the order in
+which the maps compose.  A bimodule is the pair of a left and a right
+module on one space.  The left axiom, checked on basis pairs, is
 
     P_a(x) m_b(v) = m_a(x m_b(v)) + m_b(P_a(x) v)
                     + lambda_b m_a(x v) + lambda_a m_b(x v),
 
 and one body checks it and, with every product reversed, its mirror on
-right modules: the axiom kernel of :mod:`mrb.core` on the module's action
-tables, built once per check.  All verdicts (closure, surjectivity,
-membership) are decided by exact rank.
+right modules, by the axiom kernel of :mod:`mrb.core` on the action tables.
+All verdicts (closure, surjectivity, membership) are decided by exact rank.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .core import (
@@ -35,10 +36,9 @@ from .core import (
     _combine,
     _matrix_from_json,
     _matrix_to_json,
-    _regular_action,
+    _regular_tables,
     _require_verified,
     _sum_of,
-    _tables,
     instance_to_json,
     load_instance,
     reweight,
@@ -71,12 +71,6 @@ def _validate_action(dim_r: int, dim_m: int, action) -> None:
             raise MalformedPresentationError("action tensor has wrong shape")
 
 
-def _action_matrix(action, r: Vector, dim: int) -> Matrix:
-    """sum_i r_i A_i, where column p of A_i is action[i][p]."""
-    return _sum_of(((ri, Matrix.from_cols(block, rows=dim)) for ri, block in zip(r, action) if ri),
-                   dim, dim)
-
-
 @dataclass(frozen=True)
 class FdLeftModule:
     """One-sided module: action[i][p] holds the coordinates of b_i . v_p.
@@ -100,8 +94,21 @@ class FdLeftModule:
             if m.rows != self.dim or m.cols != self.dim:
                 raise MalformedPresentationError("operator matrix has wrong shape")
 
+    @cached_property
+    def maps(self) -> tuple[Matrix, ...]:
+        """The action table A_i of each b_i, column p being action[i][p], then
+        the operators; built on first use and kept out of equality and hash."""
+        return (*(Matrix.from_cols(block, rows=self.dim) for block in self.action),
+                *self.operators)
+
+    @property
+    def tables(self) -> tuple[Matrix, ...]:
+        """The action tables A_i, the first inst.dim structure maps."""
+        return self.maps[:self.inst.dim]
+
     def action_matrix(self, r: Sequence) -> Matrix:
-        return _action_matrix(self.action, vector(r), self.dim)
+        """sum_i r_i A_i, the action of the algebra element r."""
+        return _sum_of(zip(vector(r), self.tables), self.dim, self.dim)
 
     def operator(self, label: str) -> Matrix:
         return self.operators[self.inst.omega.index(label)]
@@ -119,6 +126,16 @@ def _module_class(side) -> type[FdLeftModule]:
         if cls.side == side:
             return cls
     raise ValueError(f"unknown module side {side!r}")
+
+
+def _from_maps(side: str, inst: MrbAlgebraInstance, dim: int,
+               maps: Sequence[Matrix]) -> FdLeftModule:
+    """The module of the given side whose ``maps`` are maps, taken as they
+    are; the transposes of the first inst.dim are its action tensor."""
+    maps, d = tuple(maps), inst.dim
+    mod = _module_class(side)(inst, dim, tuple(a.transpose().entries for a in maps[:d]), maps[d:])
+    mod.__dict__["maps"] = maps
+    return mod
 
 
 @dataclass(frozen=True)
@@ -179,8 +196,7 @@ class ModuleHom:
 
     def is_intertwiner(self) -> bool:
         src, dst, f = self.source, self.target, self.matrix
-        return all(f @ a == b @ f for a, b in zip((*_action_tables(src), *src.operators),
-                                                  (*_action_tables(dst), *dst.operators)))
+        return all(f @ a == b @ f for a, b in zip(src.maps, dst.maps))
 
     def is_injective(self) -> bool:
         return self.matrix.rank() == self.source.dim
@@ -209,15 +225,10 @@ def _product_order(mod: FdLeftModule):
     return lambda x, y: y @ x
 
 
-def _action_tables(mod: FdLeftModule) -> tuple[Matrix, ...]:
-    """A_i, the action matrix of each basis element b_i."""
-    return _tables(mod.action, mod.dim)
-
-
-def _action_law_violations(mod: FdLeftModule, acts: Sequence[Matrix]) -> list[Violation]:
+def _action_law_violations(mod: FdLeftModule) -> list[Violation]:
     """The unit law A_u = 1 and associativity A_{b_i b_j} = mul(A_i, A_j),
     that is (b_i b_j) v = b_i (b_j v), or v (b_i b_j) = (v b_i) b_j."""
-    alg = mod.inst.algebra
+    alg, acts = mod.inst.algebra, mod.tables
     mul = _product_order(mod)
     n = mod.dim
     violations = []
@@ -232,39 +243,31 @@ def _action_law_violations(mod: FdLeftModule, acts: Sequence[Matrix]) -> list[Vi
 
 def check_action_laws(mod: FdLeftModule) -> CheckReport:
     """R-module laws of the plain action: associativity and unit."""
-    return CheckReport("action-laws", tuple(_action_law_violations(mod, _action_tables(mod))))
+    return CheckReport("action-laws", tuple(_action_law_violations(mod)))
 
 
 def check_left_module(mod: FdLeftModule) -> CheckReport:
-    """Exhaustive verification of the left axiom on basis pairs."""
-    return _check_one_sided(mod, _action_tables(mod))
+    """The axiom of mod's side on every basis element, label pair and column,
+    after the plain action laws; check_right_module is this same function.
 
-
-def check_right_module(mod: FdRightModule) -> CheckReport:
-    """Exhaustive verification of the right axiom on basis pairs."""
-    return _check_one_sided(mod, _action_tables(mod))
-
-
-def _check_one_sided(mod: FdLeftModule, acts: Sequence[Matrix]) -> CheckReport:
-    """The axiom of mod's side on every basis element, label pair and column.
-
-    The axiom kernel on acts, the module's action tables, after the plain
-    action laws on the same tables.  Written for the left side; on a right
-    module every product is reversed, which turns it into
+    Written for the left side; on a right module every product is reversed:
     m_b(v P_a(x)) = m_b(m_a(v) x) + m_b(v) P_a(x) + l_b m_a(v) x + l_a m_b(v) x.
     """
-    if _action_law_violations(mod, acts):
+    if _action_law_violations(mod):
         raise PreconditionError("plain module laws fail; fix the action tensor first")
     kind = f"{mod.side}-module"
     return CheckReport(kind, tuple(_axiom_violations(
-        kind, mod.inst, acts, mod.operators, _product_order(mod))))
+        kind, mod.inst, mod.tables, mod.operators, _product_order(mod))))
+
+
+check_right_module = check_left_module
 
 
 def check_bimodule(bm: FdBimodule) -> CheckReport:
     """The two one-sided axioms plus the three compatibility families."""
-    lefts, rights = _action_tables(bm.left), _action_tables(bm.right)
-    violations = [*_check_one_sided(bm.left, lefts).violations,
-                  *_check_one_sided(bm.right, rights).violations]
+    lefts, rights = bm.left.tables, bm.right.tables
+    violations = [*check_left_module(bm.left).violations,
+                  *check_left_module(bm.right).violations]
     for i, ai in enumerate(lefts):
         for j, bj in enumerate(rights):
             if ai @ bj != bj @ ai:
@@ -297,13 +300,13 @@ def _require_bimodule(bm: FdBimodule) -> None:
 
 def regular_left_module(inst: MrbAlgebraInstance) -> FdLeftModule:
     """R acting on itself on the left, operators P_w."""
-    return FdLeftModule(inst, inst.dim, _regular_action(inst.algebra, True),
-                        inst.operators.matrices)
+    return _from_maps("left", inst, inst.dim,
+                      (*_regular_tables(inst.algebra, True), *inst.operators.matrices))
 
 
 def regular_right_module(inst: MrbAlgebraInstance) -> FdRightModule:
-    return FdRightModule(inst, inst.dim, _regular_action(inst.algebra, False),
-                         inst.operators.matrices)
+    return _from_maps("right", inst, inst.dim,
+                      (*_regular_tables(inst.algebra, False), *inst.operators.matrices))
 
 
 def regular_bimodule(inst: MrbAlgebraInstance) -> FdBimodule:
@@ -316,8 +319,7 @@ def regular_bimodule(inst: MrbAlgebraInstance) -> FdBimodule:
 
 
 def zero_module(inst: MrbAlgebraInstance, side: str = "left") -> FdLeftModule:
-    action = tuple(() for _ in range(inst.dim))
-    return _module_class(side)(inst, 0, action, tuple(Matrix.zero(0, 0) for _ in inst.omega))
+    return _from_maps(side, inst, 0, [Matrix.zero(0, 0)] * (inst.dim + len(inst.omega)))
 
 
 @dataclass(frozen=True)
@@ -330,47 +332,33 @@ class DirectSum:
 def direct_sum(mods: Sequence[FdLeftModule | FdRightModule],
                inst: MrbAlgebraInstance | None = None) -> DirectSum:
     """Block-diagonal direct sum with inclusion and projection homs."""
-    if mods:
-        inst = mods[0].inst
-        side = mods[0].side
-        if any(m.inst != inst or m.side != side for m in mods):
-            raise ArgumentError("all summands must share the instance and side")
-    else:
-        if inst is None:
-            raise ArgumentError("an instance is required for the empty direct sum")
-        side = "left"
-    total = sum(m.dim for m in mods)
+    inst, side = (mods[0].inst, mods[0].side) if mods else (inst, "left")
+    if inst is None:
+        raise ArgumentError("an instance is required for the empty direct sum")
+    if any(m.inst != inst or m.side != side for m in mods):
+        raise ArgumentError("all summands must share the instance and side")
     offsets = list(itertools.accumulate([0] + [m.dim for m in mods]))
-    zero = (Fraction(0),)
-    action = tuple(tuple(zero * offsets[k] + tuple(v) + zero * (total - offsets[k] - m.dim)
-                         for k, m in enumerate(mods) for v in m.action[i])
-                   for i in range(inst.dim))
-    operators = tuple(
-        Matrix.block_diag([m.operators[w] for m in mods]) if mods else Matrix.zero(0, 0)
-        for w in range(len(inst.omega))
-    )
-    out = _module_class(side)(inst, total, action, operators)
+    total = offsets[-1]
+    out = _from_maps(side, inst, total, [Matrix.block_diag([m.maps[k] for m in mods])
+                                         for k in range(inst.dim + len(inst.omega))])
+    eye = Matrix.identity(total).entries
     inclusions = []
     projections = []
     for k, m in enumerate(mods):
-        inc = Matrix([[1 if (i == offsets[k] + j) else 0 for j in range(m.dim)] for i in range(total)])
-        prj = Matrix([[1 if (j == offsets[k] + i) else 0 for j in range(total)] for i in range(m.dim)])
-        inclusions.append(module_hom(m, out, inc))
+        prj = Matrix._shaped(eye[offsets[k]:offsets[k + 1]], m.dim, total)
+        inclusions.append(module_hom(m, out, prj.transpose()))
         projections.append(module_hom(out, m, prj))
     return DirectSum(out, tuple(inclusions), tuple(projections))
 
 
 def submodule_closure_check(mod: FdLeftModule | FdRightModule, sub: Subspace) -> str | None:
     """Return a description of the first closure violation, or None."""
-    inst = mod.inst
-    acts = _action_tables(mod)
+    names = (*(f"action of basis element {b}" for b in mod.inst.algebra.basis_labels),
+             *(f"operator {w}" for w in mod.inst.omega))
     for v in sub.basis:
-        for i, act in enumerate(acts):
-            if not sub.contains(act.apply(v)):
-                return f"action of basis element {inst.algebra.basis_labels[i]}"
-        for w in inst.omega:
-            if not sub.contains(mod.operator(w).apply(v)):
-                return f"operator {w}"
+        for name, x in zip(names, mod.maps):
+            if not sub.contains(x.apply(v)):
+                return name
     return None
 
 
@@ -388,10 +376,7 @@ def quotient_module(mod: FdLeftModule, sub: Subspace,
         raise ClosureViolationError(f"subspace is not closed under {offender}")
     qs = quotient_space(mod.dim, sub.basis)
     sec = qs.section_matrix()
-    inst = mod.inst
-    action = tuple((qs.project @ act @ sec).transpose().entries for act in _action_tables(mod))
-    operators = tuple(qs.project @ m @ sec for m in mod.operators)
-    out = _module_class(mod.side)(inst, qs.dim, action, operators)
+    out = _from_maps(mod.side, mod.inst, qs.dim, [qs.project @ x @ sec for x in mod.maps])
     if with_projection:
         return out, module_hom(mod, out, qs.project)
     return out
@@ -399,7 +384,7 @@ def quotient_module(mod: FdLeftModule, sub: Subspace,
 
 def module_constants(mod: FdLeftModule) -> Subspace:
     """Solution space of m_w(r v) = P_w(r) v over all basis r and labels w."""
-    acts, n = _action_tables(mod), mod.dim
+    acts, n = mod.tables, mod.dim
     blocks = []
     for mw, pw in zip(mod.operators, mod.inst.operators.matrices):
         for i, act in enumerate(acts):
@@ -418,12 +403,7 @@ def restricted_free(inst: MrbAlgebraInstance, generators: Sequence[str]) -> FdLe
     gens = tuple(generators)
     if len(set(gens)) != len(gens):
         raise ArgumentError("generator names must be distinct")
-    n = len(gens)
-    reg = regular_left_module(inst)
-    parts = [reg] * n
-    if n == 0:
-        return zero_module(inst, "left")
-    return direct_sum(parts).module
+    return direct_sum([regular_left_module(inst)] * len(gens), inst).module
 
 
 def restricted_lift(free: FdLeftModule, images: Mapping[str, Sequence] | Sequence[Sequence],
@@ -452,8 +432,8 @@ def restricted_lift(free: FdLeftModule, images: Mapping[str, Sequence] | Sequenc
                 f"image of generator {k} is not a module constant of the target"
             )
     # the slot of b_i in generator k's copy of R goes to b_i . image_k
-    acts = _action_tables(target)
-    mat = Matrix.from_cols([act.apply(img) for img in image_list for act in acts], rows=target.dim)
+    mat = Matrix.from_cols([act.apply(img) for img in image_list for act in target.tables],
+                           rows=target.dim)
     hom = module_hom(free, target, mat, check=False)
     if not hom.is_intertwiner():
         raise AssertionError("restricted lift failed to intertwine; target axioms suspect")
@@ -487,8 +467,7 @@ def hom_space(src: FdLeftModule | FdRightModule, dst: FdLeftModule | FdRightModu
         raise ArgumentError("hom space requires modules of the same side")
     if src.inst != dst.inst:
         raise ArgumentError("hom space requires modules over the same instance")
-    return _intertwiner_space(src.dim, dst.dim, (*_action_tables(src), *src.operators),
-                              (*_action_tables(dst), *dst.operators))
+    return _intertwiner_space(src.dim, dst.dim, src.maps, dst.maps)
 
 
 def hom_subspace(src, dst) -> Subspace:
@@ -549,24 +528,21 @@ def hom_module(m: FdLeftModule | FdBimodule, n: FdLeftModule | FdBimodule,
         raise ArgumentError("module side does not match the bimodule hypothesis")
     basis = hom_space(base_src, base_dst)
 
-    def induced(a: Matrix, what: str) -> tuple[Vector, ...]:
-        # coordinates of a o f (post) or f o a (pre) over the basis f
-        coords = _coords_in(basis, [a @ f if post else f @ a for f in basis])
+    def induced(x: Matrix) -> Matrix:
+        # column j: the coordinates of x o f_j (post) or f_j o x (pre)
+        coords = _coords_in(basis, [x @ f if post else f @ x for f in basis])
         if coords is None:
-            raise AssertionError(f"induced {what} left the hom space")
-        return coords
+            raise AssertionError("induced map left the hom space")
+        return Matrix._shaped(zip(*coords), len(basis), len(basis))
 
-    action = tuple(induced(act, "action") for act in _action_tables(acting))
-    operators = tuple(
-        Matrix.from_cols(induced(q, "operator"), rows=len(basis)) for q in acting.operators
-    )
-    return _module_class(result_side)(acting.inst, len(basis), action, operators)
+    return _from_maps(result_side, acting.inst, len(basis), [induced(x) for x in acting.maps])
 
 
 def reweight_module(mod: FdLeftModule, spec: ReweightSpec) -> FdLeftModule:
     """Module over the reweighted instance with combined operator family."""
     new_inst = reweight(mod.inst, spec)
-    return FdLeftModule(new_inst, mod.dim, mod.action, _combine(spec, mod.operator, mod.dim))
+    return _from_maps(mod.side, new_inst, mod.dim,
+                      (*mod.tables, *_combine(spec, mod.operator, mod.dim)))
 
 
 def lift_through_epi(theta: ModuleHom, phi: ModuleHom) -> ModuleHom | None:

@@ -22,8 +22,8 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .core import MrbAlgebraInstance
-from .linalg import Matrix, Vector, frac, vector
-from .modules import FdLeftModule, _action_tables
+from .linalg import Vector, frac, vector
+from .modules import FdLeftModule
 from .opring import FreeModuleElement, OperatorRing, OpWord, basis_word
 
 
@@ -142,12 +142,8 @@ class OperatedModuleHom:
     def image_of(self, gen: str) -> Vector:
         return self.images[self.module.gens.index(gen)]
 
-    @cached_property
-    def _acts(self) -> tuple[Matrix, ...]:
-        return _action_tables(self.target)
-
     def evaluate_word(self, w: OpWord, gen: str) -> Vector:
-        acts, target = self._acts, self.target
+        acts, target = self.target.tables, self.target
         v = self.image_of(gen)
         for slot, op in zip(reversed(w.slots[1:]), reversed(w.ops)):
             v = target.operator(op).apply(acts[slot].apply(v))

@@ -29,10 +29,11 @@ from .operated import FreeOperatedModule
 
 
 class ExpressionError(ValueError):
-    """Syntax error with 1-based line/column position."""
+    """A syntax error, with its 1-based line/column position, or a binding
+    error, such as ring and module words in one expression, without one."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} at line {line}, column {column}")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        super().__init__(message if line is None else f"{message} at line {line}, column {column}")
         self.line = line
         self.column = column
 
@@ -234,12 +235,12 @@ def bind_op_expression(ast: ExpressionAst, ring: OperatorRing) -> OpElement | Fr
     inst = ring.inst
     has_gen = [t for _, t in ast.terms if t.gen is not None]
     if has_gen and len(has_gen) != len(ast.terms):
-        raise ValueError("cannot mix ring words and module words in one expression")
+        raise ExpressionError("cannot mix ring words and module words in one expression")
     cls = FreeModuleElement if has_gen else OpElement
     out = cls.zero()
     for coeff, t in ast.terms:
         if t.kind == "operated":
-            raise ValueError("dotted words are not operator-ring syntax")
+            raise ExpressionError("dotted words are not operator-ring syntax")
         w = basis_word(inst, _slot_indices(inst, t.slots), t.ops)
         out = out + cls.from_dict({(w, t.gen) if has_gen else w: coeff})
     return out
@@ -250,9 +251,9 @@ def bind_operated_expression(ast: ExpressionAst, module: FreeOperatedModule) -> 
     out = FreeModuleElement.zero()
     for coeff, t in ast.terms:
         if t.kind == "op":
-            raise ValueError("bracketed letters are not mixable-tensor syntax")
+            raise ExpressionError("bracketed letters are not mixable-tensor syntax")
         if t.gen is None:
-            raise ValueError("mixable-tensor words require a generator")
+            raise ExpressionError("mixable-tensor words require a generator")
         key = module.word(_slot_indices(inst, t.slots), t.ops, t.gen)
         out = out + FreeModuleElement.from_dict({key: coeff})
     return out

@@ -39,9 +39,8 @@ from .linalg import (
     vector,
 )
 from .modules import (
-    _action_tables,
     _coords_in,
-    _module_class,
+    _from_maps,
     _require_bimodule,
     ArgumentError,
     FdBimodule,
@@ -99,8 +98,7 @@ def tensor_product(m: FdRightModule, n: FdLeftModule) -> TensorSpace:
         raise ArgumentError("tensor factors must live over the same instance")
     if m.side != "right" or n.side != "left":
         raise ArgumentError("tensor_product takes a right module and a left module")
-    relations = tuple(row for a, b in zip((*_action_tables(m), *m.operators),
-                                          (*_action_tables(n), *n.operators))
+    relations = tuple(row for a, b in zip(m.maps, n.maps)
                       for row in kron_difference_rows(a.transpose(), b.transpose()))
     return TensorSpace(m, n, quotient_space(m.dim * n.dim, relations), relations)
 
@@ -218,11 +216,8 @@ def _tensor_structure(t: TensorSpace, acting: FdLeftModule, on_ambient) -> FdLef
     space, with the identity of the other factor on the other side of the
     Kronecker product.  The caller has checked the bimodule.
     """
-    action = tuple(_descend(t, t, on_ambient(a), "structure operator").transpose().entries
-                   for a in _action_tables(acting))
-    operators = tuple(_descend(t, t, on_ambient(mw), "structure operator")
-                      for mw in acting.operators)
-    return _module_class(acting.side)(acting.inst, t.dim, action, operators)
+    return _from_maps(acting.side, acting.inst, t.dim,
+                      [_descend(t, t, on_ambient(x), "structure operator") for x in acting.maps])
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +404,7 @@ def tensor_unit_check(m: FdRightModule) -> TensorUnitReport:
     r_mod = regular_left_module(m.inst)
     t = tensor_product(m, r_mod)
     # pair (p, j) goes to v_p . b_j, column p of the action table A_j
-    acts = _action_tables(m)
-    cols = [a.col(p) for p in range(m.dim) for a in acts]
+    cols = [a.col(p) for p in range(m.dim) for a in m.tables]
     on_quotient = _factor(t, Matrix.from_cols(cols, rows=m.dim))
     if on_quotient is None:
         return TensorUnitReport(t.dim, m.dim, False, False, False)

@@ -1,7 +1,10 @@
+from functools import cached_property
+
 import pytest
 
 from mrb.core import catalog, instance_to_json, scaled_projection
 from mrb.linalg import Matrix, SparseRowSpace
+from mrb.modules import FdLeftModule
 from mrb.opring import OperatorRing
 
 
@@ -51,6 +54,23 @@ def rref_calls(monkeypatch):
         return reduced_rows(self)
 
     monkeypatch.setattr(SparseRowSpace, "reduced_rows", counted)
+    return calls
+
+
+@pytest.fixture
+def map_builds(monkeypatch):
+    """The modules whose structure maps were built from their action tensor
+    during the test, one entry per build of `FdLeftModule.maps`."""
+    calls = []
+    build = FdLeftModule.maps.func
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    maps = cached_property(counted)
+    maps.__set_name__(FdLeftModule, "maps")
+    monkeypatch.setattr(FdLeftModule, "maps", maps)
     return calls
 
 

@@ -211,6 +211,12 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
          "unknown basis label 'e9'"),
         (["normalize", "scaled_projection(1,2)", "e1 . 9 . e2 : x"],
          "unknown operator label '9'"),
+        (["normalize", "scaled_projection(1)", "e1 Q[1] e1 : x + e1"],
+         "cannot mix ring words and module words in one expression"),
+        (["normalize", "scaled_projection(1)", "e1 . 1 . e1 : x + e1 Q[1] e1"],
+         "bracketed letters are not mixable-tensor syntax"),
+        (["normalize", "scaled_projection(1)", "e1 . 1 . e1 : x + e1"],
+         "mixable-tensor words require a generator"),
         (["check-algebra", "no_such_instance"],
          "unknown catalog instance 'no_such_instance'"),
         (["mc", str(bad_identity)],
@@ -330,9 +336,9 @@ def test_check_module_evaluates_the_action_laws_once(monkeypatch):
     calls = []
     violations = modules._action_law_violations
 
-    def counted(mod, acts):
+    def counted(mod):
         calls.append(mod)
-        return violations(mod, acts)
+        return violations(mod)
 
     monkeypatch.setattr(modules, "_action_law_violations", counted)
     code, out = run_cli(["check-module", "inputs/regular_left_sp12.json"])

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrb import modules
 from mrb.core import (
     AlgebraPresentation,
     MrbAlgebraInstance,
@@ -37,6 +36,8 @@ from mrb.modules import (
     check_left_module,
     check_right_module,
     direct_sum,
+    module_from_json,
+    module_to_json,
     regular_bimodule,
     regular_left_module,
     regular_right_module,
@@ -290,17 +291,10 @@ def test_module_check_builds_its_action_tables_once(monkeypatch):
     assert len(calls) <= inst.dim + 1
 
 
-def test_bimodule_check_builds_each_side_tables_once(monkeypatch):
-    calls = []
-    tables = modules._tables
-
-    def counted(action, dim):
-        calls.append(dim)
-        return tables(action, dim)
-
-    monkeypatch.setattr(modules, "_tables", counted)
-    assert check_bimodule(regular_bimodule(scaled_projection((2, 3, 5)))).ok
-    assert len(calls) == 2
+def test_bimodule_check_builds_each_side_tables_once(map_builds):
+    doc = module_to_json(regular_bimodule(scaled_projection((2, 3, 5))))
+    assert check_bimodule(module_from_json(doc)).ok
+    assert len(map_builds) == 2
 
 
 def test_identity_check_makes_no_apply_call(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -43,7 +44,8 @@ from mrb.modules import (
     submodule_closure_check,
     zero_module,
 )
-from mrb.modules import _coords_in
+from mrb.modules import _coords_in, _from_maps
+from mrb.tensor import tensor_left_structure, tensor_product
 
 
 @pytest.fixture(scope="module")
@@ -670,3 +672,34 @@ def test_bimodule_json_round_trip(sp12):
                       **{"right_" + k: v for k, v in module_to_json(bm.right).items()
                          if k not in ("side", "dim")}}
 
+
+
+# -- structure maps ---------------------------------------------------------------------------
+
+def test_each_module_builds_its_structure_maps_once(map_builds, sp12_regular_doc):
+    # modules read from documents build their maps on first use; the
+    # constructions then reuse them, and their results come with theirs
+    left = module_from_json(sp12_regular_doc("left"))
+    right = module_from_json(sp12_regular_doc("right"))
+    assert check_left_module(left).ok
+    assert len(hom_space(left, left)) == 2
+    assert tensor_product(right, left).dim == 2
+    q = quotient_module(left, Subspace.spanned_by(2, [(0, 1)]))
+    assert check_left_module(q).ok and len(hom_space(q, q)) == 1
+    assert Counter(map(id, map_builds)) == {id(left): 1, id(right): 1}
+
+
+def test_from_maps_inverts_maps(instances, sp12, reg, reg_r):
+    ut = instances["upper_triangular(1,2)"]
+    bm = regular_bimodule(sp12)
+    mods = [m for inst in instances.values()
+            for m in (regular_left_module(inst), regular_right_module(inst))]
+    mods += [direct_sum([regular_left_module(ut)] * 2).module,
+             direct_sum([regular_right_module(ut), zero_module(ut, "right")]).module,
+             quotient_module(reg, Subspace.spanned_by(2, [(0, 1)])),
+             hom_module(reg, bm, "b"),
+             tensor_left_structure(bm, tensor_product(reg_r, reg))]
+    for m in mods:
+        assert _from_maps(m.side, m.inst, m.dim, m.maps) == m
+        # the maps a construction hands over are those the action tensor gives
+        assert type(m)(m.inst, m.dim, m.action, m.operators).maps == m.maps

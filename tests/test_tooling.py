@@ -3,8 +3,9 @@
 `bench/spans.py` groups spans by qualified names such as
 ``modules.FdLeftModule.action_matrix``.  A name that no longer resolves is
 never wrapped, so its per-layer metric reads zero without any error; these
-tests make such a rename fail here instead.  The last test pins how
-`tools/bench_pairs.py` counts a pair as won in each metric direction.
+tests make such a rename fail here instead.  The last tests pin how
+`tools/bench_pairs.py` counts a pair as won in each metric direction and
+how it judges a metric against its bound.
 """
 
 import importlib
@@ -66,8 +67,8 @@ def _load_tool(name):
 def test_bench_pairs_counts_wins_in_each_metric_direction():
     tool = _load_tool("bench_pairs")
     assert tool.parse_seeds("7,8,1301-1303") == [7, 8, 1301, 1302, 1303]
-    metrics = [{"name": "jobs_per_s", "unit": "1/s", "better": "higher"},
-               {"name": "job_p50_ms", "unit": "ms", "better": "lower"}]
+    metrics = [{"name": "jobs_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+               {"name": "job_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}]
 
     def runs(rates):
         return [{"metrics": {"jobs_per_s": {"value": r}, "job_p50_ms": {"value": 1000 / r}}}
@@ -78,3 +79,21 @@ def test_bench_pairs_counts_wins_in_each_metric_direction():
     assert (out["jobs_per_s"]["parent_median"], out["jobs_per_s"]["change_median"]) == (20, 30)
     assert out["jobs_per_s"]["ratio"] == 1.5
     assert out["jobs_per_s"]["parent_quartiles"] == [15, 25]
+
+
+def test_bench_pairs_verdicts_against_the_bound():
+    tool = _load_tool("bench_pairs")
+    higher = {"better": "higher", "bound": 0.25}
+    lower = {"better": "lower", "bound": 0.25}
+    steady = [10, 10.5, 11]  # spread (10.75 - 10.25) / 10.5, under the bound
+    # every change run beats every parent run, in either direction
+    assert tool.verdict(higher, steady, [12, 13, 14]) == "better"
+    assert tool.verdict(lower, steady, [7, 8, 9]) == "better"
+    # a parent spread of (25 - 15) / 20 = 0.5 hides any move short of "better"
+    assert tool.verdict(higher, [10, 20, 30], [5, 6, 7]) == "unresolved"
+    # the median fell by 4.5, more than 0.25 * 10.5; with "lower" it rose
+    assert tool.verdict(higher, steady, [5, 6, 20]) == "worse"
+    assert tool.verdict(lower, steady, [10, 15, 16]) == "worse"
+    # the median moved the wrong way by 0.5, within the bound
+    assert tool.verdict(higher, steady, [9.5, 10, 12]) == "within bound"
+    assert tool.verdict(lower, steady, [9, 11, 12]) == "within bound"

@@ -8,8 +8,9 @@ For each seed, ``python3 bench/run.py --workload W --seed S --seconds T
 the change first on odd ones.  Per workload and end-to-end metric the output
 holds both sides' runs, medians and quartiles
 (``statistics.quantiles(method='inclusive')``), the ratio of the medians and
-the number of pairs the change won, as in ``BENCH_9.json``.  Units and
-directions come from the change's ``BENCHMARK.json``.  With ``--traced`` one
+the number of pairs the change won, as in ``BENCH_9.json``, and a verdict
+judged against the metric's bound (see `verdict`).  Units, directions and
+bounds come from the change's ``BENCHMARK.json``.  With ``--traced`` one
 ``--trace 1`` run per side on the first seed adds the per-layer totals.
 
 An existing output file is updated in place: workloads and keys that this
@@ -55,14 +56,40 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
 
 
 def quartiles(xs: list[float]) -> list[float]:
+    """[Q1, Q3] of xs, by ``statistics.quantiles(method='inclusive')``."""
     if len(xs) < 2:
         return [xs[0], xs[0]]
     q = statistics.quantiles(xs, n=4, method="inclusive")
-    return [round(q[0], 4), round(q[2], 4)]
+    return [q[0], q[2]]
+
+
+def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
+    """How the change compares with the parent on one metric, against its
+    ``bound``, a share of the parent's median:
+
+    - ``better`` when every run of the change beats every run of the parent;
+    - else ``unresolved`` when the parent's spread, (Q3 - Q1) / median,
+      exceeds the bound, so a move within it cannot be told from noise;
+    - else ``worse`` when the median moved the wrong way by more than the
+      bound;
+    - else ``within bound``.
+    """
+    lower = metric["better"] == "lower"
+    if (max(change) < min(parent)) if lower else (min(change) > max(parent)):
+        return "better"
+    med = statistics.median(parent)
+    q1, q3 = quartiles(parent)
+    if med and (q3 - q1) / abs(med) > metric["bound"]:
+        return "unresolved"
+    loss = statistics.median(change) - med
+    if (loss if lower else -loss) > metric["bound"] * abs(med):
+        return "worse"
+    return "within bound"
 
 
 def summarise(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
-    """Per metric: both sides' runs, medians, quartiles, ratio and wins."""
+    """Per metric: both sides' runs, medians, quartiles, ratio, wins and
+    verdict."""
     out = {}
     pairs = len(runs["parent"])
     for m in metrics:
@@ -76,9 +103,10 @@ def summarise(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
             "parent_median": round(med["parent"], 4),
             "change_median": round(med["change"], 4),
             "ratio": round(med["change"] / med["parent"], 3) if med["parent"] else None,
-            "parent_quartiles": quartiles(vals["parent"]),
-            "change_quartiles": quartiles(vals["change"]),
+            "parent_quartiles": [round(q, 4) for q in quartiles(vals["parent"])],
+            "change_quartiles": [round(q, 4) for q in quartiles(vals["change"])],
             "change_wins": f"{wins}/{pairs}",
+            "verdict": verdict(m, vals["parent"], vals["change"]),
             "parent_runs": [round(v, 4) for v in vals["parent"]],
             "change_runs": [round(v, 4) for v in vals["change"]],
         }
