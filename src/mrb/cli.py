@@ -7,7 +7,9 @@ order and calls the handler with the loaded values.
 
 Exit codes: 0 success / all checks clean, 1 check violations or failed
 verdicts (report still emitted), 2 input errors, usage errors and
-arguments that do not fit together included;
+arguments that do not fit together included, and a confluence search that
+exceeds its budget (`opring.BudgetExceeded`; the error names the budget
+and the count reached);
 an error is reported as ``{"command": ..., "error": ...}``.  Reports are
 emitted as canonically ordered JSON so identical inputs produce
 byte-identical output; ``--pretty`` switches to indented rendering.
@@ -371,7 +373,7 @@ def main(argv=None, stdout=None) -> int:
             values.append([load(r) for r in raw] if isinstance(raw, list) else load(raw))
         code, report = handler(*values)
     except (InputError, ArgumentError, expr.ExpressionError, KeyError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, opring.BudgetExceeded) as exc:
         code, report = 2, {"error": _message(exc)}
     except (PreconditionError, ClosureViolationError, ValueError) as exc:
         code, report = 1, {"error": str(exc)}

@@ -234,8 +234,13 @@ def check_presentation(alg: AlgebraPresentation) -> CheckReport:
     residual at i; associativity is L_{b_i b_j} = L_i L_j, column k of the
     difference being the residual at (i, j, k).
     """
+    return _presentation_report(alg, _regular_tables(alg, True))
+
+
+def _presentation_report(alg: AlgebraPresentation, left: Sequence[Matrix]) -> CheckReport:
+    """`check_presentation` on the left multiplication tables already built."""
     d = alg.dim
-    left, right = _regular_tables(alg, True), _regular_tables(alg, False)
+    right = _regular_tables(alg, False)
     one = Matrix.identity(d)
     units = [(kind, (_sum_of(zip(alg.unit, table), d, d) - one).transpose().entries)
              for kind, table in (("unit-left", left), ("unit-right", right))]
@@ -284,16 +289,16 @@ def check_mrb_identity(inst: MrbAlgebraInstance) -> CheckReport:
 
     It is the axiom kernel on the left-multiplication matrices L_i, the
     regular left module: one matrix equation per label pair and b_i covers
-    every b_j, column j being the residual at (i, j, a, b).  An empty report
+    every b_j, column j being the residual at (i, j, a, b).  The
+    presentation is checked first, on the same L_i.  An empty report
     marks the instance verified; a verified instance is frozen, so its clean
     report is returned at once.
     """
     if inst.verified:
         return CheckReport("mrb-identity", ())
-    pres = check_presentation(inst.algebra)
-    if not pres.ok:
-        raise PreconditionError("presentation must pass check_presentation first")
     acts = _regular_tables(inst.algebra, True)
+    if not _presentation_report(inst.algebra, acts).ok:
+        raise PreconditionError("presentation must pass check_presentation first")
     report = CheckReport("mrb-identity", tuple(_axiom_violations(
         "mrb-identity", inst, acts, inst.operators.matrices, operator.matmul)))
     if report.ok:

@@ -470,7 +470,7 @@ class SparseRowSpace:
         if not row:
             return False
         lead = max(row)
-        inv = 1 / row[lead]
+        inv = _ONE / row[lead]
         self._pivots[lead] = {c: v * inv for c, v in row.items()}
         return True
 

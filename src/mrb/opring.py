@@ -30,6 +30,17 @@ Elements store slots as basis indices; words built from general algebra
 vectors (including the unit, which separates adjacent operator letters in
 the free product) are expanded multilinearly into basis-slot words
 (`expand_word`).
+
+The ring computes in integers.  D is the lcm of the denominators of the
+structure constants, the operator images and the weights; the ring keeps
+them as integers times D, so one contraction has integer coefficients over
+D^2, and a word of q_degree k >= 1 has its rewriting normal form as an
+integer combination over D^(2(k-1)).  Products, normal forms and the rows
+of the completion and the oracle clear their inputs' denominators once,
+run in `int` on words kept as (slots, ops) tuples, and divide once at the
+boundary: every coefficient an element of this module holds is a
+`Fraction`.  Rows enter `SparseRowSpace` as integer rows, since scaling a
+row does not change its span.
 """
 
 from __future__ import annotations
@@ -37,7 +48,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import lcm, prod
+from typing import Iterable, Mapping, Sequence
 
 from .core import MrbAlgebraInstance, PreconditionError
 from .linalg import SparseRowSpace, frac, vector
@@ -95,9 +107,10 @@ class OpElement:
     `terms` holds (key, coefficient) pairs with nonzero coefficients, ordered
     by the class-level `key_order`, whose value leads with the key's
     q_degree.  Subclasses change only the key type, `key_order` and the
-    two hooks `word_of` and `rekey` that take a key apart and put it back
-    on another word; the arithmetic, the ring's product and its normal
-    form are shared and return the subclass.
+    two hooks `split` and `join` that take a key apart into its operator
+    word and a tag and put a word and a tag back together; the arithmetic,
+    the ring's product and its normal form are shared and return the
+    subclass.
     """
 
     terms: tuple[tuple[OpWord, Fraction], ...]
@@ -105,13 +118,13 @@ class OpElement:
     key_order = staticmethod(OpWord.sort_key)
 
     @staticmethod
-    def word_of(key) -> OpWord:
-        """The operator word of a term key."""
-        return key
+    def split(key) -> tuple[OpWord, object]:
+        """The operator word of a term key and the rest of the key."""
+        return key, None
 
     @staticmethod
-    def rekey(key, word: OpWord):
-        """The key of `key`'s kind on another operator word."""
+    def join(word: OpWord, tag):
+        """The key on `word` whose rest is `tag`."""
         return word
 
     @classmethod
@@ -169,12 +182,12 @@ class FreeModuleElement(OpElement):
         return (w.q_degree, w.slots, w.ops, gen)
 
     @staticmethod
-    def word_of(key) -> OpWord:
-        return key[0]
+    def split(key) -> tuple[OpWord, str]:
+        return key
 
     @staticmethod
-    def rekey(key, word: OpWord):
-        return word, key[1]
+    def join(word: OpWord, gen: str):
+        return word, gen
 
 
 @dataclass(frozen=True)
@@ -210,6 +223,46 @@ class OracleResult:
     relation_rank: int
 
 
+class BudgetExceeded(RuntimeError):
+    """The all-orders search of `OperatorRing.word_normal_forms` met more
+    combinations of normal forms at one redex than its budget allows."""
+
+    def __init__(self, budget: int, count: int):
+        super().__init__(f"confluence search budget exceeded: {count} combinations "
+                         f"of normal forms at one redex, budget {budget}")
+        self.budget, self.count = budget, count
+
+
+# A word inside the integer kernels: the (slots, ops) of an OpWord.
+_Raw = tuple[tuple[int, ...], tuple[str, ...]]
+_BUDGET = 50000
+
+
+def _raw(w: OpWord) -> _Raw:
+    return w.slots, w.ops
+
+
+def _times(c, den: int) -> int:
+    """c * den, for a rational c whose denominator divides den."""
+    return c.numerator * (den // c.denominator)
+
+
+def _cleared(terms: Sequence[tuple[object, Fraction]]) -> tuple[int, list[tuple[object, int]]]:
+    """L, the lcm of the coefficients' denominators, and the terms with their
+    coefficients times L, as ints."""
+    den = lcm(*(c.denominator for _, c in terms))
+    return den, [(k, _times(c, den)) for k, c in terms]
+
+
+def _collect(cls: type[OpElement], groups: Mapping[object, Mapping[_Raw, int]], den: int) -> OpElement:
+    """The element of type cls whose key `cls.join(word, tag)` has
+    coefficient n / den for every nonzero n = groups[tag][word]."""
+    key = cls.key_order
+    return cls(tuple(sorted(((cls.join(OpWord(*w), tag), Fraction(n, den))
+                             for tag, combo in groups.items() for w, n in combo.items() if n),
+                            key=lambda t: key(t[0]))))
+
+
 class OperatorRing:
     """Computations in the operator ring of one verified instance."""
 
@@ -218,23 +271,30 @@ class OperatorRing:
             raise PreconditionError("instance must pass check_mrb_identity first")
         self.inst = inst
         alg, d = inst.algebra, inst.dim
-        # sparse products e_i e_j and operator images P_a(e_i), by basis index
-        self._products = [
-            [[(k, c) for k, c in enumerate(alg.structure_constants[i][j]) if c != 0] for j in range(d)]
-            for i in range(d)
-        ]
-        self._images = {
-            a: [
-                [(k, c) for k, c in enumerate(inst.apply_operator(a, alg.basis_vector(i))) if c != 0]
-                for i in range(d)
-            ]
-            for a in inst.omega
-        }
-        self._nf_cache: dict[OpWord, tuple[OpElement, int]] = {}
-        self._cnf_cache: dict[OpWord, OpElement] = {}
+        sc = alg.structure_constants
+        images = {a: [inst.apply_operator(a, alg.basis_vector(i)) for i in range(d)]
+                  for a in inst.omega}
+        weights = [inst.weight(a) for a in inst.omega]
+        den = lcm(*(c.denominator for plane in sc for row in plane for c in row),
+                  *(c.denominator for vs in images.values() for v in vs for c in v),
+                  *(c.denominator for c in weights))
+        self._d, self._d2 = den, den * den
+
+        def scaled(v):
+            return [(k, _times(c, den)) for k, c in enumerate(v) if c != 0]
+
+        # D times the products e_i e_j, the images P_a(e_i) and the weights,
+        # the first two sparse by basis index
+        self._products = [[scaled(sc[i][j]) for j in range(d)] for i in range(d)]
+        self._images = {a: [scaled(v) for v in vs] for a, vs in images.items()}
+        self._weights = {a: _times(c, den) for a, c in zip(inst.omega, weights)}
+        self._redexes: dict[tuple, tuple[tuple[int, int, str, int], ...]] = {}
+        self._nf_cache: dict[_Raw, tuple[dict[_Raw, int], int]] = {}
+        self._cnf_cache: dict[_Raw, dict[_Raw, int]] = {}
         self._linear_rules: dict[OpWord, OpElement] | None = None
-        self._rnf_cache: dict[OpWord, frozenset[OpElement]] = {}
-        self._oracle_cache: dict[int, tuple[OracleResult, SparseRowSpace, dict[OpWord, int]]] = {}
+        self._int_rules: tuple[int, dict[_Raw, dict[_Raw, int]]] | None = None
+        self._rnf_cache: dict[_Raw, frozenset[frozenset[tuple[_Raw, int]]]] = {}
+        self._oracle_cache: dict[int, tuple[OracleResult, SparseRowSpace, dict[_Raw, int]]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -258,85 +318,116 @@ class OperatorRing:
 
     # -- multiplication -----------------------------------------------------
 
-    def _concat(self, a: OpWord, b: OpWord):
-        """The words of the product a b with their coefficients; the boundary
-        slots merge through the algebra product."""
-        for t, c in self._products[a.slots[-1]][b.slots[0]]:
-            yield OpWord(a.slots[:-1] + (t,) + b.slots[1:], a.ops + b.ops), c
+    def _product(self, a: Iterable[tuple[_Raw, int]], b: Iterable[tuple[_Raw, int]]) -> dict[_Raw, int]:
+        """The product of two integer combinations of words, over D: the
+        boundary slots merge through the product table, and a pair whose
+        boundary product is zero is skipped."""
+        products, out = self._products, {}
+        for (sa, oa), ca in a:
+            head, merge = sa[:-1], products[sa[-1]]
+            for (sb, ob), cb in b:
+                merged = merge[sb[0]]
+                if merged:
+                    ops, tail, c = oa + ob, sb[1:], ca * cb
+                    for t, n in merged:
+                        w = (head + (t,) + tail, ops)
+                        out[w] = out.get(w, 0) + c * n
+        return out
 
     def multiply(self, a: OpElement, b: OpElement) -> OpElement:
         """Free-product multiplication a b, not normalized.  The right factor
         may be a free-module element, on which the ring acts from the left;
-        the product has b's element type."""
+        the product has b's element type.  Both factors are cleared to
+        integers once, and the product is divided once by their lcms and D."""
         cls = type(b)
-        out: dict = {}
-        for wa, ca in a.terms:
-            for kb, cb in b.terms:
-                for w, c in self._concat(wa, cls.word_of(kb)):
-                    key = cls.rekey(kb, w)
-                    out[key] = out.get(key, Fraction(0)) + ca * cb * c
-        return cls.from_dict(out)
+        den_a, a_int = _cleared(a.terms)
+        den_b, b_int = _cleared(b.terms)
+        a_raw = [(_raw(w), c) for w, c in a_int]
+        groups: dict[object, list[tuple[_Raw, int]]] = {}
+        for key, c in b_int:
+            w, tag = cls.split(key)
+            groups.setdefault(tag, []).append((_raw(w), c))
+        return _collect(cls, {tag: self._product(a_raw, b_raw) for tag, b_raw in groups.items()},
+                        den_a * den_b * self._d)
 
     act = multiply
 
     # -- rewriting ----------------------------------------------------------
+
+    def _redex(self, x: int, a: str, y: int, b: str, z: int) -> tuple[tuple[int, int, str, int], ...]:
+        """The contraction of x Q_a y Q_b z, as merged (left slot, right slot,
+        kept letter, n) entries with n over D^2; built on first use."""
+        key = (x, a, y, b, z)
+        entries = self._redexes.get(key)
+        if entries is None:
+            products, out = self._products, {}
+            for p, cp in self._images[a][y]:
+                # + P_a(y) Q_b : merge P_a(y) into the left neighbour slot
+                for t, c in products[x][p]:
+                    out[t, z, b] = out.get((t, z, b), 0) + cp * c
+                # - Q_b P_a(y) : merge P_a(y) into the right neighbour slot
+                for t, c in products[p][z]:
+                    out[x, t, b] = out.get((x, t, b), 0) - cp * c
+            # - lambda_b Q_a y  and  - lambda_a Q_b y : collapse the b letter
+            la, lb = self._weights[a], self._weights[b]
+            for t, c in products[y][z]:
+                out[x, t, a] = out.get((x, t, a), 0) - lb * c
+                out[x, t, b] = out.get((x, t, b), 0) - la * c
+            entries = tuple((left, right, kept, n) for (left, right, kept), n in out.items() if n)
+            self._redexes[key] = entries
+        return entries
+
+    def _contract(self, word: _Raw, pos: int) -> list[tuple[_Raw, int]]:
+        """The words of the contraction at pos with their integer
+        coefficients over D^2."""
+        slots, ops = word
+        head, tail = slots[: pos - 1], slots[pos + 2:]
+        before, after = ops[: pos - 1], ops[pos + 1:]
+        x, y, z = slots[pos - 1: pos + 2]
+        return [((head + (left, right) + tail, before + (kept,) + after), n)
+                for left, right, kept, n in self._redex(x, ops[pos - 1], y, ops[pos], z)]
 
     def rewrite_at(self, w: OpWord, pos: int) -> OpElement:
         """Contract the redex Q_a r Q_b at 1-based position pos.
 
         pos ranges over 1..q_degree-1; the redex is (ops[pos-1], slots[pos],
         ops[pos]).  Boundary slots are merged through the algebra product,
-        so every produced word has q_degree exactly one lower.
+        so every produced word has q_degree exactly one lower.  The
+        coefficients come from the ring's redex table, integers over D^2
+        filled on first use, and are divided by D^2 here.
         """
-        k = w.q_degree
-        if not 1 <= pos <= k - 1:
+        if not 1 <= pos <= w.q_degree - 1:
             raise ValueError("no redex at this position")
-        alpha, beta = w.ops[pos - 1], w.ops[pos]
-        la, lb = self.inst.weight(alpha), self.inst.weight(beta)
-        left, mid, right = w.slots[pos - 1: pos + 2]
-        head, tail = w.slots[: pos - 1], w.slots[pos + 2:]
-        prod = self._products
-        out: dict[OpWord, Fraction] = {}
+        return _collect(OpElement, {None: dict(self._contract(_raw(w), pos))}, self._d2)
 
-        def emit(slots, ops, coeff):
-            if coeff == 0:
-                return
-            nw = OpWord(slots, ops)
-            out[nw] = out.get(nw, Fraction(0)) + coeff
+    def _nf_den(self, q_degree: int) -> int:
+        """D^(2(k-1)), the denominator of the normal form of a word of
+        q_degree k (1 when k <= 1)."""
+        return self._d2 ** max(q_degree - 1, 0)
 
-        ops_drop_alpha = w.ops[: pos - 1] + (beta,) + w.ops[pos + 1:]
-        ops_drop_beta = w.ops[:pos] + w.ops[pos + 1:]
-        for p, cp in self._images[alpha][mid]:
-            # + P_a(r) Q_b : merge P_a(r) into the left neighbour slot
-            for t, c in prod[left][p]:
-                emit(head + (t, right) + tail, ops_drop_alpha, cp * c)
-            # - Q_b P_a(r) : merge P_a(r) into the right neighbour slot
-            for t, c in prod[p][right]:
-                emit(head + (left, t) + tail, ops_drop_alpha, -cp * c)
-        # - lambda_b Q_a r  and  - lambda_a Q_b r : collapse the beta letter
-        for t, c in prod[mid][right]:
-            emit(head + (left, t) + tail, ops_drop_beta, -lb * c)
-            emit(head + (left, t) + tail, ops_drop_alpha, -la * c)
-        return OpElement.from_dict(out)
-
-    def _nf_word(self, w: OpWord) -> tuple[OpElement, int]:
+    def _nf_word(self, word: _Raw) -> tuple[dict[_Raw, int], int]:
         """Leftmost-innermost normal form of a single word, with the size of
-        its full reduction tree (deterministic, cache independent)."""
-        if w.q_degree <= 1:
-            return OpElement(((w, Fraction(1)),)), 0
-        cached = self._nf_cache.get(w)
+        its full reduction tree (deterministic, cache independent).
+
+        Every contraction lowers q_degree by exactly one and has integer
+        coefficients over D^2, so the normal form of a word of q_degree k is
+        returned as an integer combination over D^(2(k-1)) (`_nf_den`); the
+        caller divides once, at the boundary.
+        """
+        if len(word[1]) <= 1:
+            return {word: 1}, 0
+        cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
-        step = self.rewrite_at(w, 1)
-        total: dict[OpWord, Fraction] = {}
+        total: dict[_Raw, int] = {}
         apps = 1
-        for w2, c in step.terms:
+        for w2, c in self._contract(word, 1):
             nf2, a2 = self._nf_word(w2)
             apps += a2
-            for w3, c3 in nf2.terms:
-                total[w3] = total.get(w3, Fraction(0)) + c * c3
-        result = (OpElement.from_dict(total), apps)
-        self._nf_cache[w] = result
+            for w3, c3 in nf2.items():
+                total[w3] = total.get(w3, 0) + c * c3
+        result = ({w: n for w, n in total.items() if n}, apps)
+        self._nf_cache[word] = result
         return result
 
     def normal_form(self, e: OpElement) -> OpElement:
@@ -344,32 +435,52 @@ class OperatorRing:
         modulo `linear_rules`.  Within the truncations checked (see
         `linear_rules`), two elements have equal normal forms exactly when
         their difference lies in the ideal.  A free-module element is
-        normalized word by word, each generator kept."""
+        normalized word by word, each generator kept.
+
+        The coefficients of e are cleared to integers over their lcm L once.
+        A word's completed normal form is an integer combination over
+        D^(2(k-1)) R, R clearing the linear rules; each is brought to the
+        largest q_degree K in e, and the sum is divided once, by
+        L D^(2(K-1)) R.
+        """
+        if e.is_zero():
+            return e
         cls = type(e)
-        out: dict = {}
-        for k, c in e.terms:
-            for w2, c2 in self._completed_word(cls.word_of(k)).terms:
-                key = cls.rekey(k, w2)
-                out[key] = out.get(key, Fraction(0)) + c * c2
-        return cls.from_dict(out)
+        den, ints = _cleared(e.terms)
+        top = self._nf_den(e.max_q_degree())
+        groups: dict[object, dict[_Raw, int]] = {}
+        for key, c in ints:
+            w, tag = cls.split(key)
+            acc = groups.setdefault(tag, {})
+            c *= top // self._nf_den(w.q_degree)
+            for w3, n in self._completed_word(_raw(w)).items():
+                acc[w3] = acc.get(w3, 0) + c * n
+        return _collect(cls, groups, den * top * self._int_rules[0])
 
     free_module_normal_form = normal_form
 
     def normalize(self, e: OpElement) -> RewriteReport:
         """`normal_form`, with the number of rewrite-rule applications."""
-        apps = sum(self._nf_word(e.word_of(k))[1] for k, _ in e.terms)
+        apps = sum(self._nf_word(_raw(e.split(k)[0]))[1] for k, _ in e.terms)
         return RewriteReport(e, self.normal_form(e), apps)
 
-    def _completed_word(self, w: OpWord) -> OpElement:
-        cached = self._cnf_cache.get(w)
+    def _completed_word(self, word: _Raw) -> dict[_Raw, int]:
+        """The completed normal form of a word of q_degree k, as an integer
+        combination over D^(2(k-1)) R."""
+        cached = self._cnf_cache.get(word)
         if cached is None:
-            rules = self.linear_rules()
-            out: dict[OpWord, Fraction] = {}
-            for w2, c in self._nf_word(w)[0].terms:
-                for w3, c3 in rules[w2].terms if w2 in rules else ((w2, Fraction(1)),):
-                    out[w3] = out.get(w3, Fraction(0)) + c * c3
-            cached = OpElement.from_dict(out)
-            self._cnf_cache[w] = cached
+            self.linear_rules()
+            den, rules = self._int_rules
+            out: dict[_Raw, int] = {}
+            for w2, c in self._nf_word(word)[0].items():
+                rule = rules.get(w2)
+                if rule is None:
+                    out[w2] = out.get(w2, 0) + c * den
+                else:
+                    for w3, c3 in rule.items():
+                        out[w3] = out.get(w3, 0) + c * c3
+            cached = {w: n for w, n in out.items() if n}
+            self._cnf_cache[word] = cached
         return cached
 
     # -- completion ---------------------------------------------------------
@@ -397,48 +508,58 @@ class OperatorRing:
         part of the truncated oracle at truncations 3 and 4, and the
         completed normal forms count exactly the oracle's quotient
         dimension.  Confluence of the completed system is checked there,
-        not proved in general.
+        not proved in general.  The ring also keeps the rules as integer
+        rows over one denominator R, for `normal_form`.
         """
         if self._linear_rules is None:
-            self._linear_rules = self._complete()
+            low, reduced = self._complete()
+            rules = {lead: {i: -c for i, c in row.items() if i != lead}
+                     for lead, row in reduced.items()}
+            den = lcm(*(c.denominator for rhs in rules.values() for c in rhs.values()))
+            self._int_rules = den, {
+                _raw(low[lead]): {_raw(low[i]): _times(c, den) for i, c in rhs.items()}
+                for lead, rhs in rules.items()}
+            self._linear_rules = {low[lead]: OpElement.from_dict({low[i]: c for i, c in rhs.items()})
+                                  for lead, rhs in rules.items()}
         return self._linear_rules
 
-    def _complete(self) -> dict[OpWord, OpElement]:
+    def _complete(self) -> tuple[list[OpWord], dict[int, dict[int, Fraction]]]:
+        """The words of q_degree <= 1 and the reduced rows, by leading word
+        index, of the ideal's span among them."""
         low = self.basis_words(1)
-        index = {w: i for i, w in enumerate(low)}
+        index = {_raw(w): i for i, w in enumerate(low)}
+        raw_low = list(index)
         space = SparseRowSpace()
-        fresh: list[OpElement] = []
+        fresh: list[list[tuple[_Raw, int]]] = []
+        top = self._nf_den(2)
 
-        def adjoin(e: OpElement) -> None:
-            row: dict[int, Fraction] = {}
-            for w, c in e.terms:
-                for w2, c2 in self._nf_word(w)[0].terms:
-                    row[index[w2]] = row.get(index[w2], Fraction(0)) + c * c2
+        def adjoin(e: dict[_Raw, int]) -> None:
+            # e has q_degree <= 2; its row is the normal form over D^2
+            row: dict[int, int] = {}
+            for w, c in e.items():
+                c *= top // self._nf_den(len(w[1]))
+                for w2, c2 in self._nf_word(w)[0].items():
+                    row[index[w2]] = row.get(index[w2], 0) + c * c2
             row = space.reduce(row)
             if row:
                 space.add(row)
-                fresh.append(OpElement.from_dict({low[i]: c for i, c in row.items()}))
+                fresh.append([(raw_low[i], n) for i, n in _cleared(list(row.items()))[1]])
 
         # seeds lambda_a e_i Q_c e_j - lambda_c e_i Q_a e_j: the overlap
         # differences with their outer algebra factors split over basis
         # elements and the common factor lambda_b dropped
-        d, omega = self.inst.dim, self.inst.omega
+        d, omega, lam = self.inst.dim, self.inst.omega, self._weights
         for a, c in itertools.combinations(omega, 2):
             for i, j in itertools.product(range(d), repeat=2):
-                adjoin(
-                    self.element((i, j), (c,), self.inst.weight(a))
-                    - self.element((i, j), (a,), self.inst.weight(c))
-                )
-        gens = [self.element((i,), ()) for i in range(d)] + [self.q_letter(a) for a in omega]
+                adjoin({((i, j), (c,)): lam[a], ((i, j), (a,)): -lam[c]})
+        gens = [[(((i,), ()), 1)] for i in range(d)]
+        gens += [[(_raw(w), n) for w, n in _cleared(self.q_letter(a).terms)[1]] for a in omega]
         while fresh:
             e = fresh.pop()
             for g in gens:
-                adjoin(self.multiply(g, e))
-                adjoin(self.multiply(e, g))
-        return {
-            low[lead]: OpElement.from_dict({low[i]: -c for i, c in row.items() if i != lead})
-            for lead, row in space.reduced_rows().items()
-        }
+                adjoin(self._product(g, e))
+                adjoin(self._product(e, g))
+        return low, space.reduced_rows()
 
     # -- word enumeration ---------------------------------------------------
 
@@ -454,45 +575,45 @@ class OperatorRing:
 
     # -- confluence probing -------------------------------------------------
 
-    def word_normal_forms(self, w: OpWord, budget: int = 50000) -> frozenset[OpElement]:
+    def _word_normal_forms(self, word: _Raw, budget: int) -> frozenset[frozenset[tuple[_Raw, int]]]:
+        """The normal forms of `word_normal_forms`, each as the frozenset of
+        its (word, n) pairs, n over D^(2(k-1))."""
+        if len(word[1]) <= 1:
+            return frozenset([frozenset([(word, 1)])])
+        cached = self._rnf_cache.get(word)
+        if cached is not None:
+            return cached
+        acc: set[frozenset[tuple[_Raw, int]]] = set()
+        for pos in range(1, len(word[1])):
+            options = [(c, self._word_normal_forms(w2, budget)) for w2, c in self._contract(word, pos)]
+            count = prod(len(nfs) for _, nfs in options)
+            if count > budget:
+                raise BudgetExceeded(budget, count)
+            for choice in itertools.product(*(nfs for _, nfs in options)):
+                total: dict[_Raw, int] = {}
+                for (c, _), nf in zip(options, choice):
+                    for w3, n in nf:
+                        total[w3] = total.get(w3, 0) + c * n
+                acc.add(frozenset((w3, n) for w3, n in total.items() if n))
+        result = frozenset(acc)
+        self._rnf_cache[word] = result
+        return result
+
+    def word_normal_forms(self, w: OpWord, budget: int = _BUDGET) -> frozenset[OpElement]:
         """All normal forms of a word reachable by contracting its redexes in
         any order, each occurrence reduced independently.
 
         Independent reduction of occurrences over-approximates the merged
         element semantics, so a singleton result certifies order independence
         while a larger set is evidence against it, to be adjudicated by the
-        ideal-span oracle.
+        ideal-span oracle.  The search runs on integer normal forms over
+        D^(2(k-1)), divided once for the result.  It raises `BudgetExceeded`
+        when the normal forms of one contraction's words combine in more
+        than `budget` ways.
         """
-        memo = self._rnf_cache
-
-        def per_word(word: OpWord) -> frozenset[OpElement]:
-            if word.q_degree <= 1:
-                return frozenset([OpElement.from_dict({word: Fraction(1)})])
-            cached = memo.get(word)
-            if cached is not None:
-                return cached
-            acc: set[OpElement] = set()
-            for pos in range(1, word.q_degree):
-                step = self.rewrite_at(word, pos)
-                options = [
-                    (c, sorted(per_word(w2), key=OpElement.sort_key))
-                    for w2, c in step.terms
-                ]
-                count = 1
-                for _, opts in options:
-                    count *= len(opts)
-                if count > budget:
-                    raise RuntimeError("confluence search budget exceeded")
-                for choice in itertools.product(*(opts for _, opts in options)):
-                    total = OpElement.zero()
-                    for (c, _), nf in zip(options, choice):
-                        total = total + nf.scale(c)
-                    acc.add(total)
-            result = frozenset(acc)
-            memo[word] = result
-            return result
-
-        return per_word(w)
+        den = self._nf_den(w.q_degree)
+        return frozenset(_collect(OpElement, {None: dict(nf)}, den)
+                         for nf in self._word_normal_forms(_raw(w), budget))
 
     def confluence_probe(self, max_qdegree: int) -> ConfluenceReport:
         """Reduce every overlap word (q_degree >= 3) via all redex orders."""
@@ -500,8 +621,8 @@ class OperatorRing:
         probed = 0
         for w in self.basis_words(max_qdegree, min_qdegree=3):
             probed += 1
-            nfs = sorted(self.word_normal_forms(w), key=OpElement.sort_key)
-            if len(nfs) > 1:
+            if len(self._word_normal_forms(_raw(w), _BUDGET)) > 1:
+                nfs = sorted(self.word_normal_forms(w), key=OpElement.sort_key)
                 witnesses = tuple(nf - nfs[0] for nf in nfs[1:])
                 discrepancies.append(Discrepancy(w, tuple(nfs), witnesses))
         return ConfluenceReport(probed, tuple(discrepancies))
@@ -531,31 +652,25 @@ class OperatorRing:
             for b in self.inst.omega
         ]
 
-    def _element_row(self, e: OpElement, index: Mapping[OpWord, int]) -> dict[int, Fraction]:
-        return {index[w]: c for w, c in e.terms}
-
-    def _oracle(self, max_qdegree: int) -> tuple[OracleResult, SparseRowSpace, dict[OpWord, int]]:
+    def _oracle(self, max_qdegree: int) -> tuple[OracleResult, SparseRowSpace, dict[_Raw, int]]:
         cached = self._oracle_cache.get(max_qdegree)
         if cached is not None:
             return cached
         words = self.basis_words(max_qdegree)
-        index = {w: i for i, w in enumerate(words)}
+        index = {_raw(w): i for i, w in enumerate(words)}
         rows = SparseRowSpace()
-        d = self.inst.dim
-        side_words = self.basis_words(max_qdegree - 2) if max_qdegree >= 2 else []
-        for i in range(d):
-            for alpha in self.inst.omega:
-                for beta in self.inst.omega:
-                    g = self.ideal_generator(i, alpha, beta)
-                    for u in side_words:
-                        ug = self.multiply(OpElement.from_dict({u: Fraction(1)}), g)
-                        room = max_qdegree - 2 - u.q_degree
-                        for v in side_words:
-                            if v.q_degree > room:
-                                continue
-                            ugv = self.multiply(ug, OpElement.from_dict({v: Fraction(1)}))
-                            rows.add(self._element_row(ugv, index))
-        cosets = tuple(w for w in words if index[w] not in rows.pivot_columns)
+        side = [(_raw(w), 1) for w in self.basis_words(max_qdegree - 2)] if max_qdegree >= 2 else []
+        for g in self.ideal_generators():
+            # the integer row of u g v spans what the rational one does
+            g_int = [(_raw(w), n) for w, n in _cleared(g.terms)[1]]
+            for u in side:
+                ug = self._product([u], g_int).items()
+                room = max_qdegree - 2 - len(u[0][1])
+                for v in side:
+                    if len(v[0][1]) <= room:
+                        rows.add({index[w]: n for w, n in self._product(ug, [v]).items()})
+        pivots = rows.pivot_columns
+        cosets = tuple(w for i, w in enumerate(words) if i not in pivots)
         result = OracleResult(
             dim=len(words) - rows.rank,
             basis_cosets=cosets,
@@ -582,7 +697,7 @@ class OperatorRing:
         if e.max_q_degree() > max_qdegree:
             raise ValueError("element exceeds the truncation degree")
         _, rows, index = self._oracle(max_qdegree)
-        return rows.contains(self._element_row(e, index))
+        return rows.contains({index[_raw(w)]: c for w, c in e.terms})
 
     # -- free module on generators ------------------------------------------
 

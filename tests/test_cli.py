@@ -124,6 +124,20 @@ def test_multi_generator_term_order_pinned(expression, report):
     assert run_cli(["normalize", "scaled_projection(1,2)", expression]) == (0, report)
 
 
+def test_confluence_budget_is_reported_as_an_input_error(monkeypatch):
+    def exhausted(ring, max_qdegree):
+        raise opring.BudgetExceeded(50000, 65536)
+
+    monkeypatch.setattr(opring.OperatorRing, "confluence_probe", exhausted)
+    code, out = run_cli(["confluence", "scaled_projection(1,2)"])
+    assert code == 2
+    assert json.loads(out) == {
+        "command": "confluence",
+        "error": "confluence search budget exceeded: 65536 combinations of normal forms "
+                 "at one redex, budget 50000",
+    }
+
+
 def test_input_errors_exit_2_with_json_error(tmp_path):
     not_an_object = tmp_path / "list.json"
     not_an_object.write_text("[1, 2]")
@@ -318,15 +332,16 @@ def test_every_verb_has_a_golden_pair_and_a_readme_entry():
 
 
 def test_reweight_instance_path_checks_the_identity_twice(monkeypatch):
-    # once for the catalog instance, once for the reweighted one
+    # once for the catalog instance, once for the reweighted one; each
+    # identity check checks the presentation first
     calls = []
-    check_presentation = core.check_presentation
+    presentation_report = core._presentation_report
 
-    def counted(alg):
+    def counted(alg, left):
         calls.append(alg)
-        return check_presentation(alg)
+        return presentation_report(alg, left)
 
-    monkeypatch.setattr(core, "check_presentation", counted)
+    monkeypatch.setattr(core, "_presentation_report", counted)
     code, out = run_cli(["reweight", "scaled_projection(1,2)", '{"1": {"1": "1", "2": "1"}}'])
     assert code == 0 and json.loads(out)["report"]["ok"]
     assert len(calls) == 2

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mrb import core
 from mrb.core import (
     AlgebraPresentation,
     MalformedPresentationError,
@@ -117,6 +118,21 @@ def test_check_mrb_requires_valid_presentation():
     )
     with pytest.raises(PreconditionError):
         check_mrb_identity(inst)
+
+
+def test_identity_check_builds_each_side_tables_once(monkeypatch):
+    inst = upper_triangular_instance((1, 2))
+    fresh = MrbAlgebraInstance(inst.algebra, inst.operators, inst.weights)
+    sides = []
+    build = core._regular_tables
+
+    def counted(alg, left):
+        sides.append("left" if left else "right")
+        return build(alg, left)
+
+    monkeypatch.setattr(core, "_regular_tables", counted)
+    assert check_mrb_identity(fresh).ok
+    assert sides == ["left", "right"]
 
 
 def test_exhaustive_check_counts(instances):

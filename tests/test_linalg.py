@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -332,3 +333,33 @@ def test_sparse_row_space_reduced_rows_are_interreduced():
         2: {1: Fraction(1, 2), 2: Fraction(1)},
         3: {0: Fraction(1), 1: Fraction(-1, 2), 3: Fraction(1)},
     }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 5), rationals, max_size=5), max_size=6),
+       st.lists(st.integers(1, 6), min_size=6, max_size=6))
+def test_sparse_row_space_takes_integer_rows_exactly(rows, scales):
+    # integer rows: each rational row times its denominators' lcm and a
+    # further integer factor, so some pivots are ints before normalizing
+    def cleared(row, k):
+        den = lcm(*(v.denominator for v in row.values()))
+        return {c: int(v * den) * k for c, v in row.items()}
+
+    rational, integral, multiples = SparseRowSpace(), SparseRowSpace(), SparseRowSpace()
+    for row, k in zip(rows, scales):
+        rational.add(dict(row))
+        integral.add(cleared(row, k))
+        multiples.add({c: v * k for c, v in row.items()})
+    for space in (integral, multiples):
+        assert all(type(v) is Fraction for p in space._pivots.values() for v in p.values())
+        reduced = space.reduced_rows()
+        assert all(type(v) is Fraction for r in reduced.values() for v in r.values())
+        assert reduced == rational.reduced_rows()
+        assert space.rank == rational.rank
+
+
+def test_integer_pivot_is_inverted_exactly():
+    rs = SparseRowSpace()
+    rs.add({0: 1, 1: 3})
+    assert rs.reduced_rows() == {1: {0: Fraction(1, 3), 1: Fraction(1)}}
+    assert type(rs.reduced_rows()[1][0]) is Fraction

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mrb.core import MrbAlgebraInstance, PreconditionError, scaled_projection
-from mrb.opring import FreeModuleElement, OpElement, OperatorRing, OpWord
+from mrb.opring import BudgetExceeded, FreeModuleElement, OpElement, OperatorRing, OpWord
 from mrb.operated import FreeOperatedModule
 
 
@@ -428,6 +428,20 @@ def test_discrepancy_matches_hand_derivation(rings):
     # the union of per-word witnesses spans the same discrepancy element
     assert not expected.is_zero()
     assert ring.ideal_contains(expected, 3)
+
+
+def test_confluence_search_budget_is_a_named_error():
+    # Q1 Q1 Q2 Q2 on e1: its second redex leaves words whose normal forms
+    # combine in four ways
+    ring = OperatorRing(scaled_projection((1, 2)))
+    w = ring.word((0, 0, 0, 0, 0), ("1", "1", "2", "2"))
+    with pytest.raises(BudgetExceeded) as info:
+        ring.word_normal_forms(w, budget=3)
+    assert isinstance(info.value, RuntimeError)
+    assert (info.value.budget, info.value.count) == (3, 4)
+    assert str(info.value) == ("confluence search budget exceeded: 4 combinations "
+                               "of normal forms at one redex, budget 3")
+    assert len(ring.word_normal_forms(w, budget=4)) > 1
 
 
 # -- free module over generators -------------------------------------------------
