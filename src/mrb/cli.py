@@ -27,7 +27,6 @@ from . import core, modules, opring, parser as expr, tensor
 from .core import PreconditionError
 from .linalg import Matrix, Subspace, frac
 from .modules import ArgumentError, ClosureViolationError
-from .operated import FreeOperatedModule
 
 
 class InputError(ValueError):
@@ -161,14 +160,9 @@ def _cmd_check_module(mod):
 def _cmd_normalize(inst, expression):
     ring = opring.OperatorRing(inst)
     ast = expr.parse_expression(expression)
-    if any(t.kind == "operated" for _, t in ast.terms):
-        gens = sorted({t.gen for _, t in ast.terms if t.gen is not None})
-        element = expr.bind_operated_expression(ast, FreeOperatedModule(inst, gens))
-        printer = expr.print_operated_element
-    else:
-        element = expr.bind_op_expression(ast, ring)
-        printer = (expr.print_free_module_element if isinstance(element, opring.FreeModuleElement)
-                   else expr.print_op_element)
+    dotted = any(t.kind == "operated" for _, t in ast.terms)
+    element = expr._bind(ast, inst, dotted)
+    printer = expr.print_operated_element if dotted else expr.print_op_element
     report = ring.normalize(element)
     return 0, {
         "input": printer(element, inst),

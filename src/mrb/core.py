@@ -78,6 +78,8 @@ class AlgebraPresentation:
             raise KeyError(f"unknown basis label {name!r}") from None
 
     def basis_vector(self, i: int) -> Vector:
+        if not 0 <= i < self.dim:
+            raise ValueError(f"basis index {i} out of range")
         return unit_vector(self.dim, i)
 
     def multiply(self, u: Sequence, v: Sequence) -> Vector:
@@ -374,7 +376,9 @@ def _scaled_family(alg: AlgebraPresentation, proj: Matrix, c: Sequence) -> MrbAl
     labels = tuple(str(i + 1) for i in range(len(coeffs)))
     ops = OperatorFamily(labels, tuple(proj.scale(x) for x in coeffs))
     weights = WeightFamily(labels, tuple(-x / 2 for x in coeffs))
-    return MrbAlgebraInstance(alg, ops, weights)
+    inst = MrbAlgebraInstance(alg, ops, weights)
+    check_mrb_identity(inst)
+    return inst
 
 
 def scaled_projection(c: Sequence) -> MrbAlgebraInstance:
@@ -385,9 +389,7 @@ def scaled_projection(c: Sequence) -> MrbAlgebraInstance:
     """
     alg = componentwise_algebra(2)
     proj = Matrix([[1, 0], [0, 0]])
-    inst = _scaled_family(alg, proj, c)
-    check_mrb_identity(inst)
-    return inst
+    return _scaled_family(alg, proj, c)
 
 
 def upper_triangular_instance(c: Sequence = (1, 2)) -> MrbAlgebraInstance:
@@ -397,9 +399,7 @@ def upper_triangular_instance(c: Sequence = (1, 2)) -> MrbAlgebraInstance:
     """
     alg = upper_triangular_algebra()
     proj = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    inst = _scaled_family(alg, proj, c)
-    check_mrb_identity(inst)
-    return inst
+    return _scaled_family(alg, proj, c)
 
 
 _CATALOG_NAMES = (

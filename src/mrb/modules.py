@@ -264,26 +264,22 @@ check_right_module = check_left_module
 
 
 def check_bimodule(bm: FdBimodule) -> CheckReport:
-    """The two one-sided axioms plus the three compatibility families."""
-    lefts, rights = bm.left.tables, bm.right.tables
+    """The two one-sided axioms, then the commutation families: the two
+    actions, each operator family with the other side's action, label by
+    label, and the two families; a family pairs matrices named by basis
+    index or label."""
+    omega = bm.left.inst.omega
+    lefts, rights = list(enumerate(bm.left.tables)), list(enumerate(bm.right.tables))
+    m_ops, n_ops = list(zip(omega, bm.right.operators)), list(zip(omega, bm.left.operators))
+    families = [("actions-commute", lefts, rights)]
+    for m, n in zip(m_ops, n_ops):
+        families += [("right-family-vs-left-action", [m], lefts),
+                     ("left-family-vs-right-action", [n], rights)]
+    families.append(("families-commute", m_ops, n_ops))
     violations = [*check_left_module(bm.left).violations,
                   *check_left_module(bm.right).violations]
-    for i, ai in enumerate(lefts):
-        for j, bj in enumerate(rights):
-            if ai @ bj != bj @ ai:
-                violations.append(Violation("actions-commute", (i, j)))
-    omega = bm.left.inst.omega
-    for w, mw, nw in zip(omega, bm.right.operators, bm.left.operators):
-        for i, ai in enumerate(lefts):
-            if mw @ ai != ai @ mw:
-                violations.append(Violation("right-family-vs-left-action", (w, i)))
-        for j, bj in enumerate(rights):
-            if nw @ bj != bj @ nw:
-                violations.append(Violation("left-family-vs-right-action", (w, j)))
-    for w, mw in zip(omega, bm.right.operators):
-        for w2, nw2 in zip(omega, bm.left.operators):
-            if mw @ nw2 != nw2 @ mw:
-                violations.append(Violation("families-commute", (w, w2)))
+    violations += [Violation(kind, (x, y)) for kind, xs, ys in families
+                   for x, a in xs for y, b in ys if a @ b != b @ a]
     return CheckReport("bimodule", tuple(violations))
 
 
@@ -406,10 +402,11 @@ def restricted_free(inst: MrbAlgebraInstance, generators: Sequence[str]) -> FdLe
     return direct_sum([regular_left_module(inst)] * len(gens), inst).module
 
 
-def restricted_lift(free: FdLeftModule, images: Mapping[str, Sequence] | Sequence[Sequence],
-                    target: FdLeftModule, generators: Sequence[str] | None = None) -> ModuleHom:
+def restricted_lift(free: FdLeftModule, images: Sequence[Sequence],
+                    target: FdLeftModule) -> ModuleHom:
     """The unique hom out of a restricted free module determined by generator
-    images, which must all be module constants of the target."""
+    images, one per generator in order, which must all be module constants
+    of the target."""
     inst = free.inst
     if target.inst != inst:
         raise ValueError("target lives over a different instance")
@@ -417,12 +414,7 @@ def restricted_lift(free: FdLeftModule, images: Mapping[str, Sequence] | Sequenc
     if free.dim % d != 0:
         raise ValueError("module is not of restricted free shape")
     n = free.dim // d
-    if isinstance(images, Mapping):
-        if generators is None:
-            generators = sorted(images)
-        image_list = [vector(images[g]) for g in generators]
-    else:
-        image_list = [vector(v) for v in images]
+    image_list = [vector(v) for v in images]
     if len(image_list) != n:
         raise ValueError("one image per generator required")
     mc = module_constants(target)

@@ -9,11 +9,14 @@ Two word syntaxes share one expression grammar:
 Operator-ring words are whitespace separated with bracketed letters,
 ``e1 Q[1] e2``; a module word appends ``: x``.  Mixable-tensor words are
 dot separated, ``b1 . w1 . b2 : x``.  Words may be parenthesized.  The text
-``0`` denotes the zero element.  Module words of both syntaxes bind to
-`FreeModuleElement`s, a dotted word b1 . w1 . b2 : x being the pair
-(b1 Q[w1] b2, x); only the printers differ.  Printing is canonical (terms in
-element order, or by depth then generator for dotted words, unit
-coefficients dropped), and parse o print is the identity on canonical forms.
+``0`` denotes the zero element.  The scanner is one regular expression
+with an alternative per lexeme class.  Module words of both syntaxes bind
+to `FreeModuleElement`s, a dotted word b1 . w1 . b2 : x being the pair
+(b1 Q[w1] b2, x), through one binder that reads the syntax off its
+argument; one word renderer serves both printers, which differ only in
+separators and term order.  Printing is canonical (terms in element order,
+or by depth then generator for dotted words, unit coefficients dropped),
+and parse o print is the identity on canonical forms.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Sequence
 
 from .core import MrbAlgebraInstance
 from .opring import FreeModuleElement, OperatorRing, OpElement, OpWord, basis_word
-from .operated import FreeOperatedModule
+from .operated import FreeOperatedModule, GeneratorSet
 
 
 class ExpressionError(ValueError):
@@ -46,57 +49,39 @@ class Token:
     column: int
 
 
-_NUMBER_RE = re.compile(r"[0-9]+(/[0-9]+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _SYMBOLS = {"+": "PLUS", "-": "MINUS", "*": "STAR", "(": "LPAREN", ")": "RPAREN",
             ".": "DOT", ":": "COLON"}
+# one alternative per lexeme class, tried in order; STRAY takes any other
+# character, so the matches tile the text
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<NEWLINE>\n)", r"(?P<SPACE>[^\S\n]+)",
+    r"(?P<QLABEL>Q\[[^\]]*\])", r"(?P<UNTERMINATED>Q\[)",
+    r"(?P<NUMBER>[0-9]+(?:/[0-9]+)?)", r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)",
+    *(f"(?P<{kind}>{re.escape(ch)})" for ch, kind in _SYMBOLS.items()),
+    r"(?P<STRAY>.)"]), re.DOTALL)
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of text, each at its 1-based line and column, closed by END."""
     tokens: list[Token] = []
     line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "NEWLINE":
+            line, col = line + 1, 1
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "Q" and i + 1 < n and text[i + 1] == "[":
-            j = text.find("]", i + 2)
-            if j < 0:
-                raise ExpressionError("unterminated operator letter", line, col + 2 + (n - i - 2))
-            label = text[i + 2:j].strip()
+        if kind == "STRAY":
+            raise ExpressionError(f"unexpected character {lexeme!r}", line, col)
+        if kind == "UNTERMINATED":
+            raise ExpressionError("unterminated operator letter", line, col + len(text) - m.start())
+        if kind == "QLABEL":
+            label = lexeme[2:-1].strip()
             if not label:
                 raise ExpressionError("empty operator letter", line, col + 2)
-            tokens.append(Token("QLABEL", label, line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(Token("NUMBER", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(Token("IDENT", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        kind = _SYMBOLS.get(ch)
-        if kind is None:
-            raise ExpressionError(f"unexpected character {ch!r}", line, col)
-        tokens.append(Token(kind, ch, line, col))
-        col += 1
-        i += 1
+            tokens.append(Token(kind, label, line, col))
+        elif kind != "SPACE":
+            tokens.append(Token(kind, lexeme, line, col))
+        col += len(lexeme)
     tokens.append(Token("END", "", line, col))
     return tokens
 
@@ -229,49 +214,55 @@ def _slot_indices(inst: MrbAlgebraInstance, labels: Sequence[str]) -> tuple[int,
     return tuple(inst.algebra.label_index(s) for s in labels)
 
 
+def _bind(ast: ExpressionAst, inst: MrbAlgebraInstance, dotted: bool,
+          gens: GeneratorSet | None = None) -> OpElement | FreeModuleElement:
+    """The element an expression of one word syntax denotes over inst.
+
+    A dotted expression binds module words only; in the bracketed one,
+    module words bind to a free-module element and plain words to an
+    OpElement, never both.  `gens`, when given, must name each generator.
+    """
+    with_gen = [t for _, t in ast.terms if t.gen is not None]
+    if not dotted and with_gen and len(with_gen) != len(ast.terms):
+        raise ExpressionError("cannot mix ring words and module words in one expression")
+    cls = FreeModuleElement if dotted or with_gen else OpElement
+    out = cls.zero()
+    for coeff, t in ast.terms:
+        if t.kind == ("op" if dotted else "operated"):
+            raise ExpressionError("bracketed letters are not mixable-tensor syntax" if dotted
+                                  else "dotted words are not operator-ring syntax")
+        if dotted and t.gen is None:
+            raise ExpressionError("mixable-tensor words require a generator")
+        w = basis_word(inst, _slot_indices(inst, t.slots), t.ops)
+        if gens is not None:
+            gens.index(t.gen)
+        out = out + cls.from_dict({cls.join(w, t.gen): coeff})
+    return out
+
+
 def bind_op_expression(ast: ExpressionAst, ring: OperatorRing) -> OpElement | FreeModuleElement:
     """Resolve an operator-word expression; module words yield a free-module
     element, plain ring words an OpElement.  Mixing the two is an error."""
-    inst = ring.inst
-    has_gen = [t for _, t in ast.terms if t.gen is not None]
-    if has_gen and len(has_gen) != len(ast.terms):
-        raise ExpressionError("cannot mix ring words and module words in one expression")
-    cls = FreeModuleElement if has_gen else OpElement
-    out = cls.zero()
-    for coeff, t in ast.terms:
-        if t.kind == "operated":
-            raise ExpressionError("dotted words are not operator-ring syntax")
-        w = basis_word(inst, _slot_indices(inst, t.slots), t.ops)
-        out = out + cls.from_dict({(w, t.gen) if has_gen else w: coeff})
-    return out
+    return _bind(ast, ring.inst, dotted=False)
 
 
 def bind_operated_expression(ast: ExpressionAst, module: FreeOperatedModule) -> FreeModuleElement:
-    inst = module.inst
-    out = FreeModuleElement.zero()
-    for coeff, t in ast.terms:
-        if t.kind == "op":
-            raise ExpressionError("bracketed letters are not mixable-tensor syntax")
-        if t.gen is None:
-            raise ExpressionError("mixable-tensor words require a generator")
-        key = module.word(_slot_indices(inst, t.slots), t.ops, t.gen)
-        out = out + FreeModuleElement.from_dict({key: coeff})
-    return out
+    """Resolve a dotted expression to an element of the free operated module."""
+    return _bind(ast, module.inst, dotted=True, gens=module.gens)
 
 
 # ---------------------------------------------------------------------------
 # Canonical printing
 # ---------------------------------------------------------------------------
 
-def _print_terms(rendered: list[tuple[Fraction, str]], wrap: bool) -> str:
+def _print_terms(rendered: list[tuple[Fraction, str]]) -> str:
     if not rendered:
         return "0"
     many = len(rendered) > 1
     pieces: list[str] = []
     for k, (coeff, word) in enumerate(rendered):
         mag = abs(coeff)
-        needs_parens = wrap and (many or mag != 1) and " " in word
-        body = f"({word})" if needs_parens else word
+        body = f"({word})" if (many or mag != 1) and " " in word else word
         if mag != 1:
             body = f"{mag} * {body}"
         if k == 0:
@@ -281,35 +272,32 @@ def _print_terms(rendered: list[tuple[Fraction, str]], wrap: bool) -> str:
     return " ".join(pieces)
 
 
-def print_op_word(w: OpWord, inst: MrbAlgebraInstance, gen: str | None = None) -> str:
-    parts = [inst.algebra.basis_labels[w.slots[0]]]
+def _word_text(inst: MrbAlgebraInstance, dotted: bool, w: OpWord, gen: str | None) -> str:
+    labels = inst.algebra.basis_labels
+    parts = [labels[w.slots[0]]]
     for op, slot in zip(w.ops, w.slots[1:]):
-        parts.append(f"Q[{op}]")
-        parts.append(inst.algebra.basis_labels[slot])
-    text = " ".join(parts)
+        parts += [op if dotted else f"Q[{op}]", labels[slot]]
+    text = (" . " if dotted else " ").join(parts)
     return f"{text} : {gen}" if gen is not None else text
 
 
-def print_op_element(e: OpElement, inst: MrbAlgebraInstance) -> str:
-    return _print_terms([(c, print_op_word(w, inst)) for w, c in e.terms], wrap=True)
-
-
-def print_free_module_element(e: FreeModuleElement, inst: MrbAlgebraInstance) -> str:
-    return _print_terms(
-        [(c, print_op_word(w, inst, gen=g)) for (w, g), c in e.terms], wrap=True
-    )
+def print_op_word(w: OpWord, inst: MrbAlgebraInstance, gen: str | None = None) -> str:
+    return _word_text(inst, False, w, gen)
 
 
 def print_operated_word(key: tuple[OpWord, str], inst: MrbAlgebraInstance) -> str:
-    w, gen = key
-    parts = [inst.algebra.basis_labels[w.slots[0]]]
-    for op, slot in zip(w.ops, w.slots[1:]):
-        parts.append(op)
-        parts.append(inst.algebra.basis_labels[slot])
-    return " . ".join(parts) + f" : {gen}"
+    return _word_text(inst, True, *key)
+
+
+def print_op_element(e: OpElement | FreeModuleElement, inst: MrbAlgebraInstance) -> str:
+    """Bracketed rendering of ring and free-module elements, in term order."""
+    return _print_terms([(c, _word_text(inst, False, *e.split(k))) for k, c in e.terms])
+
+
+print_free_module_element = print_op_element
 
 
 def print_operated_element(e: FreeModuleElement, inst: MrbAlgebraInstance) -> str:
     """Dotted rendering, terms ordered by (depth, generator, slots, labels)."""
     terms = sorted(e.terms, key=lambda t: (t[0][0].q_degree, t[0][1], t[0][0].slots, t[0][0].ops))
-    return _print_terms([(c, print_operated_word(k, inst)) for k, c in terms], wrap=True)
+    return _print_terms([(c, print_operated_word(k, inst)) for k, c in terms])

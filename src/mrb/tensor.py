@@ -17,8 +17,10 @@ Kronecker products.  Induced maps, bimodule structures, the Hom and tensor
 adjunction and the comparison maps all pass one coset test, that an
 ambient map kills every relation, walking each relation's nonzeros, before
 they act on quotient coordinates; only `bilinearity_report` walks the
-relations itself, to name each failing one.  Every verdict is an exact rank
-decision.
+relations itself, to name each failing one.  Induced maps and flatness
+probes serve both sides on one path, reading the side off the module they
+are given: a hom of right modules induces theta (x) id, a hom of left
+modules id (x) theta.  Every verdict is an exact rank decision.
 """
 
 from __future__ import annotations
@@ -133,24 +135,20 @@ def bilinearity_report(t: TensorSpace) -> CheckReport:
     return CheckReport("bilinearity", tuple(violations))
 
 
-def induced_map(src: TensorSpace, dst: TensorSpace, theta: ModuleHom,
-                side: str = "n") -> Matrix:
-    """Matrix of id (x) theta (side "n") or theta (x) id (side "m") between
-    tensor quotients, after checking well-definedness on cosets."""
-    if side == "n":
-        if theta.source != src.n_factor or theta.target != dst.n_factor:
-            raise ValueError("theta must map the left-module factors")
-        if src.m_factor != dst.m_factor:
-            raise ValueError("the fixed factor must agree")
-        ambient = Matrix.identity(src.m_factor.dim).kron(theta.matrix)
-    elif side == "m":
-        if theta.source != src.m_factor or theta.target != dst.m_factor:
-            raise ValueError("theta must map the right-module factors")
-        if src.n_factor != dst.n_factor:
-            raise ValueError("the fixed factor must agree")
-        ambient = theta.matrix.kron(Matrix.identity(src.n_factor.dim))
+def induced_map(src: TensorSpace, dst: TensorSpace, theta: ModuleHom) -> Matrix:
+    """Matrix of id (x) theta, for theta between left modules, or of
+    theta (x) id, for theta between right modules, between tensor quotients
+    whose other factor agrees, after checking well-definedness on cosets."""
+    if theta.source.side == "right":
+        side, moved, fixed = "right", (src.m_factor, dst.m_factor), (src.n_factor, dst.n_factor)
     else:
-        raise ValueError("side must be 'n' or 'm'")
+        side, moved, fixed = "left", (src.n_factor, dst.n_factor), (src.m_factor, dst.m_factor)
+    if (theta.source, theta.target) != moved:
+        raise ValueError(f"theta must map the {side}-module factors")
+    if fixed[0] != fixed[1]:
+        raise ValueError("the fixed factor must agree")
+    idn = Matrix.identity(fixed[0].dim)
+    ambient = theta.matrix.kron(idn) if side == "right" else idn.kron(theta.matrix)
     return _descend(src, dst, ambient, "induced map")
 
 
@@ -336,14 +334,9 @@ def tensor_preserves_injection(fixed, injection: ModuleHom, name: str = "") -> P
     """
     if not injection.is_injective():
         raise PreconditionError("probe hom is not injective")
-    if fixed.side == "right":
-        src = tensor_product(fixed, injection.source)
-        dst = tensor_product(fixed, injection.target)
-        induced = induced_map(src, dst, injection, side="n")
-    else:
-        src = tensor_product(injection.source, fixed)
-        dst = tensor_product(injection.target, fixed)
-        induced = induced_map(src, dst, injection, side="m")
+    src, dst = (tensor_product(*((fixed, mod) if fixed.side == "right" else (mod, fixed)))
+                for mod in (injection.source, injection.target))
+    induced = induced_map(src, dst, injection)
     kernel = induced.nullspace_basis()
     preserved = kernel.dim == 0
     witness = None if preserved else kernel.basis[0]
@@ -445,9 +438,9 @@ def direct_sum_tensor_check(s: FdRightModule, parts: Sequence[FdLeftModule]) -> 
     total_small = sum(t.dim for t in small)
 
     # f1 stacks id (x) projection_k, f2 lines up id (x) inclusion_k
-    f1_blocks = [induced_map(big, t, prj, side="n") for t, prj in zip(small, ds.projections)]
+    f1_blocks = [induced_map(big, t, prj) for t, prj in zip(small, ds.projections)]
     f1 = Matrix.from_rows([row for blk in f1_blocks for row in blk.entries], cols=big.dim)
-    f2_blocks = [induced_map(t, big, inc, side="n") for t, inc in zip(small, ds.inclusions)]
+    f2_blocks = [induced_map(t, big, inc) for t, inc in zip(small, ds.inclusions)]
     f2 = Matrix.from_cols([blk.col(j) for blk in f2_blocks for j in range(blk.cols)],
                           rows=big.dim)
 

@@ -362,7 +362,7 @@ def test_check_module_evaluates_the_action_laws_once(monkeypatch):
 
 
 def test_normalize_of_a_mixable_tensor_builds_one_ring(monkeypatch):
-    # the free operated module only binds the words; its ring stays unbuilt
+    # binding the dotted words builds no second ring
     calls = []
     init = opring.OperatorRing.__init__
 
@@ -386,3 +386,42 @@ def test_check_module_reports_a_failing_unit_law(tmp_path):
     assert code == 1
     assert report["subject"] == "action-laws"
     assert [v["kind"] for v in report["violations"]] == ["unit-action"]
+
+
+def test_a_subspace_that_is_not_a_submodule_exits_1():
+    code, out = run_cli(["quotient", "inputs/regular_left_sp12.json", '[["1","1"]]'])
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "quotient",
+        "error": "subspace is not closed under action of basis element e1",
+    }
+
+
+def test_check_algebra_skips_the_identity_when_the_presentation_fails(tmp_path):
+    # over the componentwise Q^2 the vector (1, 0) is no unit: e2 * (1, 0) = 0
+    doc = core.instance_to_json(core.trivial_instance(2, 1))
+    doc["unit"] = ["1", "0"]
+    path = tmp_path / "bad_unit.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["check-algebra", str(path)])
+    report = json.loads(out)
+    assert code == 1
+    assert report["identity"] is None
+    assert report["presentation"]["ok"] is False
+    assert [(v["kind"], v["where"]) for v in report["presentation"]["violations"]] == [
+        ("unit-left", [1]), ("unit-right", [1])]
+
+
+def test_python_dash_m_mrb_prints_the_golden_bytes():
+    import os
+    import subprocess
+    import sys
+
+    entry = next(e for e in MANIFEST if e["name"] == "normalize_operated_word")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "mrb", *entry["argv"]],
+                          capture_output=True, env=env)
+    assert done.returncode == entry["exit"]
+    assert done.stdout == (GOLDEN / "expected" / f"{entry['name']}.json").read_bytes()

@@ -244,3 +244,11 @@ def test_catalog_instance_parser():
     assert catalog_instance("trivial(2,3)").dim == 2
     with pytest.raises(KeyError):
         catalog_instance("nonsense(1)")
+
+
+def test_basis_vector_rejects_indices_outside_the_basis():
+    alg = upper_triangular_algebra()
+    assert alg.basis_vector(2) == (Fraction(0), Fraction(0), Fraction(1))
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=f"basis index {i} out of range"):
+            alg.basis_vector(i)

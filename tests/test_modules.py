@@ -163,6 +163,28 @@ def test_bimodule_noncommuting_operator_pair(sp12):
     assert any(v.kind == "families-commute" for v in report.violations)
 
 
+def test_bimodule_breaking_every_commutation_family():
+    # over Q^2 with zero operators: the left action by the diagonal
+    # idempotents and the right action by the idempotents P, 1 - P with
+    # P = [[1, 1], [0, 0]] do not commute; each square-zero operator family
+    # passes its own side's axiom but clashes with the other side
+    inst = trivial_instance(2, 2)
+    p, n, m = Matrix([[1, 1], [0, 0]]), Matrix([[0, 1], [0, 0]]), Matrix([[1, 1], [-1, -1]])
+    left = _from_maps("left", inst, 2, [Matrix([[1, 0], [0, 0]]), Matrix([[0, 0], [0, 1]]),
+                                        n, Matrix.zero(2, 2)])
+    right = _from_maps("right", inst, 2, [p, Matrix.identity(2) - p, m, m])
+    report = check_bimodule(FdBimodule(left, right))
+    assert report.subject == "bimodule"
+    assert [(v.kind, v.where) for v in report.violations] == [
+        ("actions-commute", (0, 0)), ("actions-commute", (0, 1)),
+        ("actions-commute", (1, 0)), ("actions-commute", (1, 1)),
+        ("right-family-vs-left-action", ("1", 0)), ("right-family-vs-left-action", ("1", 1)),
+        ("left-family-vs-right-action", ("1", 0)), ("left-family-vs-right-action", ("1", 1)),
+        ("right-family-vs-left-action", ("2", 0)), ("right-family-vs-left-action", ("2", 1)),
+        ("families-commute", ("1", "1")), ("families-commute", ("2", "1")),
+    ]
+
+
 def test_bimodule_zero_operators_pass(sp12):
     bm = regular_bimodule(sp12)
     z = Matrix.zero(2, 2)

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from mrb.core import MrbAlgebraInstance, PreconditionError, scaled_projection
+from mrb.core import (
+    MrbAlgebraInstance,
+    PreconditionError,
+    scaled_projection,
+    upper_triangular_instance,
+)
 from mrb.opring import BudgetExceeded, FreeModuleElement, OpElement, OperatorRing, OpWord
 from mrb.operated import FreeOperatedModule
 
@@ -488,3 +493,12 @@ def test_translation_is_structural(ring12):
     prefixed = ring12.from_operated(fom.apply_operator("2", w))
     expected = ring12.act(ring12.q_letter("2"), translated)
     assert prefixed == expected
+
+
+def test_ideal_generator_rejects_an_index_outside_the_basis():
+    # a negative index once counted from the end: -1 gave the generator of e3
+    ring = OperatorRing(upper_triangular_instance((1, 2)))
+    assert not ring.ideal_generator(2, "1", "2").is_zero()
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=f"basis index {i} out of range"):
+            ring.ideal_generator(i, "1", "2")

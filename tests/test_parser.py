@@ -61,6 +61,20 @@ def test_error_positions_various():
     assert err.value.column == 4
 
 
+@pytest.mark.parametrize("text,message,line,column", [
+    ("e1 Q[] e2", "empty operator letter", 1, 6),
+    ("e1 # e2", "unexpected character '#'", 1, 4),
+    ("e1 e2", "unexpected trailing input", 1, 4),
+    ("- e1", "expected rational coefficient", 1, 3),
+    ("e1\n+ e2 Q[1]", "expected basis label", 2, 10),
+])
+def test_error_messages_and_positions(text, message, line, column):
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(text)
+    assert str(err.value) == f"{message} at line {line}, column {column}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_unknown_labels_rejected(ring):
     with pytest.raises(KeyError):
         bind_op_expression(parse_expression("e9"), ring)

@@ -184,6 +184,24 @@ def test_induced_additive_and_functorial(reg_r, reg):
         assert induced_map(t, t, comp) == induced_map(t, t, f) @ induced_map(t, t, g)
 
 
+def test_induced_map_reads_the_factor_off_the_hom(sp12, reg_r, reg):
+    # a hom of right modules induces theta (x) id, one of left modules id (x) theta
+    t = tensor_product(reg_r, reg)
+    units = [(1, 0), (0, 1)]
+    for f in hom_space(reg_r, reg_r):
+        right = induced_map(t, t, module_hom(reg_r, reg_r, f))
+        left = induced_map(t, t, module_hom(reg, reg, f))
+        for m in units:
+            for n in units:
+                assert right.apply(t.zeta(m, n)) == t.zeta(f.apply(m), n)
+                assert left.apply(t.zeta(m, n)) == t.zeta(m, f.apply(n))
+    other = tensor_product(reg_r, direct_sum([reg, reg]).module)
+    with pytest.raises(ValueError, match="theta must map the left-module factors"):
+        induced_map(t, other, module_hom(reg, reg, Matrix.identity(2)))
+    with pytest.raises(ValueError, match="the fixed factor must agree"):
+        induced_map(t, other, module_hom(reg_r, reg_r, Matrix.identity(2)))
+
+
 # -- module structures on tensors -----------------------------------------------------
 
 def test_tensor_left_structure_regular(sp12, reg, sp12_regular_doc):
@@ -353,6 +371,11 @@ def test_flatness_broken_with_witness():
     probe = tensor_preserves_injection(qr, inc, "sub-t12")
     assert probe.verdict == "broken"
     assert probe.witness is not None
+    doc = probe.to_json()
+    assert doc["verdict"] == "broken"
+    assert doc["witness"] == [str(x) for x in probe.witness]
+    assert doc == {"probe": "sub-t12", "dims": probe.dims, "verdict": "broken",
+                   "witness": ["1"]}
     # the parent module with the same structure but no quotient stays exact
     assert tensor_preserves_injection(m0, inc).verdict == "preserved"
 
