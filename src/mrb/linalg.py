@@ -57,10 +57,6 @@ def vector(entries: Iterable) -> Vector:
     return tuple(frac(e) for e in entries)
 
 
-def zero_vector(n: int) -> Vector:
-    return (_ZERO,) * n
-
-
 def unit_vector(n: int, i: int) -> Vector:
     v = [_ZERO] * n
     v[i] = _ONE
@@ -124,10 +120,6 @@ class Matrix:
             r += b.rows
             c += b.cols
         return cls._shaped(out, rows, cols)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
     def row(self, i: int) -> Vector:
         return self.entries[i]

@@ -91,8 +91,8 @@ class FreeOperatedModule:
         """Defect elements -g . a of the coupled axiom, for each basis word a
         of depth <= max_depth and each ring ideal generator g, in that order.
 
-        With g = Q_a r Q_b - P_a(r) Q_b + Q_b P_a(r) + l_b Q_a r + l_a Q_b r
-        (`OperatorRing.ideal_generator`), -g . a is
+        For g the generator at 1 Q_a r Q_b 1 (`OperatorRing.ideal_generator`),
+        -g . a is
 
             P_a(r) m_b'(a) - m_a'(r m_b'(a)) - m_b'(P_a(r) a)
                 - l_b m_a'(r a) - l_a m_b'(r a),

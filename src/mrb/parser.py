@@ -10,18 +10,21 @@ Operator-ring words are whitespace separated with bracketed letters,
 ``e1 Q[1] e2``; a module word appends ``: x``.  Mixable-tensor words are
 dot separated, ``b1 . w1 . b2 : x``.  Words may be parenthesized.  The text
 ``0`` denotes the zero element.  The scanner is one regular expression
-with an alternative per lexeme class.  Module words of both syntaxes bind
-to `FreeModuleElement`s, a dotted word b1 . w1 . b2 : x being the pair
-(b1 Q[w1] b2, x), through one binder that reads the syntax off its
-argument; one word renderer serves both printers, which differ only in
-separators and term order.  Printing is canonical (terms in element order,
-or by depth then generator for dotted words, unit coefficients dropped),
-and parse o print is the identity on canonical forms.
+with an alternative per lexeme class, placing each token by its offset.
+One word loop parses both syntaxes: the token after the first slot picks
+the separator, and only a dotted word requires ``: x``.  Module words of
+both syntaxes bind to `FreeModuleElement`s, a dotted word b1 . w1 . b2 : x
+being the pair (b1 Q[w1] b2, x), through one binder that reads the syntax
+off its argument; one word renderer serves both printers, which differ
+only in separators and term order.  Printing is canonical (terms in element
+order, or by depth then generator for dotted words, unit coefficients
+dropped), and parse o print is the identity on canonical forms.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -54,35 +57,35 @@ _SYMBOLS = {"+": "PLUS", "-": "MINUS", "*": "STAR", "(": "LPAREN", ")": "RPAREN"
 # one alternative per lexeme class, tried in order; STRAY takes any other
 # character, so the matches tile the text
 _TOKEN_RE = re.compile("|".join([
-    r"(?P<NEWLINE>\n)", r"(?P<SPACE>[^\S\n]+)",
-    r"(?P<QLABEL>Q\[[^\]]*\])", r"(?P<UNTERMINATED>Q\[)",
+    r"(?P<SPACE>\s+)", r"(?P<QLABEL>Q\[[^\]]*\])", r"(?P<UNTERMINATED>Q\[)",
     r"(?P<NUMBER>[0-9]+(?:/[0-9]+)?)", r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)",
     *(f"(?P<{kind}>{re.escape(ch)})" for ch, kind in _SYMBOLS.items()),
     r"(?P<STRAY>.)"]), re.DOTALL)
 
 
 def tokenize(text: str) -> list[Token]:
-    """The tokens of text, each at its 1-based line and column, closed by END."""
+    """The tokens of text, closed by END, each at the 1-based line and column
+    of its offset; an unterminated operator letter is reported at the end."""
+    starts = [0] + [m.end() for m in re.finditer("\n", text)]
+
+    def at(offset: int) -> tuple[int, int]:
+        line = bisect_right(starts, offset)
+        return line, offset - starts[line - 1] + 1
+
     tokens: list[Token] = []
-    line, col = 1, 1
     for m in _TOKEN_RE.finditer(text):
         kind, lexeme = m.lastgroup, m.group()
-        if kind == "NEWLINE":
-            line, col = line + 1, 1
-            continue
         if kind == "STRAY":
-            raise ExpressionError(f"unexpected character {lexeme!r}", line, col)
+            raise ExpressionError(f"unexpected character {lexeme!r}", *at(m.start()))
         if kind == "UNTERMINATED":
-            raise ExpressionError("unterminated operator letter", line, col + len(text) - m.start())
+            raise ExpressionError("unterminated operator letter", *at(len(text)))
         if kind == "QLABEL":
-            label = lexeme[2:-1].strip()
-            if not label:
-                raise ExpressionError("empty operator letter", line, col + 2)
-            tokens.append(Token(kind, label, line, col))
-        elif kind != "SPACE":
-            tokens.append(Token(kind, lexeme, line, col))
-        col += len(lexeme)
-    tokens.append(Token("END", "", line, col))
+            lexeme = lexeme[2:-1].strip()
+            if not lexeme:
+                raise ExpressionError("empty operator letter", *at(m.start() + 2))
+        if kind != "SPACE":
+            tokens.append(Token(kind, lexeme, *at(m.start())))
+    tokens.append(Token("END", "", *at(len(text))))
     return tokens
 
 
@@ -166,34 +169,21 @@ class _Parser:
             inner = self.word()
             self.expect("RPAREN", "')'")
             return inner
-        slot = self._slot("basis label")
-        if self.peek().kind == "DOT":
-            slots = [slot]
-            ops = []
-            while self.peek().kind == "DOT":
-                self.advance()
-                ops.append(self._slot("operator label"))
+        slots, ops = [self._slot("basis label")], []
+        sep = self.peek().kind if self.peek().kind in ("DOT", "QLABEL") else None
+        while self.peek().kind == sep:
+            letter = self.advance().text
+            if sep == "DOT":
+                letter = self._slot("operator label")
                 self.expect("DOT", "'.'")
-                slots.append(self._slot("basis label"))
+            ops.append(letter)
+            slots.append(self._slot("basis label"))
+        gen = None
+        if sep == "DOT" or self.peek().kind == "COLON":
             self.expect("COLON", "':'")
             gen = self._slot("generator name")
-            return WordAst(tuple(slots), tuple(ops), gen, "operated")
-        if self.peek().kind == "QLABEL":
-            slots = [slot]
-            ops = []
-            while self.peek().kind == "QLABEL":
-                ops.append(self.advance().text)
-                slots.append(self._slot("basis label"))
-            gen = None
-            if self.peek().kind == "COLON":
-                self.advance()
-                gen = self._slot("generator name")
-            return WordAst(tuple(slots), tuple(ops), gen, "op")
-        if self.peek().kind == "COLON":
-            self.advance()
-            gen = self._slot("generator name")
-            return WordAst((slot,), (), gen, "plain")
-        return WordAst((slot,), (), None, "plain")
+        kind = "operated" if sep == "DOT" else "op" if ops else "plain"
+        return WordAst(tuple(slots), tuple(ops), gen, kind)
 
     def _slot(self, what: str) -> str:
         tok = self.peek()

@@ -342,7 +342,8 @@ def tensor_preserves_injection(fixed, injection: ModuleHom, name: str = "") -> P
     witness = None if preserved else kernel.basis[0]
     return ProbeResult(
         name or "probe",
-        {"source_tensor": src.dim, "target_tensor": dst.dim, "rank": induced.rank()},
+        # rank-nullity: the kernel already computed gives the rank
+        {"source_tensor": src.dim, "target_tensor": dst.dim, "rank": src.dim - kernel.dim},
         "preserved" if preserved else "broken",
         witness,
     )
@@ -376,16 +377,6 @@ class TensorUnitReport:
     def isomorphism(self) -> bool:
         return self.well_defined and self.injective and self.surjective
 
-    def to_json(self) -> dict:
-        return {
-            "tensor_dim": self.tensor_dim,
-            "module_dim": self.module_dim,
-            "well_defined": self.well_defined,
-            "injective": self.injective,
-            "surjective": self.surjective,
-            "isomorphism": self.isomorphism,
-        }
-
 
 def tensor_unit_check(m: FdRightModule) -> TensorUnitReport:
     """Measure the evaluation map M (x) R -> M, m (x) r -> m.r.
@@ -414,14 +405,6 @@ class DirectSumTensorReport:
     @property
     def ok(self) -> bool:
         return self.mutually_inverse and self.sum_dim == sum(self.part_dims)
-
-    def to_json(self) -> dict:
-        return {
-            "sum_dim": self.sum_dim,
-            "part_dims": list(self.part_dims),
-            "dims_add": self.sum_dim == sum(self.part_dims),
-            "mutually_inverse": self.mutually_inverse,
-        }
 
 
 def direct_sum_tensor_check(s: FdRightModule, parts: Sequence[FdLeftModule]) -> DirectSumTensorReport:

@@ -219,6 +219,8 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
          "relations must be a JSON array of length-2 vectors"),
         (["oracle", "scaled_projection(1,2)", "--max-qdegree", "-2"],
          "--max-qdegree must be nonnegative"),
+        (["oracle", "upper_triangular(1,2)", "--max-qdegree", "8"],
+         "oracle budget exceeded: 6046617 words in the truncation, budget 200000"),
         (["confluence", "scaled_projection(1,2)", "--max-qdegree", "-1"],
          "--max-qdegree must be nonnegative"),
         (["normalize", "scaled_projection(1,2)", "e9 Q[1] e2"],

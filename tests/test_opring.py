@@ -449,6 +449,19 @@ def test_confluence_search_budget_is_a_named_error():
     assert len(ring.word_normal_forms(w, budget=4)) > 1
 
 
+def test_oracle_budget_counts_words_before_building_them(monkeypatch):
+    # upper_triangular(1,2) has 3 * (6^9 - 1) / 5 words of q_degree <= 8
+    ring = OperatorRing(upper_triangular_instance((1, 2)))
+    assert ring.truncated_quotient_oracle(4).word_count == 4665
+    monkeypatch.setattr(OperatorRing, "basis_words", lambda *args: pytest.fail("words built"))
+    for call in (ring.truncated_quotient_oracle, lambda k: ring.ideal_contains(ring.unit(), k)):
+        with pytest.raises(BudgetExceeded) as info:
+            call(8)
+        assert (info.value.budget, info.value.count) == (200000, 6046617)
+        assert str(info.value) == ("oracle budget exceeded: 6046617 words in the truncation, "
+                                   "budget 200000")
+
+
 # -- free module over generators -------------------------------------------------
 
 def test_free_module_unit_word_fixed(ring12):
@@ -502,3 +515,10 @@ def test_ideal_generator_rejects_an_index_outside_the_basis():
     for i in (-1, 3):
         with pytest.raises(ValueError, match=f"basis index {i} out of range"):
             ring.ideal_generator(i, "1", "2")
+
+
+def test_ideal_generator_rejects_an_unknown_label():
+    ring = OperatorRing(upper_triangular_instance((1, 2)))
+    for labels in (("9", "1"), ("1", "9")):
+        with pytest.raises(KeyError):
+            ring.ideal_generator(0, *labels)

@@ -5,10 +5,11 @@ forms, products and the rows of the completion and the oracle in integers
 over one denominator.  The reference below is the rational arithmetic it
 replaced: each contraction emitted term by term in Fractions, normal forms
 summed in Fractions, products concatenated word by word, the all-orders
-search adding scaled elements, and the completion and oracle rows built as
-Fraction rows.  Both must give the same elements term for term, with
-`Fraction` coefficients, on every catalog instance and on two reweighted
-instances whose images and weights have denominators 2 and 4.
+search adding scaled elements, the completion and oracle rows built as
+Fraction rows, and the ideal's generators as sums of five expanded words.
+Both must give the same elements term for term, with `Fraction`
+coefficients, on every catalog instance and on two reweighted instances
+whose images and weights have denominators 2 and 4.
 """
 
 import itertools
@@ -205,6 +206,17 @@ class Reference:
         apps = sum(self.nf_word(cls.split(k)[0])[1] for k, _ in e.terms)
         return cls.from_dict(out), apps
 
+    def ideal_generator(self, r_index: int, alpha: str, beta: str) -> OpElement:
+        """Q_a r Q_b - P_a(r) Q_b + Q_b P_a(r) + l_b Q_a r + l_a Q_b r, as a sum
+        of five expanded words."""
+        ring, alg = self.ring, self.inst.algebra
+        r, u = alg.basis_vector(r_index), alg.unit
+        p = self.inst.apply_operator(alpha, r)
+        la, lb = self.inst.weight(alpha), self.inst.weight(beta)
+        return (ring.word_element([u, r, u], [alpha, beta]) - ring.word_element([p, u], [beta])
+                + ring.word_element([u, p], [beta]) + ring.word_element([u, r], [alpha]).scale(lb)
+                + ring.word_element([u, r], [beta]).scale(la))
+
     def oracle(self, max_qdegree: int) -> OracleResult:
         ring = self.ring
         words = ring.basis_words(max_qdegree)
@@ -267,6 +279,15 @@ def test_contractions_and_word_normal_forms_match(pair):
         den = ring._nf_den(w.q_degree)
         assert (OpElement.from_dict({OpWord(*w3): Fraction(n, den) for w3, n in nf.items()}), apps) \
             == ref.nf_word(w)
+
+
+def test_ideal_generators_match_the_five_term_formula(pair):
+    ring, ref = pair
+    inst = ring.inst
+    generators = ring.ideal_generators()
+    fractions_only(*generators)
+    assert generators == [ref.ideal_generator(i, a, b)
+                          for i in range(inst.dim) for a in inst.omega for b in inst.omega]
 
 
 def test_products_match(pair):

@@ -67,6 +67,16 @@ def test_error_positions_various():
     ("e1 e2", "unexpected trailing input", 1, 4),
     ("- e1", "expected rational coefficient", 1, 3),
     ("e1\n+ e2 Q[1]", "expected basis label", 2, 10),
+    # the word loop's other errors
+    ("e1 . . e2 : x", "expected operator label", 1, 6),
+    ("e1 . 1 e2 : x", "expected '.'", 1, 8),
+    ("e1 . 1 . e2", "expected ':'", 1, 12),
+    ("e1 Q[1] e2 : +", "expected generator name", 1, 14),
+    ("(e1 e2)", "expected ')'", 1, 5),
+    # a newline inside an operator letter moves the tokens after it
+    ("e1 Q[1\n] e2 #", "unexpected character '#'", 2, 6),
+    ("e1 Q[1\n e2", "unterminated operator letter", 2, 4),
+    ("e1 Q[\n1] : x\n  #", "unexpected character '#'", 3, 3),
 ])
 def test_error_messages_and_positions(text, message, line, column):
     with pytest.raises(ExpressionError) as err:

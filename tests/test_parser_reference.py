@@ -4,7 +4,9 @@
 reference below is the character loop it replaced.  Both must give the same
 tokens (kind, text, line, column) or the same error (message, line,
 column) on any text over the grammar's characters, newlines, other
-whitespace and stray characters.
+whitespace and stray characters.  A newline inside an operator letter moves
+the tokens after it to the next line, and an unterminated letter is
+reported at the end of the text.
 """
 
 import re
@@ -17,6 +19,13 @@ _NUMBER_RE = re.compile(r"[0-9]+(/[0-9]+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _SYMBOLS = {"+": "PLUS", "-": "MINUS", "*": "STAR", "(": "LPAREN", ")": "RPAREN",
             ".": "DOT", ":": "COLON"}
+
+
+def advance(line: int, col: int, chunk: str) -> tuple[int, int]:
+    """The position just past chunk, for chunk starting at (line, col)."""
+    if "\n" in chunk:
+        return line + chunk.count("\n"), len(chunk) - chunk.rfind("\n")
+    return line, col + len(chunk)
 
 
 def reference_tokenize(text: str) -> list[Token]:
@@ -38,12 +47,12 @@ def reference_tokenize(text: str) -> list[Token]:
         if ch == "Q" and i + 1 < n and text[i + 1] == "[":
             j = text.find("]", i + 2)
             if j < 0:
-                raise ExpressionError("unterminated operator letter", line, col + 2 + (n - i - 2))
+                raise ExpressionError("unterminated operator letter", *advance(line, col, text[i:]))
             label = text[i + 2:j].strip()
             if not label:
                 raise ExpressionError("empty operator letter", line, col + 2)
             tokens.append(Token("QLABEL", label, line, col))
-            col += j + 1 - i
+            line, col = advance(line, col, text[i:j + 1])
             i = j + 1
             continue
         m = _NUMBER_RE.match(text, i)

@@ -5,7 +5,8 @@
 never wrapped, so its per-layer metric reads zero without any error; these
 tests make such a rename fail here instead.  The last tests pin how
 `tools/bench_pairs.py` counts a pair as won in each metric direction and
-how it judges a metric against its bound.
+how it judges a metric against its bound, and which lines `tools/loc.py`
+counts as code.
 """
 
 import importlib
@@ -97,3 +98,27 @@ def test_bench_pairs_verdicts_against_the_bound():
     # the median moved the wrong way by 0.5, within the bound
     assert tool.verdict(higher, steady, [9.5, 10, 12]) == "within bound"
     assert tool.verdict(lower, steady, [9, 11, 12]) == "within bound"
+
+
+def test_loc_counts_code_lines_only(tmp_path):
+    # docstrings, comment-only lines and blank lines are left out; code lines
+    # and a multi-line string that is not a docstring are counted
+    sample = tmp_path / "sample.py"
+    sample.write_text('''"""Module docstring,
+over two lines."""
+
+# a comment-only line
+import os  # a trailing comment
+
+
+class C:
+    """Class docstring."""
+
+    def f(self):
+        """Method docstring,
+        over two lines."""
+        text = """a string
+that is not a docstring"""
+        return text, os
+''')
+    assert _load_tool("loc").count(sample) == (16, 6)
