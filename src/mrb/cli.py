@@ -7,9 +7,9 @@ order and calls the handler with the loaded values.
 
 Exit codes: 0 success / all checks clean, 1 check violations or failed
 verdicts (report still emitted), 2 input errors, usage errors and
-arguments that do not fit together included, and a confluence search or an
-oracle truncation that exceeds its budget (`opring.BudgetExceeded`; the
-error names the budget and the count reached);
+arguments that do not fit together included, and a confluence search, a
+confluence probe or an oracle truncation that exceeds its budget
+(`opring.BudgetExceeded`; the error names the budget and the count reached);
 an error is reported as ``{"command": ..., "error": ...}``.  Reports are
 emitted as canonically ordered JSON so identical inputs produce
 byte-identical output; ``--pretty`` switches to indented rendering.

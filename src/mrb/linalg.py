@@ -4,7 +4,8 @@ Everything in this package reduces to linear algebra over the rationals:
 axiom checking, Hom spaces, quotients, tensor products.  This module is the
 single substrate for those computations, with one elimination engine,
 :class:`SparseRowSpace`, under :meth:`Matrix.rref` and all that uses it.
-All arithmetic uses :class:`fractions.Fraction`, so results are exact and
+All arithmetic is exact: values are :class:`fractions.Fraction`, and the
+engine eliminates in integers and divides only for its reduced rows, so
 every predicate (rank, membership, equality) is decided without tolerances.
 
 Vectors are plain tuples of Fractions.  Matrices act on column vectors:
@@ -26,6 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -415,28 +417,43 @@ def _kernel(rows: Iterable[dict[int, Fraction]], cols: int) -> tuple[list[int], 
     return free, tuple(tuple(kernel[f]) for f in free)
 
 
-def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
-    """row -= f * other in place, dropping entries that cancel."""
-    for c, v in other.items():
-        nv = row.get(c, _ZERO) - f * v
-        if nv == 0:
-            row.pop(c, None)
-        else:
+def _eliminate(row: dict[int, int], col: int, pivot: dict[int, int]) -> dict[int, int]:
+    """(p/g) row - (r/g) pivot, which is 0 at col, for r = row[col], p =
+    pivot[col] > 0 and g their gcd; row is changed in place when p/g is 1,
+    and entries that cancel are dropped."""
+    r, p = row[col], pivot[col]
+    g = gcd(r, p)
+    r, p = r // g, p // g
+    if p != 1:
+        row = {c: p * v for c, v in row.items()}
+    for c, v in pivot.items():
+        nv = row.get(c, 0) - r * v
+        if nv:
             row[c] = nv
+        else:
+            del row[c]
+    return row
 
 
 class SparseRowSpace:
-    """Incremental echelon form over sparse rational rows.
+    """Incremental echelon form over sparse rational rows, eliminated in
+    integers.
 
-    Rows are dicts mapping column index to a nonzero Fraction.  The pivot of
-    a row is its largest column index, so when columns are ordered by word
-    degree the elimination mirrors degree-lowering rewriting and fill-in
-    stays small.  It is the package's one elimination engine: the truncated
-    ideal spans use it directly, :meth:`Matrix.rref` with columns reversed.
+    Rows are dicts mapping column index to an int or a Fraction; a row of
+    Fractions is cleared to integers once, on entry.  Each pivot row is kept
+    as a primitive integer row (the gcd of its entries removed) with a
+    positive leading entry, and a row is reduced against pivot p by
+    row <- (p_lead/g) row - (row_lead/g) p, with no division (Bareiss, Math.
+    Comp. 22, 1968).  The pivot of a row is its largest column index, so
+    when columns are ordered by word degree the elimination mirrors
+    degree-lowering rewriting and fill-in stays small.  Only
+    :meth:`reduced_rows` divides.  It is the package's one elimination
+    engine: the truncated ideal spans use it directly, :meth:`Matrix.rref`
+    with columns reversed.
     """
 
     def __init__(self):
-        self._pivots: dict[int, dict[int, Fraction]] = {}
+        self._pivots: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
@@ -446,38 +463,45 @@ class SparseRowSpace:
     def pivot_columns(self) -> set[int]:
         return set(self._pivots)
 
-    def reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
-        row = {c: v for c, v in row.items() if v != 0}
+    def reduce(self, row: dict) -> dict[int, int]:
+        """The remainder of row against the pivots, as an integer row: a
+        nonzero multiple of the rational remainder, or empty when row lies
+        in the span."""
+        den = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         while row:
             lead = max(row)
             pivot = self._pivots.get(lead)
             if pivot is None:
-                return row
-            _subtract(row, row[lead], pivot)
+                break
+            row = _eliminate(row, lead, pivot)
         return row
 
-    def add(self, row: dict[int, Fraction]) -> bool:
+    def add(self, row: dict) -> bool:
         """Insert a row; returns True if it enlarged the span."""
         row = self.reduce(row)
         if not row:
             return False
         lead = max(row)
-        inv = _ONE / row[lead]
-        self._pivots[lead] = {c: v * inv for c, v in row.items()}
+        g = gcd(*row.values())
+        g = g if row[lead] > 0 else -g
+        self._pivots[lead] = {c: v // g for c, v in row.items()}
         return True
 
-    def contains(self, row: dict[int, Fraction]) -> bool:
+    def contains(self, row: dict) -> bool:
         return not self.reduce(row)
 
     def reduced_rows(self) -> dict[int, dict[int, Fraction]]:
         """The unique fully interreduced basis of the span, by pivot column:
-        each row is monic and holds no other row's pivot column."""
-        out: dict[int, dict[int, Fraction]] = {}
+        each row is monic and holds no other row's pivot column.  Rows are
+        interreduced in integers and divided by their leading entries last."""
+        out: dict[int, dict[int, int]] = {}
         for lead in sorted(self._pivots):
             row = dict(self._pivots[lead])
             # lower rows are already reduced, so clearing one pivot column
             # never brings in another
             for c in [c for c in row if c != lead and c in out]:
-                _subtract(row, row[c], out[c])
+                row = _eliminate(row, c, out[c])
             out[lead] = row
-        return out
+        return {lead: {c: Fraction(v, row[lead]) for c, v in row.items()}
+                for lead, row in out.items()}

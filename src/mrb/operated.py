@@ -97,12 +97,18 @@ class FreeOperatedModule:
             P_a(r) m_b'(a) - m_a'(r m_b'(a)) - m_b'(P_a(r) a)
                 - l_b m_a'(r a) - l_a m_b'(r a),
 
-        two levels deeper than a.
+        two levels deeper than a.  The ring forms -g . e_i once per defect
+        and first slot i, in integers and sorted; -g . a for a = e_i rest is
+        that element with rest's slots and letters appended to every word,
+        which keeps the order, so no element is sorted again.
         """
-        ring = self.ring
+        ring, d = self.ring, self.inst.dim
         defects = [-g for g in ring.ideal_generators()]
-        return [ring.act(g, FreeModuleElement(((a, Fraction(1)),)))
-                for a in self.basis_words(max_depth) for g in defects]
+        heads = [[ring.multiply(g, ring.element((i,), ())).terms for g in defects]
+                 for i in range(d)]
+        return [FreeModuleElement(tuple(((OpWord(w.slots + a.slots[1:], w.ops + a.ops), gen), c)
+                                        for w, c in head))
+                for a, gen in self.basis_words(max_depth) for head in heads[a.slots[0]]]
 
     # -- universal property --------------------------------------------------
 

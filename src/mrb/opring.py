@@ -39,8 +39,11 @@ integer combination over D^(2(k-1)).  Products, normal forms and the rows
 of the completion and the oracle clear their inputs' denominators once,
 run in `int` on words kept as (slots, ops) tuples, and divide once at the
 boundary: every coefficient an element of this module holds is a
-`Fraction`.  Rows enter `SparseRowSpace` as integer rows, since scaling a
-row does not change its span.
+`Fraction`.  Rows enter `SparseRowSpace` as integer rows, and the engine
+eliminates them in integers too: its remainders, which the completion adjoins
+and multiplies further, are integer multiples of the rational ones, and
+scaling a row does not change its span.  Only the reduced rows that become
+the linear rules are divided.
 """
 
 from __future__ import annotations
@@ -240,12 +243,18 @@ class OracleBudgetExceeded(BudgetExceeded):
     counted = "oracle budget exceeded: {count} words in the truncation"
 
 
+class ProbeBudgetExceeded(BudgetExceeded):
+    """The confluence probe was asked for more words than its budget allows."""
+
+    counted = "confluence probe budget exceeded: {count} words of q_degree 3 and more"
+
+
 # A word inside the integer kernels: the (slots, ops) of an OpWord.
 _Raw = tuple[tuple[int, ...], tuple[str, ...]]
 _BUDGET = 50000
-# words of q_degree <= k in one oracle, 40 times the most the tests and the
+# words of one oracle or confluence probe, 40 times the most the tests and the
 # benchmark use; upper_triangular(1,2) at k = 6, 167,961 words, takes 30 s on 2 vCPUs
-_ORACLE_BUDGET = 200000
+_WORD_BUDGET = 200000
 
 
 def _raw(w: OpWord) -> _Raw:
@@ -550,10 +559,12 @@ class OperatorRing:
                 c *= top // self._nf_den(len(w[1]))
                 for w2, c2 in self._nf_word(w)[0].items():
                     row[index[w2]] = row.get(index[w2], 0) + c * c2
+            # the engine's remainder is an integer multiple of the rational
+            # one, so it spans what that does
             row = space.reduce(row)
             if row:
                 space.add(row)
-                fresh.append([(raw_low[i], n) for i, n in _cleared(list(row.items()))[1]])
+                fresh.append([(raw_low[i], n) for i, n in row.items()])
 
         # seeds lambda_a e_i Q_c e_j - lambda_c e_i Q_a e_j: the overlap
         # differences with their outer algebra factors split over basis
@@ -625,8 +636,19 @@ class OperatorRing:
         return frozenset(_collect(OpElement, {None: dict(nf)}, den)
                          for nf in self._word_normal_forms(_raw(w), budget))
 
+    def _check_word_count(self, error: type[BudgetExceeded], lo: int, hi: int) -> None:
+        """Raise error before any word is built when the words of q_degree
+        lo..hi are more than `_WORD_BUDGET`."""
+        d, s = self.inst.dim, len(self.inst.omega)
+        count = sum(d ** (q + 1) * s ** q for q in range(lo, hi + 1))
+        if count > _WORD_BUDGET:
+            raise error(_WORD_BUDGET, count)
+
     def confluence_probe(self, max_qdegree: int) -> ConfluenceReport:
-        """Reduce every overlap word (q_degree >= 3) via all redex orders."""
+        """Reduce every overlap word (q_degree >= 3) via all redex orders.
+        More than `_WORD_BUDGET` such words raise `ProbeBudgetExceeded`
+        before any is built."""
+        self._check_word_count(ProbeBudgetExceeded, 3, max_qdegree)
         discrepancies = []
         probed = 0
         for w in self.basis_words(max_qdegree, min_qdegree=3):
@@ -655,10 +677,7 @@ class OperatorRing:
         cached = self._oracle_cache.get(max_qdegree)
         if cached is not None:
             return cached
-        d, s = self.inst.dim, len(self.inst.omega)
-        count = sum(d ** (q + 1) * s ** q for q in range(max_qdegree + 1))
-        if count > _ORACLE_BUDGET:
-            raise OracleBudgetExceeded(_ORACLE_BUDGET, count)
+        self._check_word_count(OracleBudgetExceeded, 0, max_qdegree)
         words = self.basis_words(max_qdegree)
         index = {_raw(w): i for i, w in enumerate(words)}
         rows = SparseRowSpace()
@@ -685,7 +704,7 @@ class OperatorRing:
         Generator multiples whose leading degree exceeds the truncation are
         discarded, so the span under-approximates the ideal; at small degree
         the rewriting system is compared against it for exact agreement.
-        A truncation of more than `_ORACLE_BUDGET` words raises
+        A truncation of more than `_WORD_BUDGET` words raises
         `OracleBudgetExceeded` before any word is built.
         """
         if max_qdegree < 0:

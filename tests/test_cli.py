@@ -138,6 +138,21 @@ def test_confluence_budget_is_reported_as_an_input_error(monkeypatch):
     }
 
 
+def test_confluence_probe_under_its_word_budget_runs(monkeypatch):
+    # upper_triangular(1,2) at k = 6 holds 167,832 words of q_degree 3..6:
+    # the probe lists them, here as none, and the verb reports exit 0
+    listed = []
+
+    def basis_words(ring, max_qdegree, min_qdegree=0):
+        listed.append((min_qdegree, max_qdegree))
+        return []
+
+    monkeypatch.setattr(opring.OperatorRing, "basis_words", basis_words)
+    code, out = run_cli(["confluence", "upper_triangular(1,2)", "--max-qdegree", "6"])
+    assert (code, listed) == (0, [(3, 6)])
+    assert json.loads(out)["probed"] == 0
+
+
 def test_input_errors_exit_2_with_json_error(tmp_path):
     not_an_object = tmp_path / "list.json"
     not_an_object.write_text("[1, 2]")
@@ -223,6 +238,9 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
          "oracle budget exceeded: 6046617 words in the truncation, budget 200000"),
         (["confluence", "scaled_projection(1,2)", "--max-qdegree", "-1"],
          "--max-qdegree must be nonnegative"),
+        (["confluence", "upper_triangular(1,2)", "--max-qdegree", "7"],
+         "confluence probe budget exceeded: 1007640 words of q_degree 3 and more, "
+         "budget 200000"),
         (["normalize", "scaled_projection(1,2)", "e9 Q[1] e2"],
          "unknown basis label 'e9'"),
         (["normalize", "scaled_projection(1,2)", "e1 . 9 . e2 : x"],

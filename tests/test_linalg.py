@@ -18,6 +18,7 @@ from mrb.linalg import (
     rank,
     unit_vector,
 )
+from test_opring_reference import FractionRowSpace
 
 rationals = st.builds(
     Fraction, st.integers(-9, 9), st.integers(1, 4)
@@ -350,12 +351,44 @@ def test_sparse_row_space_takes_integer_rows_exactly(rows, scales):
         rational.add(dict(row))
         integral.add(cleared(row, k))
         multiples.add({c: v * k for c, v in row.items()})
+    expected = rational.reduced_rows()
     for space in (integral, multiples):
-        assert all(type(v) is Fraction for p in space._pivots.values() for v in p.values())
         reduced = space.reduced_rows()
         assert all(type(v) is Fraction for r in reduced.values() for v in r.values())
-        assert reduced == rational.reduced_rows()
-        assert space.rank == rational.rank
+        assert reduced == expected
+        assert space.rank == rational.rank == len(expected)
+        assert space.pivot_columns == rational.pivot_columns == set(expected)
+        for row, k in zip(rows, scales):
+            assert space.contains(row) and space.contains(cleared(row, k + 1))
+        # a unit row off the pivot columns reduces to itself
+        for c in set(range(6)) - set(expected):
+            assert not space.contains({c: Fraction(1, 3)})
+
+
+mixed = st.one_of(st.integers(-9, 9), rationals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 6), mixed, max_size=5), max_size=8),
+       st.dictionaries(st.integers(0, 6), mixed, max_size=5))
+def test_sparse_row_space_matches_the_fraction_reference(rows, probe):
+    # the reference eliminates in Fractions and keeps its pivots monic
+    ours, ref = SparseRowSpace(), FractionRowSpace()
+    for row in rows:
+        assert ours.add(dict(row)) == ref.add(dict(row))
+    reduced = ours.reduced_rows()
+    assert all(type(v) is Fraction for r in reduced.values() for v in r.values())
+    assert reduced == ref.reduced_rows()
+    assert (ours.rank, ours.pivot_columns) == (ref.rank, ref.pivot_columns)
+    # the remainder is an integer row, a nonzero multiple of the reference's
+    mine, theirs = ours.reduce(dict(probe)), ref.reduce(dict(probe))
+    assert all(type(v) is int for v in mine.values())
+    assert set(mine) == set(theirs)
+    if theirs:
+        lead = max(theirs)
+        ratio = Fraction(mine[lead]) / theirs[lead]
+        assert all(mine[c] == ratio * theirs[c] for c in theirs)
+    assert ours.contains(probe) == ref.contains(probe) == (not theirs)
 
 
 def test_integer_pivot_is_inverted_exactly():

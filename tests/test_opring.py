@@ -10,7 +10,14 @@ from mrb.core import (
     scaled_projection,
     upper_triangular_instance,
 )
-from mrb.opring import BudgetExceeded, FreeModuleElement, OpElement, OperatorRing, OpWord
+from mrb.opring import (
+    BudgetExceeded,
+    FreeModuleElement,
+    OpElement,
+    OperatorRing,
+    OpWord,
+    ProbeBudgetExceeded,
+)
 from mrb.operated import FreeOperatedModule
 
 
@@ -460,6 +467,28 @@ def test_oracle_budget_counts_words_before_building_them(monkeypatch):
         assert (info.value.budget, info.value.count) == (200000, 6046617)
         assert str(info.value) == ("oracle budget exceeded: 6046617 words in the truncation, "
                                    "budget 200000")
+
+
+def test_confluence_probe_counts_words_before_listing_them(monkeypatch):
+    # upper_triangular(1,2) has 3^(q+1) 2^q words of q_degree q: 167,832 of
+    # q_degree 3..6, under the budget, and 1,007,640 of q_degree 3..7
+    ring = OperatorRing(upper_triangular_instance((1, 2)))
+    listed = []
+
+    def basis_words(self, max_qdegree, min_qdegree=0):
+        listed.append((min_qdegree, max_qdegree))
+        return []
+
+    monkeypatch.setattr(OperatorRing, "basis_words", basis_words)
+    with pytest.raises(ProbeBudgetExceeded) as info:
+        ring.confluence_probe(7)
+    assert isinstance(info.value, BudgetExceeded)
+    assert (info.value.budget, info.value.count) == (200000, 1007640)
+    assert str(info.value) == ("confluence probe budget exceeded: 1007640 words of q_degree "
+                               "3 and more, budget 200000")
+    assert listed == []
+    assert ring.confluence_probe(6).probed == 0
+    assert listed == [(3, 6)]
 
 
 # -- free module over generators -------------------------------------------------
