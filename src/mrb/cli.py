@@ -9,7 +9,8 @@ Exit codes: 0 success / all checks clean, 1 check violations or failed
 verdicts (report still emitted), 2 input errors, usage errors and
 arguments that do not fit together included, and a confluence search, a
 confluence probe or an oracle truncation that exceeds its budget
-(`opring.BudgetExceeded`; the error names the budget and the count reached);
+(`opring.BudgetExceeded`; the error names the budget and the count reached),
+and input too deeply nested or a word too long for the recursion limit;
 an error is reported as ``{"command": ..., "error": ...}``.  Reports are
 emitted as canonically ordered JSON so identical inputs produce
 byte-identical output; ``--pretty`` switches to indented rendering.
@@ -369,6 +370,8 @@ def main(argv=None, stdout=None) -> int:
     except (InputError, ArgumentError, expr.ExpressionError, KeyError,
             json.JSONDecodeError, opring.BudgetExceeded) as exc:
         code, report = 2, {"error": _message(exc)}
+    except RecursionError:
+        code, report = 2, {"error": "input nested too deeply or word too long"}
     except (PreconditionError, ClosureViolationError, ValueError) as exc:
         code, report = 1, {"error": str(exc)}
     layout = {"indent": 2} if pretty else {"separators": (",", ":")}

@@ -9,13 +9,14 @@ action: the algebra element r acts as the ring element r, and the operator
 m_a as 1 Q[a] 1.  The depth of a word is its slot count n, one more than
 the q_degree of its operator word; operators raise depth by one and the
 algebra action multiplies into the leading slot, so elements are graded by
-depth.  Slots hold basis indices; words with general vector slots expand
-multilinearly, which makes equality a coefficient comparison.
+depth.  The basis words of one depth are the ring's words of one q_degree
+(`opring.words_of_degree`), closed by each generator in turn.  Slots hold
+basis indices; words with general vector slots expand multilinearly, which
+makes equality a coefficient comparison.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,7 +25,7 @@ from typing import Mapping, Sequence
 from .core import MrbAlgebraInstance
 from .linalg import Vector, frac, vector
 from .modules import FdLeftModule
-from .opring import FreeModuleElement, OperatorRing, OpWord, basis_word
+from .opring import FreeModuleElement, OperatorRing, OpWord, basis_word, words_of_degree
 
 
 @dataclass(frozen=True)
@@ -77,15 +78,10 @@ class FreeOperatedModule:
     # -- enumeration ---------------------------------------------------------
 
     def basis_words(self, max_depth: int = 4) -> list[tuple[OpWord, str]]:
-        """Basis words by depth, then generator, slots and labels."""
-        d = self.inst.dim
-        out = []
-        for n in range(1, max_depth + 1):
-            for gen in self.gens.names:
-                for slots in itertools.product(range(d), repeat=n):
-                    for ops in itertools.product(self.inst.omega, repeat=n - 1):
-                        out.append((OpWord(slots, ops), gen))
-        return out
+        """Basis words by depth, then generator, then in `words_of_degree`
+        order: slots, then labels."""
+        return [(w, gen) for q in range(max_depth) for gen in self.gens.names
+                for w in words_of_degree(self.inst, q)]
 
     def ideal_generators(self, max_depth: int = 4) -> list[FreeModuleElement]:
         """Defect elements -g . a of the coupled axiom, for each basis word a
@@ -106,8 +102,8 @@ class FreeOperatedModule:
         defects = [-g for g in ring.ideal_generators()]
         heads = [[ring.multiply(g, ring.element((i,), ())).terms for g in defects]
                  for i in range(d)]
-        return [FreeModuleElement(tuple(((OpWord(w.slots + a.slots[1:], w.ops + a.ops), gen), c)
-                                        for w, c in head))
+        return [FreeModuleElement(tuple(
+                    ((OpWord._make((w.slots + a.slots[1:], w.ops + a.ops)), gen), c) for w, c in head))
                 for a, gen in self.basis_words(max_depth) for head in heads[a.slots[0]]]
 
     # -- universal property --------------------------------------------------

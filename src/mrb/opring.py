@@ -26,6 +26,10 @@ acts on those from the left.  The same pairs are the mixable-tensor words of
 the free operated module (`mrb.operated`): r1 (x) w1 (x) ... (x) rn (x) x is
 the pair (r1 Q[w1] r2 ... rn, x).
 
+A word is one value, `OpWord`, the (slots, ops) pair the integer kernels
+build and key their tables by; `words_of_degree` lists the words of one
+q_degree for the ring and for the free operated module.
+
 Elements store slots as basis indices; words built from general algebra
 vectors (including the unit, which separates adjacent operator letters in
 the free product) are expanded multilinearly into basis-slot words
@@ -37,9 +41,8 @@ them as integers times D, so one contraction has integer coefficients over
 D^2, and a word of q_degree k >= 1 has its rewriting normal form as an
 integer combination over D^(2(k-1)).  Products, normal forms and the rows
 of the completion and the oracle clear their inputs' denominators once,
-run in `int` on words kept as (slots, ops) tuples, and divide once at the
-boundary: every coefficient an element of this module holds is a
-`Fraction`.  Rows enter `SparseRowSpace` as integer rows, and the engine
+run in `int`, and divide once at the boundary: every coefficient an element
+of this module holds is a `Fraction`.  Rows enter `SparseRowSpace` as integer rows, and the engine
 eliminates them in integers too: its remainders, which the completion adjoins
 and multiplies further, are integer multiples of the rational ones, and
 scaling a row does not change its span.  Only the reduced rows that become
@@ -49,25 +52,26 @@ the linear rules are divided.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import MrbAlgebraInstance, PreconditionError
 from .linalg import SparseRowSpace, frac, vector
 
 
-@dataclass(frozen=True)
-class OpWord:
-    """Alternating word r0 Q[w1] r1 ... Q[wk] rk; slots are basis indices."""
+class OpWord(namedtuple("OpWord", "slots ops")):
+    """Alternating word r0 Q[w1] r1 ... Q[wk] rk; slots are basis indices.
+    A named (slots, ops) pair: it equals and hashes as the plain pair."""
 
-    slots: tuple[int, ...]
-    ops: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.slots) != len(self.ops) + 1:
+    def __new__(cls, slots: tuple[int, ...], ops: tuple[str, ...]):
+        if len(slots) != len(ops) + 1:
             raise ValueError("a word needs exactly one more slot than operator letters")
+        return super().__new__(cls, slots, ops)
 
     @property
     def q_degree(self) -> int:
@@ -86,6 +90,13 @@ def basis_word(inst: MrbAlgebraInstance, slots: Sequence[int], ops: Sequence[str
         if w not in inst.omega:
             raise KeyError(f"unknown operator label {w!r}")
     return OpWord(tuple(slots), tuple(ops))
+
+
+def words_of_degree(inst: MrbAlgebraInstance, q: int) -> Iterator[OpWord]:
+    """The words of q_degree q in product order: slots first, then letters in
+    `omega` order."""
+    return map(OpWord._make, itertools.product(itertools.product(range(inst.dim), repeat=q + 1),
+                                                itertools.product(inst.omega, repeat=q)))
 
 
 def expand_word(inst: MrbAlgebraInstance, vectors: Sequence[Sequence],
@@ -249,16 +260,10 @@ class ProbeBudgetExceeded(BudgetExceeded):
     counted = "confluence probe budget exceeded: {count} words of q_degree 3 and more"
 
 
-# A word inside the integer kernels: the (slots, ops) of an OpWord.
-_Raw = tuple[tuple[int, ...], tuple[str, ...]]
 _BUDGET = 50000
 # words of one oracle or confluence probe, 40 times the most the tests and the
 # benchmark use; upper_triangular(1,2) at k = 6, 167,961 words, takes 30 s on 2 vCPUs
 _WORD_BUDGET = 200000
-
-
-def _raw(w: OpWord) -> _Raw:
-    return w.slots, w.ops
 
 
 def _times(c, den: int) -> int:
@@ -273,11 +278,12 @@ def _cleared(terms: Sequence[tuple[object, Fraction]]) -> tuple[int, list[tuple[
     return den, [(k, _times(c, den)) for k, c in terms]
 
 
-def _collect(cls: type[OpElement], groups: Mapping[object, Mapping[_Raw, int]], den: int) -> OpElement:
+def _collect(cls: type[OpElement], groups: Mapping[object, Mapping[OpWord, int]], den: int) -> OpElement:
     """The element of type cls whose key `cls.join(word, tag)` has
-    coefficient n / den for every nonzero n = groups[tag][word]."""
+    coefficient n / den for every nonzero n = groups[tag][word]; the kernels'
+    plain (slots, ops) pairs become `OpWord`s here, unchecked."""
     key = cls.key_order
-    return cls(tuple(sorted(((cls.join(OpWord(*w), tag), Fraction(n, den))
+    return cls(tuple(sorted(((cls.join(OpWord._make(w), tag), Fraction(n, den))
                              for tag, combo in groups.items() for w, n in combo.items() if n),
                             key=lambda t: key(t[0]))))
 
@@ -308,12 +314,12 @@ class OperatorRing:
         self._images = {a: [scaled(v) for v in vs] for a, vs in images.items()}
         self._weights = {a: _times(c, den) for a, c in zip(inst.omega, weights)}
         self._redexes: dict[tuple, tuple[tuple[int, int, str, int], ...]] = {}
-        self._nf_cache: dict[_Raw, tuple[dict[_Raw, int], int]] = {}
-        self._cnf_cache: dict[_Raw, dict[_Raw, int]] = {}
+        self._nf_cache: dict[OpWord, tuple[dict[OpWord, int], int]] = {}
+        self._cnf_cache: dict[OpWord, dict[OpWord, int]] = {}
         self._linear_rules: dict[OpWord, OpElement] | None = None
-        self._int_rules: tuple[int, dict[_Raw, dict[_Raw, int]]] | None = None
-        self._rnf_cache: dict[_Raw, frozenset[frozenset[tuple[_Raw, int]]]] = {}
-        self._oracle_cache: dict[int, tuple[OracleResult, SparseRowSpace, dict[_Raw, int]]] = {}
+        self._int_rules: tuple[int, dict[OpWord, dict[OpWord, int]]] | None = None
+        self._rnf_cache: dict[OpWord, frozenset[frozenset[tuple[OpWord, int]]]] = {}
+        self._oracle_cache: dict[int, tuple[OracleResult, SparseRowSpace, dict[OpWord, int]]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -337,7 +343,8 @@ class OperatorRing:
 
     # -- multiplication -----------------------------------------------------
 
-    def _product(self, a: Iterable[tuple[_Raw, int]], b: Iterable[tuple[_Raw, int]]) -> dict[_Raw, int]:
+    def _product(self, a: Iterable[tuple[OpWord, int]],
+                 b: Iterable[tuple[OpWord, int]]) -> dict[OpWord, int]:
         """The product of two integer combinations of words, over D: the
         boundary slots merge through the product table, and a pair whose
         boundary product is zero is skipped."""
@@ -361,12 +368,11 @@ class OperatorRing:
         cls = type(b)
         den_a, a_int = _cleared(a.terms)
         den_b, b_int = _cleared(b.terms)
-        a_raw = [(_raw(w), c) for w, c in a_int]
-        groups: dict[object, list[tuple[_Raw, int]]] = {}
+        groups: dict[object, list[tuple[OpWord, int]]] = {}
         for key, c in b_int:
             w, tag = cls.split(key)
-            groups.setdefault(tag, []).append((_raw(w), c))
-        return _collect(cls, {tag: self._product(a_raw, b_raw) for tag, b_raw in groups.items()},
+            groups.setdefault(tag, []).append((w, c))
+        return _collect(cls, {tag: self._product(a_int, b_w) for tag, b_w in groups.items()},
                         den_a * den_b * self._d)
 
     act = multiply
@@ -396,7 +402,7 @@ class OperatorRing:
             self._redexes[key] = entries
         return entries
 
-    def _contract(self, word: _Raw, pos: int) -> list[tuple[_Raw, int]]:
+    def _contract(self, word: OpWord, pos: int) -> list[tuple[OpWord, int]]:
         """The words of the contraction at pos with their integer
         coefficients over D^2."""
         slots, ops = word
@@ -417,14 +423,14 @@ class OperatorRing:
         """
         if not 1 <= pos <= w.q_degree - 1:
             raise ValueError("no redex at this position")
-        return _collect(OpElement, {None: dict(self._contract(_raw(w), pos))}, self._d2)
+        return _collect(OpElement, {None: dict(self._contract(w, pos))}, self._d2)
 
     def _nf_den(self, q_degree: int) -> int:
         """D^(2(k-1)), the denominator of the normal form of a word of
         q_degree k (1 when k <= 1)."""
         return self._d2 ** max(q_degree - 1, 0)
 
-    def _nf_word(self, word: _Raw) -> tuple[dict[_Raw, int], int]:
+    def _nf_word(self, word: OpWord) -> tuple[dict[OpWord, int], int]:
         """Leftmost-innermost normal form of a single word, with the size of
         its full reduction tree (deterministic, cache independent).
 
@@ -438,7 +444,7 @@ class OperatorRing:
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
-        total: dict[_Raw, int] = {}
+        total: dict[OpWord, int] = {}
         apps = 1
         for w2, c in self._contract(word, 1):
             nf2, a2 = self._nf_word(w2)
@@ -467,12 +473,12 @@ class OperatorRing:
         cls = type(e)
         den, ints = _cleared(e.terms)
         top = self._nf_den(e.max_q_degree())
-        groups: dict[object, dict[_Raw, int]] = {}
+        groups: dict[object, dict[OpWord, int]] = {}
         for key, c in ints:
             w, tag = cls.split(key)
             acc = groups.setdefault(tag, {})
             c *= top // self._nf_den(w.q_degree)
-            for w3, n in self._completed_word(_raw(w)).items():
+            for w3, n in self._completed_word(w).items():
                 acc[w3] = acc.get(w3, 0) + c * n
         return _collect(cls, groups, den * top * self._int_rules[0])
 
@@ -480,17 +486,17 @@ class OperatorRing:
 
     def normalize(self, e: OpElement) -> RewriteReport:
         """`normal_form`, with the number of rewrite-rule applications."""
-        apps = sum(self._nf_word(_raw(e.split(k)[0]))[1] for k, _ in e.terms)
+        apps = sum(self._nf_word(e.split(k)[0])[1] for k, _ in e.terms)
         return RewriteReport(e, self.normal_form(e), apps)
 
-    def _completed_word(self, word: _Raw) -> dict[_Raw, int]:
+    def _completed_word(self, word: OpWord) -> dict[OpWord, int]:
         """The completed normal form of a word of q_degree k, as an integer
         combination over D^(2(k-1)) R."""
         cached = self._cnf_cache.get(word)
         if cached is None:
             self.linear_rules()
             den, rules = self._int_rules
-            out: dict[_Raw, int] = {}
+            out: dict[OpWord, int] = {}
             for w2, c in self._nf_word(word)[0].items():
                 rule = rules.get(w2)
                 if rule is None:
@@ -535,9 +541,8 @@ class OperatorRing:
             rules = {lead: {i: -c for i, c in row.items() if i != lead}
                      for lead, row in reduced.items()}
             den = lcm(*(c.denominator for rhs in rules.values() for c in rhs.values()))
-            self._int_rules = den, {
-                _raw(low[lead]): {_raw(low[i]): _times(c, den) for i, c in rhs.items()}
-                for lead, rhs in rules.items()}
+            self._int_rules = den, {low[lead]: {low[i]: _times(c, den) for i, c in rhs.items()}
+                                    for lead, rhs in rules.items()}
             self._linear_rules = {low[lead]: OpElement.from_dict({low[i]: c for i, c in rhs.items()})
                                   for lead, rhs in rules.items()}
         return self._linear_rules
@@ -546,13 +551,12 @@ class OperatorRing:
         """The words of q_degree <= 1 and the reduced rows, by leading word
         index, of the ideal's span among them."""
         low = self.basis_words(1)
-        index = {_raw(w): i for i, w in enumerate(low)}
-        raw_low = list(index)
+        index = {w: i for i, w in enumerate(low)}
         space = SparseRowSpace()
-        fresh: list[list[tuple[_Raw, int]]] = []
+        fresh: list[list[tuple[OpWord, int]]] = []
         top = self._nf_den(2)
 
-        def adjoin(e: dict[_Raw, int]) -> None:
+        def adjoin(e: dict[OpWord, int]) -> None:
             # e has q_degree <= 2; its row is the normal form over D^2
             row: dict[int, int] = {}
             for w, c in e.items():
@@ -564,7 +568,7 @@ class OperatorRing:
             row = space.reduce(row)
             if row:
                 space.add(row)
-                fresh.append([(raw_low[i], n) for i, n in row.items()])
+                fresh.append([(low[i], n) for i, n in row.items()])
 
         # seeds lambda_a e_i Q_c e_j - lambda_c e_i Q_a e_j: the overlap
         # differences with their outer algebra factors split over basis
@@ -574,7 +578,7 @@ class OperatorRing:
             for i, j in itertools.product(range(d), repeat=2):
                 adjoin({((i, j), (c,)): lam[a], ((i, j), (a,)): -lam[c]})
         gens = [[(((i,), ()), 1)] for i in range(d)]
-        gens += [[(_raw(w), n) for w, n in _cleared(self.q_letter(a).terms)[1]] for a in omega]
+        gens += [_cleared(self.q_letter(a).terms)[1] for a in omega]
         while fresh:
             e = fresh.pop()
             for g in gens:
@@ -585,18 +589,14 @@ class OperatorRing:
     # -- word enumeration ---------------------------------------------------
 
     def basis_words(self, max_qdegree: int, min_qdegree: int = 0) -> list[OpWord]:
-        d = self.inst.dim
-        out = []
-        for k in range(min_qdegree, max_qdegree + 1):
-            for slots in itertools.product(range(d), repeat=k + 1):
-                for ops in itertools.product(self.inst.omega, repeat=k):
-                    out.append(OpWord(slots, ops))
-        out.sort(key=OpWord.sort_key)
-        return out
+        """The words of q_degree min_qdegree..max_qdegree, sorted by
+        `OpWord.sort_key`."""
+        words = [w for q in range(min_qdegree, max_qdegree + 1) for w in words_of_degree(self.inst, q)]
+        return sorted(words, key=OpWord.sort_key)
 
     # -- confluence probing -------------------------------------------------
 
-    def _word_normal_forms(self, word: _Raw, budget: int) -> frozenset[frozenset[tuple[_Raw, int]]]:
+    def _word_normal_forms(self, word: OpWord) -> frozenset[frozenset[tuple[OpWord, int]]]:
         """The normal forms of `word_normal_forms`, each as the frozenset of
         its (word, n) pairs, n over D^(2(k-1))."""
         if len(word[1]) <= 1:
@@ -604,14 +604,14 @@ class OperatorRing:
         cached = self._rnf_cache.get(word)
         if cached is not None:
             return cached
-        acc: set[frozenset[tuple[_Raw, int]]] = set()
+        acc: set[frozenset[tuple[OpWord, int]]] = set()
         for pos in range(1, len(word[1])):
-            options = [(c, self._word_normal_forms(w2, budget)) for w2, c in self._contract(word, pos)]
+            options = [(c, self._word_normal_forms(w2)) for w2, c in self._contract(word, pos)]
             count = prod(len(nfs) for _, nfs in options)
-            if count > budget:
-                raise BudgetExceeded(budget, count)
+            if count > _BUDGET:
+                raise BudgetExceeded(_BUDGET, count)
             for choice in itertools.product(*(nfs for _, nfs in options)):
-                total: dict[_Raw, int] = {}
+                total: dict[OpWord, int] = {}
                 for (c, _), nf in zip(options, choice):
                     for w3, n in nf:
                         total[w3] = total.get(w3, 0) + c * n
@@ -620,7 +620,7 @@ class OperatorRing:
         self._rnf_cache[word] = result
         return result
 
-    def word_normal_forms(self, w: OpWord, budget: int = _BUDGET) -> frozenset[OpElement]:
+    def word_normal_forms(self, w: OpWord) -> frozenset[OpElement]:
         """All normal forms of a word reachable by contracting its redexes in
         any order, each occurrence reduced independently.
 
@@ -630,11 +630,11 @@ class OperatorRing:
         ideal-span oracle.  The search runs on integer normal forms over
         D^(2(k-1)), divided once for the result.  It raises `BudgetExceeded`
         when the normal forms of one contraction's words combine in more
-        than `budget` ways.
+        than `_BUDGET` ways.
         """
         den = self._nf_den(w.q_degree)
         return frozenset(_collect(OpElement, {None: dict(nf)}, den)
-                         for nf in self._word_normal_forms(_raw(w), budget))
+                         for nf in self._word_normal_forms(w))
 
     def _check_word_count(self, error: type[BudgetExceeded], lo: int, hi: int) -> None:
         """Raise error before any word is built when the words of q_degree
@@ -653,7 +653,7 @@ class OperatorRing:
         probed = 0
         for w in self.basis_words(max_qdegree, min_qdegree=3):
             probed += 1
-            if len(self._word_normal_forms(_raw(w), _BUDGET)) > 1:
+            if len(self._word_normal_forms(w)) > 1:
                 nfs = sorted(self.word_normal_forms(w), key=OpElement.sort_key)
                 witnesses = tuple(nf - nfs[0] for nf in nfs[1:])
                 discrepancies.append(Discrepancy(w, tuple(nfs), witnesses))
@@ -673,18 +673,18 @@ class OperatorRing:
         return [self.ideal_generator(i, a, b) for i in range(self.inst.dim)
                 for a in omega for b in omega]
 
-    def _oracle(self, max_qdegree: int) -> tuple[OracleResult, SparseRowSpace, dict[_Raw, int]]:
+    def _oracle(self, max_qdegree: int) -> tuple[OracleResult, SparseRowSpace, dict[OpWord, int]]:
         cached = self._oracle_cache.get(max_qdegree)
         if cached is not None:
             return cached
         self._check_word_count(OracleBudgetExceeded, 0, max_qdegree)
         words = self.basis_words(max_qdegree)
-        index = {_raw(w): i for i, w in enumerate(words)}
+        index = {w: i for i, w in enumerate(words)}
         rows = SparseRowSpace()
-        side = [(_raw(w), 1) for w in self.basis_words(max_qdegree - 2)] if max_qdegree >= 2 else []
+        side = [(w, 1) for w in self.basis_words(max_qdegree - 2)]
         for g in self.ideal_generators():
             # the integer row of u g v spans what the rational one does
-            g_int = [(_raw(w), n) for w, n in _cleared(g.terms)[1]]
+            g_int = _cleared(g.terms)[1]
             for u in side:
                 ug = self._product([u], g_int).items()
                 room = max_qdegree - 2 - len(u[0][1])
@@ -716,7 +716,7 @@ class OperatorRing:
         if e.max_q_degree() > max_qdegree:
             raise ValueError("element exceeds the truncation degree")
         _, rows, index = self._oracle(max_qdegree)
-        return rows.contains({index[_raw(w)]: c for w, c in e.terms})
+        return rows.contains({index[w]: c for w, c in e.terms})
 
     # -- free module on generators ------------------------------------------
 

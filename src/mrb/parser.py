@@ -155,8 +155,11 @@ class _Parser:
             negative = True
             tok = self.peek()
         if tok.kind == "NUMBER" and self.tokens[self.pos + 1].kind == "STAR":
-            coeff *= Fraction(self.advance().text)
-            self.advance()  # STAR
+            try:
+                coeff *= Fraction(tok.text)
+            except ZeroDivisionError:
+                raise ExpressionError(f"zero denominator in {tok.text}", tok.line, tok.column) from None
+            self.pos += 2  # NUMBER STAR
             if negative:
                 coeff = -coeff
         elif negative:
@@ -164,11 +167,11 @@ class _Parser:
         return coeff, self.word()
 
     def word(self) -> WordAst:
-        if self.peek().kind == "LPAREN":
+        # a word in n parentheses: count the opening ones, expect n closing
+        depth = 0
+        while self.peek().kind == "LPAREN":
             self.advance()
-            inner = self.word()
-            self.expect("RPAREN", "')'")
-            return inner
+            depth += 1
         slots, ops = [self._slot("basis label")], []
         sep = self.peek().kind if self.peek().kind in ("DOT", "QLABEL") else None
         while self.peek().kind == sep:
@@ -183,6 +186,8 @@ class _Parser:
             self.expect("COLON", "':'")
             gen = self._slot("generator name")
         kind = "operated" if sep == "DOT" else "op" if ops else "plain"
+        for _ in range(depth):
+            self.expect("RPAREN", "')'")
         return WordAst(tuple(slots), tuple(ops), gen, kind)
 
     def _slot(self, what: str) -> str:

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrb import cli, core, modules, opring
 
@@ -122,6 +123,63 @@ MULTI_GENERATOR_REPORTS = [
 @pytest.mark.parametrize("expression,report", MULTI_GENERATOR_REPORTS)
 def test_multi_generator_term_order_pinned(expression, report):
     assert run_cli(["normalize", "scaled_projection(1,2)", expression]) == (0, report)
+
+
+TOO_DEEP = "input nested too deeply or word too long"
+
+
+def test_zero_denominators_and_deep_input_exit_2_with_a_json_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    cases = [
+        (["normalize", "scaled_projection(1,2)", "1/0 * e1"],
+         "zero denominator in 1/0 at line 1, column 1"),
+        (["normalize", "scaled_projection(1,2)", "e1 . 1 . e2 : x - 2/0 * e2 : x"],
+         "zero denominator in 2/0 at line 1, column 19"),
+        # the normal form of a word recurses once per letter
+        (["normalize", "scaled_projection(1,2)", "e1" + " Q[1] e1" * 1200], TOO_DEEP),
+        (["quotient", "inputs/regular_left_sp12.json", "[" * 100000], TOO_DEEP),
+        (["check-module", str(deep)], TOO_DEEP),
+    ]
+    for argv, error in cases:
+        assert run_cli(argv) == (2, json.dumps({"command": argv[0], "error": error},
+                                               separators=(",", ":")) + "\n"), argv[:2]
+
+
+def test_a_word_in_deep_parentheses_normalizes_as_the_bare_word():
+    word = "e1 Q[1] e2 Q[2] e1"
+    assert run_cli(["normalize", "scaled_projection(1,2)", "(" * 1200 + word + ")" * 1200]) \
+        == run_cli(["normalize", "scaled_projection(1,2)", word])
+
+
+# the expression grammar's tokens, broken ones, zero denominators and
+# characters no token starts with
+FRAGMENTS = ["e1", "e2", "e3", "Q[1]", "Q[2]", "Q[3]", "Q[", "]", "Q[]", "0", "1", "2", "3/2",
+             "1/0", "/0", "07", "*", "+", "-", "(", ")", ".", ":", "x", "y", " ", "\n", "#", "\u00e9"]
+TOKEN_LISTS = st.lists(st.sampled_from(FRAGMENTS), max_size=20)
+# sums of terms, some of them well formed, some with a zero denominator
+TERMS = st.tuples(st.sampled_from(["", "3/2 * ", "-2 * ", "1/0 * ", "- 07/00 * "]),
+                  st.sampled_from(["e1", "e2 Q[1] e1", "(e1 Q[2] e2 Q[1] e2)", "e1 . 1 . e2 : x",
+                                   "e2 : y", "e3", "e1 Q[1]"])).map("".join)
+EXPRESSIONS = st.one_of(
+    TOKEN_LISTS.map(" ".join), TOKEN_LISTS.map("".join),
+    st.lists(TERMS, min_size=1, max_size=6).map(" + \n".join),
+    st.text(alphabet="eQxy120/[]()+-*.:#\u00e9 \n\t", max_size=30),
+    st.tuples(st.integers(0, 1500), TOKEN_LISTS.map(" ".join), st.integers(0, 1500)).map(
+        lambda t: "(" * t[0] + t[1] + ")" * t[2]),
+    st.integers(0, 1500).map(lambda n: "e1" + " Q[1] e2" * n),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPRESSIONS)
+def test_normalize_answers_any_text_with_one_json_line(text):
+    buf = io.StringIO()
+    code = cli.main(["normalize", "scaled_projection(1,2)", text], stdout=buf)
+    out = buf.getvalue()
+    assert code in (0, 1, 2)
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)["command"] == "normalize"
 
 
 def test_confluence_budget_is_reported_as_an_input_error(monkeypatch):

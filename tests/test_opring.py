@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from mrb import opring
 from mrb.core import (
     MrbAlgebraInstance,
     PreconditionError,
+    ReweightSpec,
+    reweight,
     scaled_projection,
     upper_triangular_instance,
 )
@@ -34,8 +37,58 @@ def test_ring_requires_verified_instance():
 
 
 def test_word_shape_invariant():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a word needs exactly one more slot than operator letters$"):
         OpWord((0,), ("1",))
+
+
+def test_a_word_is_its_slots_ops_pair():
+    w = OpWord((0, 1), ("1",))
+    pair = ((0, 1), ("1",))
+    assert isinstance(w, tuple) and w == pair and hash(w) == hash(pair)
+    assert {pair: 1}[w] == 1
+    assert repr(w) == "OpWord(slots=(0, 1), ops=('1',))"
+    assert (w.slots, w.ops, w.q_degree, w.sort_key()) == ((0, 1), ("1",), 1, (1, (0, 1), ("1",)))
+
+
+def test_every_word_the_ring_returns_is_an_op_word(ring12):
+    ring = ring12
+    a, b = ring.element((0, 1), ("1",)), ring.element((1, 0, 1), ("2", "1"), coeff=Fraction(3, 2))
+    x = ring.module_word((1, 0), ("2",), "x")
+    overlap = ring.word((0, 0, 0, 0, 0), ("1", "1", "2", "2"))
+    elements = [ring.multiply(a, b), ring.rewrite_at(ring.word((0, 1, 0), ("1", "2")), 1),
+                ring.normal_form(ring.multiply(b, b)), *ring.word_normal_forms(overlap),
+                *ring.ideal_generators(), *ring.linear_rules().values()]
+    words = [w for e in elements for w, _ in e.terms]
+    words += [*ring.linear_rules(), *ring.truncated_quotient_oracle(3).basis_cosets]
+    modules = [ring.act(b, x), ring.normal_form(ring.act(b, x)),
+               *FreeOperatedModule(ring.inst, ["x", "y"]).ideal_generators(2)]
+    words += [w for e in modules for (w, _), _ in e.terms]
+    assert len(ring.word_normal_forms(overlap)) > 1 and len(words) > 100
+    assert {type(w) for w in words} == {OpWord}
+
+
+def test_words_keep_their_order_on_labels_out_of_string_order():
+    # omega is ("b", "a", "10"): the ring sorts letters as strings, the free
+    # operated module lists them in omega order
+    inst = reweight(scaled_projection((1, 2)), ReweightSpec.from_dict(
+        {"b": {"1": 1}, "a": {"2": 1}, "10": {"1": 1, "2": 1}}))
+    assert inst.omega == ("b", "a", "10")
+    assert OperatorRing(inst).basis_words(1) == [
+        ((0,), ()), ((1,), ()),
+        ((0, 0), ("10",)), ((0, 0), ("a",)), ((0, 0), ("b",)),
+        ((0, 1), ("10",)), ((0, 1), ("a",)), ((0, 1), ("b",)),
+        ((1, 0), ("10",)), ((1, 0), ("a",)), ((1, 0), ("b",)),
+        ((1, 1), ("10",)), ((1, 1), ("a",)), ((1, 1), ("b",)),
+    ]
+    depth1 = [((0,), ()), ((1,), ())]
+    depth2 = [((0, 0), ("b",)), ((0, 0), ("a",)), ((0, 0), ("10",)),
+              ((0, 1), ("b",)), ((0, 1), ("a",)), ((0, 1), ("10",)),
+              ((1, 0), ("b",)), ((1, 0), ("a",)), ((1, 0), ("10",)),
+              ((1, 1), ("b",)), ((1, 1), ("a",)), ((1, 1), ("10",))]
+    assert FreeOperatedModule(inst, ["y", "x"]).basis_words(2) == [
+        *((w, "y") for w in depth1), *((w, "x") for w in depth1),
+        *((w, "y") for w in depth2), *((w, "x") for w in depth2),
+    ]
 
 
 def test_free_module_elements_share_the_combination_arithmetic(ring12):
@@ -442,18 +495,20 @@ def test_discrepancy_matches_hand_derivation(rings):
     assert ring.ideal_contains(expected, 3)
 
 
-def test_confluence_search_budget_is_a_named_error():
+def test_confluence_search_budget_is_a_named_error(monkeypatch):
     # Q1 Q1 Q2 Q2 on e1: its second redex leaves words whose normal forms
     # combine in four ways
     ring = OperatorRing(scaled_projection((1, 2)))
     w = ring.word((0, 0, 0, 0, 0), ("1", "1", "2", "2"))
+    monkeypatch.setattr(opring, "_BUDGET", 3)
     with pytest.raises(BudgetExceeded) as info:
-        ring.word_normal_forms(w, budget=3)
+        ring.word_normal_forms(w)
     assert isinstance(info.value, RuntimeError)
     assert (info.value.budget, info.value.count) == (3, 4)
     assert str(info.value) == ("confluence search budget exceeded: 4 combinations "
                                "of normal forms at one redex, budget 3")
-    assert len(ring.word_normal_forms(w, budget=4)) > 1
+    monkeypatch.setattr(opring, "_BUDGET", 4)
+    assert len(ring.word_normal_forms(w)) > 1
 
 
 def test_oracle_budget_counts_words_before_building_them(monkeypatch):

@@ -77,12 +77,25 @@ def test_error_positions_various():
     ("e1 Q[1\n] e2 #", "unexpected character '#'", 2, 6),
     ("e1 Q[1\n e2", "unterminated operator letter", 2, 4),
     ("e1 Q[\n1] : x\n  #", "unexpected character '#'", 3, 3),
+    # a coefficient with a zero denominator, in either word syntax
+    ("1/0 * e1", "zero denominator in 1/0", 1, 1),
+    ("e1\n - 3/00 * (e1 . 1 . e2 : x)", "zero denominator in 3/00", 2, 4),
+    # unbalanced parentheses around a word
+    ("((e1)", "expected ')'", 1, 6),
+    ("(((e1 Q[1] e2))", "expected ')'", 1, 16),
 ])
 def test_error_messages_and_positions(text, message, line, column):
     with pytest.raises(ExpressionError) as err:
         parse_expression(text)
     assert str(err.value) == f"{message} at line {line}, column {column}"
     assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_parentheses_nest_without_recursion():
+    # a word in n parentheses parses as the bare word, with no frame per level
+    assert parse_expression("(" * 5000 + "e1 Q[1] e2" + ")" * 5000) == parse_expression("e1 Q[1] e2")
+    with pytest.raises(ExpressionError, match="^expected '\\)' at line 1, column 6003$"):
+        parse_expression("(" * 3000 + "e1" + ")" * 2999 + " + e2")
 
 
 def test_unknown_labels_rejected(ring):
