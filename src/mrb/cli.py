@@ -10,15 +10,14 @@ verdicts (report still emitted), 2 input errors, usage errors and
 arguments that do not fit together included, and a confluence search, a
 confluence probe or an oracle truncation that exceeds its budget
 (`opring.BudgetExceeded`; the error names the budget and the count reached),
-and input too deeply nested or a word too long for the recursion limit;
-an error is reported as ``{"command": ..., "error": ...}``.  Reports are
-emitted as canonically ordered JSON so identical inputs produce
-byte-identical output; ``--pretty`` switches to indented rendering.
+and input too deeply nested for the recursion limit; an error is reported
+as ``{"command": ..., "error": ...}``.  Reports are emitted as canonically
+ordered JSON so identical inputs produce byte-identical output; ``--pretty``
+switches to indented rendering.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
@@ -32,13 +31,6 @@ from .modules import ArgumentError, ClosureViolationError
 
 class InputError(ValueError):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise InputError; ``--help`` still prints and exits 0."""
-
-    def error(self, message):
-        raise InputError(message)
 
 
 def _message(exc: Exception) -> str:
@@ -340,7 +332,28 @@ VERBS = {
 }
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+def build_arg_parser():
+    """The ``mrb`` argparse parser, built from ``VERBS``.  argparse is
+    imported here, not with the package, which a library caller or a
+    benchmark worker imports without parsing a command line."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Usage errors raise InputError; ``--help`` still prints and exits 0.
+
+        Every option but ``-h`` has a long name, so an argument with one
+        leading minus sign, such as the expression ``-2*e1``, is a positional
+        argument.
+        """
+
+        def error(self, message):
+            raise InputError(message)
+
+        def _parse_optional(self, arg_string):
+            if arg_string[:1] == "-" and arg_string[:2] not in ("--", "-h"):
+                return None
+            return super()._parse_optional(arg_string)
+
     p = _Parser(prog="mrb", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)
     for verb, (_, arguments) in VERBS.items():
@@ -358,6 +371,11 @@ def main(argv=None, stdout=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a usage error leaves no parsed arguments: name the verb if it was given
     verb, pretty = (argv[0] if argv and argv[0] in VERBS else None), False
+
+    def dump(report: dict) -> str:
+        layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+        return json.dumps({"command": verb, **report}, sort_keys=True, **layout)
+
     try:
         args = _parser().parse_args(argv)
         verb, pretty = args.verb, args.pretty
@@ -367,15 +385,15 @@ def main(argv=None, stdout=None) -> int:
             raw = getattr(args, name.lstrip("-").replace("-", "_"))
             values.append([load(r) for r in raw] if isinstance(raw, list) else load(raw))
         code, report = handler(*values)
+        # an int past Python's digit limit for printing raises ValueError here
+        text = dump(report)
     except (InputError, ArgumentError, expr.ExpressionError, KeyError,
             json.JSONDecodeError, opring.BudgetExceeded) as exc:
-        code, report = 2, {"error": _message(exc)}
+        code, text = 2, dump({"error": _message(exc)})
     except RecursionError:
-        code, report = 2, {"error": "input nested too deeply or word too long"}
+        code, text = 2, dump({"error": "input nested too deeply"})
     except (PreconditionError, ClosureViolationError, ValueError) as exc:
-        code, report = 1, {"error": str(exc)}
-    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
-    text = json.dumps({"command": verb, **report}, sort_keys=True, **layout)
+        code, text = 1, dump({"error": str(exc)})
     (stdout or sys.stdout).write(text + "\n")
     return code
 

@@ -14,13 +14,18 @@ decide it on the whole algebra.
 
 One kernel, :func:`_axiom_violations`, checks it and the module axioms as
 one matrix equation per label pair and basis element, on action tables
-built once per check.
+built once per check.  The checkers decide in integers: each clears its
+inputs to one denominator D once, and every law is homogeneous in them, of
+degree 2 (unit, associativity, the action laws) or 3 (the coupled axiom),
+so its integer residual is exactly D^2 or D^3 times the rational one.  The
+zero test is exact, and a `Fraction` residual is built only for a column
+that fails.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,9 +34,10 @@ from typing import Mapping, Sequence
 from .linalg import (
     Matrix,
     Vector,
+    _cleared,
+    _int_product,
     frac,
     format_rational,
-    is_zero_vector,
     unit_vector,
     vector,
 )
@@ -209,23 +215,51 @@ class CheckReport:
         }
 
 
-def _regular_tables(alg: AlgebraPresentation, left: bool) -> tuple[Matrix, ...]:
-    """The multiplication tables of the algebra on itself: L_i, column j
-    being b_i b_j, or with left false R_i, column j being b_j b_i."""
-    sc, d = alg.structure_constants, alg.dim
-    return tuple(Matrix.from_cols([sc[i][j] if left else sc[j][i] for j in range(d)], rows=d)
-                 for i in range(d))
-
-
 def _sum_of(terms, rows: int, cols: int) -> Matrix:
     """The rows x cols matrix sum of c * m over the (c, m) terms."""
     return sum((m.scale(c) for c, m in terms if c), Matrix.zero(rows, cols))
 
 
-def _column_violations(kind: str, diff: Matrix, where) -> list[Violation]:
-    """A violation at where(p), residual column p, per nonzero column p of diff."""
-    return [Violation(kind, where(p), col) for p, col in enumerate(diff.transpose().entries)
-            if not is_zero_vector(col)]
+def _integer_blocks(blocks: Sequence[Sequence[Sequence]]) -> tuple[int, list[list[list[int]]]]:
+    """One check's inputs over one denominator: D, the lcm of the
+    denominators in the blocks, and each block, a sequence of rows of
+    rationals such as a matrix's entries, times D as a list of int rows."""
+    den, pairs = _cleared([(None, v) for block in blocks for row in block for v in row])
+    ints = (n for _, n in pairs)
+    return den, [[list(itertools.islice(ints, len(row))) for row in block] for block in blocks]
+
+
+def _regular_tables(sc: Sequence[Sequence[Sequence[int]]], left: bool) -> list[list[list[int]]]:
+    """The multiplication tables of the algebra on itself, as int rows, from
+    its structure constants sc[i][j], the coordinates of b_i b_j: L_i, column
+    j being b_i b_j, or with left false R_i, column j being b_j b_i."""
+    d = len(sc)
+    return [list(map(list, zip(*(sc[i][j] if left else sc[j][i] for j in range(d)))))
+            for i in range(d)]
+
+
+def _combination(coeffs: Sequence[int], mats, n: int) -> list[list[int]]:
+    """The n x n integer matrix sum of c * m over the nonzero c of coeffs,
+    paired with mats."""
+    out = [[0] * n for _ in range(n)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            out = [[s + c * v for s, v in zip(orow, mrow)] for orow, mrow in zip(out, m)]
+    return out
+
+
+def _scalar(n: int, c: int) -> list[list[int]]:
+    """c times the n x n identity."""
+    return [[c if p == q else 0 for q in range(n)] for p in range(n)]
+
+
+def _column_violations(kind: str, diff: list[list[int]], den: int, where) -> list[Violation]:
+    """A violation at where(p), residual column p of diff over den, per
+    nonzero column p of the integer matrix diff."""
+    if not any(map(any, diff)):
+        return []
+    return [Violation(kind, where(p), tuple(Fraction(n, den) for n in col))
+            for p, col in enumerate(zip(*diff)) if any(col)]
 
 
 def check_presentation(alg: AlgebraPresentation) -> CheckReport:
@@ -234,55 +268,61 @@ def check_presentation(alg: AlgebraPresentation) -> CheckReport:
     L_i and R_i multiply by b_i on the left and on the right.  The unit
     laws are L_u = 1 and R_u = 1, column i of each difference being the
     residual at i; associativity is L_{b_i b_j} = L_i L_j, column k of the
-    difference being the residual at (i, j, k).
+    difference being the residual at (i, j, k).  The structure constants
+    and the unit are cleared to integers over one denominator D, and every
+    law, of degree 2 in them, is decided on integer matrices D^2 times the
+    rational ones; a residual is divided by D^2 only where it is nonzero.
     """
-    return _presentation_report(alg, _regular_tables(alg, True))
+    den, ((unit,), *sc) = _integer_blocks([[alg.unit], *alg.structure_constants])
+    return _presentation_report(den, unit, sc, _regular_tables(sc, True))
 
 
-def _presentation_report(alg: AlgebraPresentation, left: Sequence[Matrix]) -> CheckReport:
-    """`check_presentation` on the left multiplication tables already built."""
-    d = alg.dim
-    right = _regular_tables(alg, False)
-    one = Matrix.identity(d)
-    units = [(kind, (_sum_of(zip(alg.unit, table), d, d) - one).transpose().entries)
-             for kind, table in (("unit-left", left), ("unit-right", right))]
-    violations = [Violation(kind, (i,), cols[i])
-                  for i in range(d) for kind, cols in units if not is_zero_vector(cols[i])]
+def _presentation_report(den: int, unit: Sequence[int], sc, left) -> CheckReport:
+    """`check_presentation` on the unit, the structure constants and the left
+    tables L_i already cleared, all times den."""
+    d, square = len(sc), den * den
+    units = [_column_violations(kind, _combination((*unit, -1), (*tables, _scalar(d, square)), d),
+                                square, lambda i: (i,))
+             for kind, tables in (("unit-left", left), ("unit-right", _regular_tables(sc, False)))]
+    # stable: at each i the left unit law comes first
+    violations = sorted(units[0] + units[1], key=lambda v: v.where)
     for i, li in enumerate(left):
         for j, lj in enumerate(left):
-            diff = _sum_of(zip(alg.structure_constants[i][j], left), d, d) - li @ lj
-            violations += _column_violations("associativity", diff, lambda k: (i, j, k))
+            diff = _combination((*sc[i][j], -1), (*left, _int_product(li, lj)), d)
+            violations += _column_violations("associativity", diff, square, lambda k: (i, j, k))
     return CheckReport("presentation", tuple(violations))
 
 
-def _axiom_violations(kind: str, inst: "MrbAlgebraInstance", acts: Sequence[Matrix],
-                      ops: Sequence[Matrix], mul) -> list[Violation]:
+def _axiom_violations(kind: str, labels: Sequence[str], den: int, weights: Sequence[int],
+                      pmats, acts, ops, mul) -> list[Violation]:
     """Every failure of the coupled axiom on the action matrices acts[i] = A_i
     of b_i, with operators ops[a] = M_a and products mul in the side's order:
 
         A_{P_a b_i} M_b = M_a A_i M_b + M_b A_{P_a b_i} + l_b M_a A_i + l_a M_b A_i
 
     for each label pair (a, b) and b_i, column p of the difference being the
-    residual at (i, p, a, b).  A_{P_a b_i} = sum_k (P_a)_{k,i} A_k and M_a A_i
-    are built once per (a, i).
+    residual at (i, p, a, b).  The weights l_a, the instance's operators
+    pmats[a] = P_a, acts and ops come cleared, as ints times den, so
+    A_{P_a b_i} = sum_k (P_a)_{k,i} A_k and M_a A_i, built once per (a, i),
+    are den^2 times their values and every term of the difference is den^3
+    times its value; a residual is divided by den^3 only where it is nonzero.
     """
-    d = inst.dim
-    n = ops[0].rows if ops else 0
-    labels, weights = inst.omega, inst.weights.values
-    acted = [[_sum_of(zip(pa.col(i), acts), n, n) for i in range(d)]
-             for pa in inst.operators.matrices]
+    d, n = len(acts), len(ops[0]) if ops else 0
+    cube = den ** 3
+    acted = [[_combination(col, acts, n) for col in zip(*pa)] for pa in pmats]
     after = [[mul(m, act) for act in acts] for m in ops]
+    # the left side less M_a A_i M_b is (A_{P_a b_i} - M_a A_i) M_b
+    lhs = [[_combination((1, -1), xy, n) for xy in zip(xs, ys)] for xs, ys in zip(acted, after)]
     violations = []
     for a, la in enumerate(weights):
         for b, lb in enumerate(weights):
             mb = ops[b]
             for i in range(d):
-                # the left side less M_a A_i M_b is (A_{P_a b_i} - M_a A_i) M_b
-                diff = (mul(acted[a][i] - after[a][i], mb) - mul(mb, acted[a][i])
-                        - after[a][i].scale(lb) - after[b][i].scale(la))
-                if not diff.is_zero():
-                    violations += _column_violations(
-                        kind, diff, lambda p: (i, p, labels[a], labels[b]))
+                diff = [[p - q - lb * y - la * z for p, q, y, z in zip(*rows)]
+                        for rows in zip(mul(lhs[a][i], mb), mul(mb, acted[a][i]),
+                                        after[a][i], after[b][i])]
+                violations += _column_violations(kind, diff, cube,
+                                                 lambda p: (i, p, labels[a], labels[b]))
     return violations
 
 
@@ -292,17 +332,24 @@ def check_mrb_identity(inst: MrbAlgebraInstance) -> CheckReport:
     It is the axiom kernel on the left-multiplication matrices L_i, the
     regular left module: one matrix equation per label pair and b_i covers
     every b_j, column j being the residual at (i, j, a, b).  The
-    presentation is checked first, on the same L_i.  An empty report
-    marks the instance verified; a verified instance is frozen, so its clean
-    report is returned at once.
+    presentation is checked first, on the same L_i; both run on the
+    structure constants, the unit, the operators and the weights cleared to
+    integers over one denominator.  An empty report marks the instance
+    verified; a verified instance is frozen, so its clean report is
+    returned at once.
     """
     if inst.verified:
         return CheckReport("mrb-identity", ())
-    acts = _regular_tables(inst.algebra, True)
-    if not _presentation_report(inst.algebra, acts).ok:
+    alg, d = inst.algebra, inst.dim
+    den, ((unit, weights), *blocks) = _integer_blocks(
+        [[alg.unit, inst.weights.values], *alg.structure_constants,
+         *(m.entries for m in inst.operators.matrices)])
+    sc, ops = blocks[:d], blocks[d:]
+    acts = _regular_tables(sc, True)
+    if not _presentation_report(den, unit, sc, acts).ok:
         raise PreconditionError("presentation must pass check_presentation first")
     report = CheckReport("mrb-identity", tuple(_axiom_violations(
-        "mrb-identity", inst, acts, inst.operators.matrices, operator.matmul)))
+        "mrb-identity", inst.omega, den, weights, ops, acts, ops, _int_product)))
     if report.ok:
         inst._mark_verified()
     return report

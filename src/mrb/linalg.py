@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -417,6 +417,29 @@ def _kernel(rows: Iterable[dict[int, Fraction]], cols: int) -> tuple[list[int], 
     return free, tuple(tuple(kernel[f]) for f in free)
 
 
+def _cleared(pairs: Collection[tuple[object, Fraction]]) -> tuple[int, list[tuple[object, int]]]:
+    """D, the lcm of the denominators of the rationals in the (key, value)
+    pairs, and the pairs with their values times D, as ints; an int is a
+    rational of denominator 1.  Every denominator the package clears is
+    cleared here."""
+    den = lcm(*{v.denominator for _, v in pairs})
+    return den, [(k, v.numerator * (den // v.denominator)) for k, v in pairs]
+
+
+def _int_product(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> list[list[int]]:
+    """x y for integer matrices given as sequences of rows: row i sums
+    a (row j of y) over the nonzero entries a = x[i][j] only."""
+    width = len(y[0]) if y else 0
+    out = []
+    for row in x:
+        acc = [0] * width
+        for a, yrow in zip(row, y):
+            if a:
+                acc = [s + a * b for s, b in zip(acc, yrow)]
+        out.append(acc)
+    return out
+
+
 def _eliminate(row: dict[int, int], col: int, pivot: dict[int, int]) -> dict[int, int]:
     """(p/g) row - (r/g) pivot, which is 0 at col, for r = row[col], p =
     pivot[col] > 0 and g their gcd; row is changed in place when p/g is 1,
@@ -467,8 +490,7 @@ class SparseRowSpace:
         """The remainder of row against the pivots, as an integer row: a
         nonzero multiple of the rational remainder, or empty when row lies
         in the span."""
-        den = lcm(*(v.denominator for v in row.values()))
-        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        row = {c: n for c, n in _cleared(row.items())[1] if n}
         while row:
             lead = max(row)
             pivot = self._pivots.get(lead)

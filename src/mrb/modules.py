@@ -19,7 +19,6 @@ All verdicts (closure, surjectivity, membership) are decided by exact rank.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,11 +32,13 @@ from .core import (
     ReweightSpec,
     Violation,
     _axiom_violations,
+    _combination,
     _combine,
+    _integer_blocks,
     _matrix_from_json,
     _matrix_to_json,
-    _regular_tables,
     _require_verified,
+    _scalar,
     _sum_of,
     instance_to_json,
     load_instance,
@@ -47,6 +48,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _int_product,
     _kernel,
     format_rational,
     kron_difference_rows,
@@ -217,26 +219,30 @@ def module_hom(source, target, matrix, check: bool = True) -> ModuleHom:
 # ---------------------------------------------------------------------------
 
 def _product_order(mod: FdLeftModule):
-    """Composition of action and operator matrices in the order of mod's
-    side: mul(x, y) is x @ y on a left module and y @ x on a right one, so
+    """Composition of integer action and operator matrices in the order of
+    mod's side: mul(x, y) is x y on a left module and y x on a right one, so
     one formula states both the left axiom and its mirror."""
     if mod.side == "left":
-        return operator.matmul
-    return lambda x, y: y @ x
+        return _int_product
+    return lambda x, y: _int_product(y, x)
 
 
 def _action_law_violations(mod: FdLeftModule) -> list[Violation]:
     """The unit law A_u = 1 and associativity A_{b_i b_j} = mul(A_i, A_j),
-    that is (b_i b_j) v = b_i (b_j v), or v (b_i b_j) = (v b_i) b_j."""
-    alg, acts = mod.inst.algebra, mod.tables
+    that is (b_i b_j) v = b_i (b_j v), or v (b_i b_j) = (v b_i) b_j, on the
+    unit, the structure constants and the tables cleared to integers over
+    one denominator D: both sides of each law are D^2 times their values."""
+    alg, d, n = mod.inst.algebra, mod.inst.dim, mod.dim
+    den, ((unit,), *blocks) = _integer_blocks(
+        [[alg.unit], *alg.structure_constants, *(m.entries for m in mod.tables)])
+    sc, acts = blocks[:d], blocks[d:]
     mul = _product_order(mod)
-    n = mod.dim
     violations = []
-    if _sum_of(zip(alg.unit, acts), n, n) != Matrix.identity(n):
+    if _combination(unit, acts, n) != _scalar(n, den * den):
         violations.append(Violation("unit-action", ()))
     for i, ai in enumerate(acts):
         for j, aj in enumerate(acts):
-            if _sum_of(zip(alg.structure_constants[i][j], acts), n, n) != mul(ai, aj):
+            if _combination(sc[i][j], acts, n) != mul(ai, aj):
                 violations.append(Violation("action-associativity", (i, j)))
     return violations
 
@@ -252,12 +258,19 @@ def check_left_module(mod: FdLeftModule) -> CheckReport:
 
     Written for the left side; on a right module every product is reversed:
     m_b(v P_a(x)) = m_b(m_a(v) x) + m_b(v) P_a(x) + l_b m_a(v) x + l_a m_b(v) x.
+    The weights, the instance's operators and the module's structure maps
+    are cleared to integers over one denominator, once per check, and the
+    axiom kernel decides every law on integer matrices.
     """
     if _action_law_violations(mod):
         raise PreconditionError("plain module laws fail; fix the action tensor first")
-    kind = f"{mod.side}-module"
+    inst, kind = mod.inst, f"{mod.side}-module"
+    s, d = len(inst.omega), inst.dim
+    den, ((weights,), *blocks) = _integer_blocks(
+        [[inst.weights.values], *(m.entries for m in (*inst.operators.matrices, *mod.maps))])
     return CheckReport(kind, tuple(_axiom_violations(
-        kind, mod.inst, mod.tables, mod.operators, _product_order(mod))))
+        kind, inst.omega, den, weights, blocks[:s], blocks[s:s + d], blocks[s + d:],
+        _product_order(mod))))
 
 
 check_right_module = check_left_module
@@ -267,10 +280,14 @@ def check_bimodule(bm: FdBimodule) -> CheckReport:
     """The two one-sided axioms, then the commutation families: the two
     actions, each operator family with the other side's action, label by
     label, and the two families; a family pairs matrices named by basis
-    index or label."""
-    omega = bm.left.inst.omega
-    lefts, rights = list(enumerate(bm.left.tables)), list(enumerate(bm.right.tables))
-    m_ops, n_ops = list(zip(omega, bm.right.operators)), list(zip(omega, bm.left.operators))
+    index or label.  The families are compared on the maps of both parts
+    cleared to integers over one denominator."""
+    omega, left, right = bm.left.inst.omega, bm.left, bm.right
+    _, maps = _integer_blocks([m.entries for m in (*left.maps, *right.maps)])
+    maps_l, maps_r = maps[:len(left.maps)], maps[len(left.maps):]
+    d_l, d_r = left.inst.dim, right.inst.dim
+    lefts, rights = list(enumerate(maps_l[:d_l])), list(enumerate(maps_r[:d_r]))
+    m_ops, n_ops = list(zip(omega, maps_r[d_r:])), list(zip(omega, maps_l[d_l:]))
     families = [("actions-commute", lefts, rights)]
     for m, n in zip(m_ops, n_ops):
         families += [("right-family-vs-left-action", [m], lefts),
@@ -279,7 +296,7 @@ def check_bimodule(bm: FdBimodule) -> CheckReport:
     violations = [*check_left_module(bm.left).violations,
                   *check_left_module(bm.right).violations]
     violations += [Violation(kind, (x, y)) for kind, xs, ys in families
-                   for x, a in xs for y, b in ys if a @ b != b @ a]
+                   for x, a in xs for y, b in ys if _int_product(a, b) != _int_product(b, a)]
     return CheckReport("bimodule", tuple(violations))
 
 
@@ -295,14 +312,14 @@ def _require_bimodule(bm: FdBimodule) -> None:
 # ---------------------------------------------------------------------------
 
 def regular_left_module(inst: MrbAlgebraInstance) -> FdLeftModule:
-    """R acting on itself on the left, operators P_w."""
-    return _from_maps("left", inst, inst.dim,
-                      (*_regular_tables(inst.algebra, True), *inst.operators.matrices))
+    """R acting on itself on the left, operators P_w: b_i . b_p is b_i b_p."""
+    return FdLeftModule(inst, inst.dim, inst.algebra.structure_constants, inst.operators.matrices)
 
 
 def regular_right_module(inst: MrbAlgebraInstance) -> FdRightModule:
-    return _from_maps("right", inst, inst.dim,
-                      (*_regular_tables(inst.algebra, False), *inst.operators.matrices))
+    """R acting on itself on the right: b_p . b_i is b_p b_i."""
+    return FdRightModule(inst, inst.dim, tuple(zip(*inst.algebra.structure_constants)),
+                         inst.operators.matrices)
 
 
 def regular_bimodule(inst: MrbAlgebraInstance) -> FdBimodule:

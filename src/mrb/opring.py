@@ -55,11 +55,11 @@ import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import MrbAlgebraInstance, PreconditionError
-from .linalg import SparseRowSpace, frac, vector
+from .linalg import SparseRowSpace, _cleared, frac, vector
 
 
 class OpWord(namedtuple("OpWord", "slots ops")):
@@ -266,18 +266,6 @@ _BUDGET = 50000
 _WORD_BUDGET = 200000
 
 
-def _times(c, den: int) -> int:
-    """c * den, for a rational c whose denominator divides den."""
-    return c.numerator * (den // c.denominator)
-
-
-def _cleared(terms: Sequence[tuple[object, Fraction]]) -> tuple[int, list[tuple[object, int]]]:
-    """L, the lcm of the coefficients' denominators, and the terms with their
-    coefficients times L, as ints."""
-    den = lcm(*(c.denominator for _, c in terms))
-    return den, [(k, _times(c, den)) for k, c in terms]
-
-
 def _collect(cls: type[OpElement], groups: Mapping[object, Mapping[OpWord, int]], den: int) -> OpElement:
     """The element of type cls whose key `cls.join(word, tag)` has
     coefficient n / den for every nonzero n = groups[tag][word]; the kernels'
@@ -295,24 +283,20 @@ class OperatorRing:
         if not inst.verified:
             raise PreconditionError("instance must pass check_mrb_identity first")
         self.inst = inst
-        alg, d = inst.algebra, inst.dim
-        sc = alg.structure_constants
-        images = {a: [inst.apply_operator(a, alg.basis_vector(i)) for i in range(d)]
-                  for a in inst.omega}
-        weights = [inst.weight(a) for a in inst.omega]
-        den = lcm(*(c.denominator for plane in sc for row in plane for c in row),
-                  *(c.denominator for vs in images.values() for v in vs for c in v),
-                  *(c.denominator for c in weights))
+        alg, d, s = inst.algebra, inst.dim, len(inst.omega)
+        vectors = [*itertools.chain(*alg.structure_constants),
+                   *(inst.apply_operator(a, alg.basis_vector(i)) for a in inst.omega for i in range(d))]
+        den, pairs = _cleared([*zip(inst.omega, inst.weights.values),
+                               *(((r, k), c) for r, v in enumerate(vectors) for k, c in enumerate(v) if c)])
         self._d, self._d2 = den, den * den
-
-        def scaled(v):
-            return [(k, _times(c, den)) for k, c in enumerate(v) if c != 0]
-
-        # D times the products e_i e_j, the images P_a(e_i) and the weights,
-        # the first two sparse by basis index
-        self._products = [[scaled(sc[i][j]) for j in range(d)] for i in range(d)]
-        self._images = {a: [scaled(v) for v in vs] for a, vs in images.items()}
-        self._weights = {a: _times(c, den) for a, c in zip(inst.omega, weights)}
+        # D times the weights, the products e_i e_j and the images P_a(e_i),
+        # the last two sparse by basis index
+        self._weights = dict(pairs[:s])
+        rows: list[list[tuple[int, int]]] = [[] for _ in vectors]
+        for (r, k), n in pairs[s:]:
+            rows[r].append((k, n))
+        self._products = [rows[i * d:(i + 1) * d] for i in range(d)]
+        self._images = {a: rows[d * (d + k):d * (d + k + 1)] for k, a in enumerate(inst.omega)}
         self._redexes: dict[tuple, tuple[tuple[int, int, str, int], ...]] = {}
         self._nf_cache: dict[OpWord, tuple[dict[OpWord, int], int]] = {}
         self._cnf_cache: dict[OpWord, dict[OpWord, int]] = {}
@@ -438,20 +422,40 @@ class OperatorRing:
         coefficients over D^2, so the normal form of a word of q_degree k is
         returned as an integer combination over D^(2(k-1)) (`_nf_den`); the
         caller divides once, at the boundary.
+
+        The leftmost redex of r0 Q[w1] r1 Q[w2] r2 ... leaves words that
+        begin with one letter, r' Q[w'] r'' Q[w3] r3 ..., and share the rest,
+        so the reduction is a left fold over the letters w2, w3, ...: its
+        state is a combination of (left slot, letter, right slot) triples,
+        each carried through `_redex` with the next letter and slot.  Beside
+        each coefficient the state counts the paths of the reduction tree
+        that reach the triple, so a triple whose coefficient cancels is
+        still contracted, and counted, as the tree contracts it.
         """
-        if len(word[1]) <= 1:
+        slots, ops = word
+        if len(ops) <= 1:
             return {word: 1}, 0
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
-        total: dict[OpWord, int] = {}
+        # (left slot, letter, right slot) -> coefficient, and -> path count;
+        # the first contraction's entries are distinct, each reached once
+        state = {(left, kept, right): n for left, right, kept, n
+                 in self._redex(slots[0], ops[0], slots[1], ops[1], slots[2])}
+        paths = dict.fromkeys(state, 1)
         apps = 1
-        for w2, c in self._contract(word, 1):
-            nf2, a2 = self._nf_word(w2)
-            apps += a2
-            for w3, c3 in nf2.items():
-                total[w3] = total.get(w3, 0) + c * c3
-        result = ({w: n for w, n in total.items() if n}, apps)
+        for b, z in zip(ops[2:], slots[3:]):
+            coeffs: dict[tuple[int, str, int], int] = {}
+            counts: dict[tuple[int, str, int], int] = {}
+            for (x, a, y), c in state.items():
+                p = paths[x, a, y]
+                apps += p
+                for left, right, kept, n in self._redex(x, a, y, b, z):
+                    key = (left, kept, right)
+                    coeffs[key] = coeffs.get(key, 0) + c * n
+                    counts[key] = counts.get(key, 0) + p
+            state, paths = coeffs, counts
+        result = ({((x, y), (a,)): c for (x, a, y), c in state.items() if c}, apps)
         self._nf_cache[word] = result
         return result
 
@@ -540,9 +544,11 @@ class OperatorRing:
             low, reduced = self._complete()
             rules = {lead: {i: -c for i, c in row.items() if i != lead}
                      for lead, row in reduced.items()}
-            den = lcm(*(c.denominator for rhs in rules.values() for c in rhs.values()))
-            self._int_rules = den, {low[lead]: {low[i]: _times(c, den) for i, c in rhs.items()}
-                                    for lead, rhs in rules.items()}
+            den, pairs = _cleared([((lead, i), c) for lead, rhs in rules.items() for i, c in rhs.items()])
+            int_rules: dict[OpWord, dict[OpWord, int]] = {low[lead]: {} for lead in rules}
+            for (lead, i), n in pairs:
+                int_rules[low[lead]][low[i]] = n
+            self._int_rules = den, int_rules
             self._linear_rules = {low[lead]: OpElement.from_dict({low[i]: c for i, c in rhs.items()})
                                   for lead, rhs in rules.items()}
         return self._linear_rules

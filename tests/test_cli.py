@@ -125,7 +125,7 @@ def test_multi_generator_term_order_pinned(expression, report):
     assert run_cli(["normalize", "scaled_projection(1,2)", expression]) == (0, report)
 
 
-TOO_DEEP = "input nested too deeply or word too long"
+TOO_DEEP = "input nested too deeply"
 
 
 def test_zero_denominators_and_deep_input_exit_2_with_a_json_error(tmp_path):
@@ -136,14 +136,44 @@ def test_zero_denominators_and_deep_input_exit_2_with_a_json_error(tmp_path):
          "zero denominator in 1/0 at line 1, column 1"),
         (["normalize", "scaled_projection(1,2)", "e1 . 1 . e2 : x - 2/0 * e2 : x"],
          "zero denominator in 2/0 at line 1, column 19"),
-        # the normal form of a word recurses once per letter
-        (["normalize", "scaled_projection(1,2)", "e1" + " Q[1] e1" * 1200], TOO_DEEP),
         (["quotient", "inputs/regular_left_sp12.json", "[" * 100000], TOO_DEEP),
         (["check-module", str(deep)], TOO_DEEP),
     ]
     for argv, error in cases:
         assert run_cli(argv) == (2, json.dumps({"command": argv[0], "error": error},
                                                separators=(",", ":")) + "\n"), argv[:2]
+
+
+def test_long_words_normalize_and_a_count_past_the_digit_limit_is_a_json_error():
+    # 5,000 alternating letters: normal form 2^2500 e1 Q[1] e1, and a
+    # reduction tree of F(5002) - 2 contractions, F the Fibonacci numbers
+    fib = [0, 1]
+    while len(fib) < 5003:
+        fib.append(fib[-1] + fib[-2])
+    code, out = run_cli(["normalize", "scaled_projection(1,2)", "e1" + " Q[1] e1 Q[2] e1" * 2500])
+    report = json.loads(out)
+    assert code == 0 and report["normal_form"] == f"{2 ** 2500} * (e1 Q[1] e1)"
+    assert report["applications"] == fib[5002] - 2
+    # at 22,000 letters the count has more digits than Python prints
+    code, out = run_cli(["normalize", "scaled_projection(1,2)", "e1" + " Q[1] e1 Q[2] e1" * 11000])
+    assert code == 1 and out.count("\n") == 1
+    assert json.loads(out)["error"].startswith("Exceeds the limit (4300 digits)")
+
+
+def test_an_expression_with_a_leading_minus_is_the_expression():
+    spaced = run_cli(["normalize", "scaled_projection(1,2)", "-2 * e1"])
+    assert spaced[0] == 0
+    for argv in (["normalize", "scaled_projection(1,2)", "-2*e1"],
+                 ["normalize", "scaled_projection(1,2)", "-2*e1", "--pretty"],
+                 ["normalize", "--pretty", "scaled_projection(1,2)", "-2*e1"],
+                 ["normalize", "scaled_projection(1,2)", "--", "-2*e1"]):
+        code, out = run_cli(argv)
+        assert code == 0 and json.loads(out) == json.loads(spaced[1]), argv
+    # the expression parser, not the argument parser, rejects what it cannot read
+    assert run_cli(["normalize", "scaled_projection(1,2)", "-e1"]) == (2, json.dumps(
+        {"command": "normalize", "error": "expected rational coefficient at line 1, column 2"},
+        separators=(",", ":")) + "\n")
+    assert run_cli(["confluence", "--max-qdegree", "-1", "scaled_projection(1,2)"])[0] == 2
 
 
 def test_a_word_in_deep_parentheses_normalizes_as_the_bare_word():
@@ -158,7 +188,8 @@ FRAGMENTS = ["e1", "e2", "e3", "Q[1]", "Q[2]", "Q[3]", "Q[", "]", "Q[]", "0", "1
              "1/0", "/0", "07", "*", "+", "-", "(", ")", ".", ":", "x", "y", " ", "\n", "#", "\u00e9"]
 TOKEN_LISTS = st.lists(st.sampled_from(FRAGMENTS), max_size=20)
 # sums of terms, some of them well formed, some with a zero denominator
-TERMS = st.tuples(st.sampled_from(["", "3/2 * ", "-2 * ", "1/0 * ", "- 07/00 * "]),
+TERMS = st.tuples(st.sampled_from(["", "3/2 * ", "-2 * ", "1/0 * ", "- 07/00 * ", "-2*", "-1/2*",
+                                   "-"]),
                   st.sampled_from(["e1", "e2 Q[1] e1", "(e1 Q[2] e2 Q[1] e2)", "e1 . 1 . e2 : x",
                                    "e2 : y", "e3", "e1 Q[1]"])).map("".join)
 EXPRESSIONS = st.one_of(
@@ -180,6 +211,9 @@ def test_normalize_answers_any_text_with_one_json_line(text):
     assert code in (0, 1, 2)
     assert out.endswith("\n") and out.count("\n") == 1
     assert json.loads(out)["command"] == "normalize"
+    # only a leading "--" is read as an option, never as the expression
+    if not text.startswith("--"):
+        assert "the following arguments are required" not in out
 
 
 def test_confluence_budget_is_reported_as_an_input_error(monkeypatch):
@@ -415,9 +449,9 @@ def test_reweight_instance_path_checks_the_identity_twice(monkeypatch):
     calls = []
     presentation_report = core._presentation_report
 
-    def counted(alg, left):
-        calls.append(alg)
-        return presentation_report(alg, left)
+    def counted(*args):
+        calls.append(args)
+        return presentation_report(*args)
 
     monkeypatch.setattr(core, "_presentation_report", counted)
     code, out = run_cli(["reweight", "scaled_projection(1,2)", '{"1": {"1": "1", "2": "1"}}'])

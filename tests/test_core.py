@@ -126,9 +126,9 @@ def test_identity_check_builds_each_side_tables_once(monkeypatch):
     sides = []
     build = core._regular_tables
 
-    def counted(alg, left):
+    def counted(sc, left):
         sides.append("left" if left else "right")
-        return build(alg, left)
+        return build(sc, left)
 
     monkeypatch.setattr(core, "_regular_tables", counted)
     assert check_mrb_identity(fresh).ok

@@ -387,3 +387,48 @@ def test_completion_normal_forms_and_oracle_match(pair):
         assert type(report.output) is type(e)
         assert (report.output, report.applications) == ref.normalize(e, rules)
     assert ring.truncated_quotient_oracle(3) == ref.oracle(3)
+
+
+# -- the left fold of `_nf_word` against the recursive reference ------------------
+
+@pytest.mark.parametrize("name", ["scaled_projection(2,3,5)", "upper_triangular(1,2)"])
+def test_word_normal_forms_match_the_recursion_to_q_degree_5(name):
+    # the reference recurses once per letter and counts the applications of
+    # the whole reduction tree; the fold must agree on both, word by word
+    ring, ref = OperatorRing(INSTANCES[name]), Reference(OperatorRing(INSTANCES[name]))
+    for w in ring.basis_words(5, min_qdegree=2):
+        nf, apps = ring._nf_word(w)
+        den = ring._nf_den(w.q_degree)
+        assert (OpElement.from_dict({OpWord(*w3): Fraction(n, den) for w3, n in nf.items()}), apps) \
+            == ref.nf_word(w)
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_a_word_of_5000_letters_normalizes():
+    # on scaled_projection(1,2) the word e1 Q[1] e1 Q[2] e1 ... of k
+    # alternating letters has the completed normal form 2^(k // 2) e1 Q[1] e1,
+    # and its reduction tree F(k + 2) - 2 contractions (F the Fibonacci
+    # numbers), as the recursive reference shows for small k; the tree's
+    # size grows far past the ring's few states, and the count stays the tree's
+    inst = INSTANCES["scaled_projection(1,2)"]
+    ring, ref = OperatorRing(inst), Reference(OperatorRing(inst))
+    rules = ref.linear_rules()
+
+    def element(k):
+        return OpElement.from_dict({OpWord((0,) * (k + 1), ("1", "2") * (k // 2) + ("1",) * (k % 2)):
+                                    Fraction(1)})
+
+    def expected(k):
+        return (OpElement.from_dict({OpWord((0, 0), ("1",)): Fraction(2 ** (k // 2))}),
+                _fibonacci(k + 2) - 2)
+
+    for k in range(1, 13):
+        assert ref.normalize(element(k), rules) == expected(k)
+    report = ring.normalize(element(5000))
+    assert (report.output, report.applications) == expected(5000)
