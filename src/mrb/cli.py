@@ -10,16 +10,18 @@ verdicts (report still emitted), 2 input errors, usage errors and
 arguments that do not fit together included, and a confluence search, a
 confluence probe or an oracle truncation that exceeds its budget
 (`opring.BudgetExceeded`; the error names the budget and the count reached),
-and input too deeply nested for the recursion limit; an error is reported
-as ``{"command": ..., "error": ...}``.  Reports are emitted as canonically
-ordered JSON so identical inputs produce byte-identical output; ``--pretty``
-switches to indented rendering.
+a normal form whose count of rule applications has more digits than Python
+prints, and input too deeply nested for the recursion limit; an error is
+reported as ``{"command": ..., "error": ...}``.  Reports are emitted as
+canonically ordered JSON so identical inputs produce byte-identical output;
+``--pretty`` switches to indented rendering.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -150,6 +152,12 @@ def _cmd_check_module(mod):
     return (0 if rep.ok else 1), {"report": rep.to_json()}
 
 
+def _digits(n: int) -> int:
+    """The number of decimal digits of n > 0, without printing it."""
+    k = int(math.log10(n))  # the float may be off by one near a power of ten
+    return k + 1 + (n >= 10 ** (k + 1)) - (n < 10 ** k)
+
+
 def _cmd_normalize(inst, expression):
     ring = opring.OperatorRing(inst)
     ast = expr.parse_expression(expression)
@@ -157,6 +165,10 @@ def _cmd_normalize(inst, expression):
     element = expr._bind(ast, inst, dotted)
     printer = expr.print_operated_element if dotted else expr.print_op_element
     report = ring.normalize(element)
+    limit = sys.get_int_max_str_digits()
+    if limit and report.applications >= 10 ** limit:
+        raise InputError(f"reduction tree too large to print: {_digits(report.applications)} "
+                         f"digits in its count of applications, limit {limit}")
     return 0, {
         "input": printer(element, inst),
         "normal_form": printer(report.output, inst),
@@ -245,9 +257,8 @@ def _cmd_reweight(target, spec):
         raise InputError(f"malformed reweight spec: {exc}")
     if not isinstance(target, core.MrbAlgebraInstance):
         return _checked_module(modules.reweight_module(target, rspec), kind="module")
-    out_inst = core.reweight(target, rspec)
-    rep = core.check_mrb_identity(out_inst)
-    return (0 if rep.ok else 1), {
+    out_inst, rep = core._reweighted(target, rspec)
+    return 0, {
         "kind": "instance",
         "instance": core.instance_to_json(out_inst),
         "report": rep.to_json(),

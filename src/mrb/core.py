@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -35,6 +35,7 @@ from .linalg import (
     Matrix,
     Vector,
     _cleared,
+    _frozen,
     _int_product,
     frac,
     format_rational,
@@ -51,7 +52,7 @@ class PreconditionError(ValueError):
     """An operation was invoked outside its contract."""
 
 
-@dataclass(frozen=True)
+@_frozen
 class AlgebraPresentation:
     """Associative unital algebra given by structure constants.
 
@@ -104,7 +105,7 @@ class AlgebraPresentation:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@_frozen
 class OperatorFamily:
     """Linear operators on the algebra, one per label in Omega."""
 
@@ -127,8 +128,10 @@ class OperatorFamily:
             raise KeyError(f"unknown operator label {label!r}") from None
 
 
-@dataclass(frozen=True)
+@_frozen
 class WeightFamily:
+    """The weights lambda_w, one per label in Omega."""
+
     labels: tuple[str, ...]
     values: tuple[Fraction, ...]
 
@@ -143,7 +146,7 @@ class WeightFamily:
             raise KeyError(f"unknown weight label {label!r}") from None
 
 
-@dataclass(frozen=True)
+@_frozen
 class MrbAlgebraInstance:
     """Algebra presentation plus operator and weight families.
 
@@ -185,8 +188,10 @@ class MrbAlgebraInstance:
         object.__setattr__(self, "verified", True)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Violation:
+    """One failed law: its kind, where it fails and, for a matrix law, the residual column."""
+
     kind: str
     where: tuple
     residual: Vector | None = None
@@ -198,8 +203,10 @@ class Violation:
         return out
 
 
-@dataclass(frozen=True)
+@_frozen
 class CheckReport:
+    """The violations a checker found on its subject; clean when there are none."""
+
     subject: str
     violations: tuple[Violation, ...]
 
@@ -487,7 +494,7 @@ def catalog_instance(name: str) -> MrbAlgebraInstance:
 # Reweighting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_frozen
 class ReweightSpec:
     """Coefficient maps defining new operators as combinations of old ones.
 
@@ -528,6 +535,12 @@ def reweight(inst: MrbAlgebraInstance, spec: ReweightSpec) -> MrbAlgebraInstance
 
     The result is re-verified by the identity checker before being returned.
     """
+    return _reweighted(inst, spec)[0]
+
+
+def _reweighted(inst: MrbAlgebraInstance,
+                spec: ReweightSpec) -> tuple[MrbAlgebraInstance, CheckReport]:
+    """The reweighted instance and the identity checker's clean report on it."""
     if not inst.verified:
         raise PreconditionError("instance must be verified before reweighting")
     if not spec.rows:
@@ -546,7 +559,7 @@ def reweight(inst: MrbAlgebraInstance, spec: ReweightSpec) -> MrbAlgebraInstance
     report = check_mrb_identity(out)
     if not report.ok:
         raise AssertionError("reweighted instance failed the identity checker")
-    return out
+    return out, report
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,12 @@ off the engine's reduced rows; it serves :meth:`Matrix.nullspace_basis` and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import attrgetter
+from reprlib import recursive_repr
 from typing import Collection, Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -65,8 +67,118 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(v)
 
 
-def is_zero_vector(v: Vector) -> bool:
-    return all(a == 0 for a in v)
+# ---------------------------------------------------------------------------
+# Frozen value classes
+# ---------------------------------------------------------------------------
+
+def _arguments(cls: type, params: tuple[str, ...], defaults: dict,
+               args: tuple, kwargs: dict) -> tuple:
+    """The arguments of cls(*args, **kwargs) in parameter order, each given
+    by position, by name or by its default."""
+    if len(args) > len(params):
+        raise TypeError(f"{cls.__qualname__}() takes {len(params)} arguments "
+                        f"but {len(args)} were given")
+    bound = list(args)
+    for p in params[len(args):]:
+        if p in kwargs:
+            bound.append(kwargs.pop(p))
+        elif p in defaults:
+            bound.append(defaults[p])
+        else:
+            raise TypeError(f"{cls.__qualname__}() missing required argument {p!r}")
+    if kwargs:
+        raise TypeError(f"{cls.__qualname__}() got an unexpected or repeated argument "
+                        f"{next(iter(kwargs))!r}")
+    return tuple(bound)
+
+
+_set = object.__setattr__
+_UNSET = object()
+
+
+def _frozen(cls: type) -> type:
+    """The package's decorator for immutable value classes: it gives cls the
+    methods of ``dataclass(frozen=True)`` but compiles no source.
+
+    ``dataclass(cls, init=False, repr=False, eq=False)`` only registers the
+    fields, so ``dataclasses.fields``, ``replace`` and ``asdict`` work; the
+    class's ``__dataclass_params__`` record that call, not ``frozen=True``.
+    The six methods that ``dataclass(frozen=True)`` compiles through
+    ``exec`` are closures here, their code compiled once with this module:
+    __init__ takes the init fields by position or by name, fills in plain
+    defaults and then calls __post_init__, while a field outside __init__,
+    such as a latch, reads its class default until it is set; two instances
+    of one class are equal when their compared fields are, and hash and repr
+    give the generated methods' values; assigning or deleting a field, or
+    any attribute of an instance of cls itself, raises FrozenInstanceError,
+    and this is where the immutability comes from.  cls defines none of the
+    six itself, and has a docstring of its own: without one, ``dataclass``
+    builds one from ``inspect.signature``.
+    """
+    dataclass(cls, init=False, repr=False, eq=False)
+    fs = fields(cls)
+    names = tuple(f.name for f in fs)
+    params = tuple(f.name for f in fs if f.init)
+    defaults = {f.name: f.default for f in fs if f.init and f.default is not MISSING}
+    count, span, post_init = len(params), range(len(params)), hasattr(cls, "__post_init__")
+    required = count - len(defaults)
+    tail = tuple(defaults.values())
+    if tuple(defaults) != params[required:]:
+        raise TypeError(f"{cls.__qualname__}: a field without a default follows one with a default")
+    compared = [f.name for f in fs if f.compare]
+    # attrgetter of one name returns the value, not a tuple of it
+    get, one = attrgetter(*compared), len(compared) == 1
+    shown = [f.name for f in fs if f.repr]
+
+    if count == 1:
+        # the one-field constructor, such as OpElement's, is hot: a
+        # positional-only parameter costs less than *args and a loop
+        first, = params
+
+        def __init__(self, value=_UNSET, /, **kwargs):
+            if kwargs or value is _UNSET:
+                given = () if value is _UNSET else (value,)
+                value, = _arguments(cls, params, defaults, given, kwargs)
+            _set(self, first, value)
+            if post_init:
+                self.__post_init__()
+    else:
+        def __init__(self, *args, **kwargs):
+            if kwargs or not required <= len(args) <= count:
+                args = _arguments(cls, params, defaults, args, kwargs)
+            elif len(args) < count:
+                args += tail[len(args) - required:]
+            for i in span:
+                _set(self, params[i], args[i])
+            if post_init:
+                self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (get(self),) == (get(other),) if one else get(self) == get(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((get(self),) if one else get(self))
+
+    @recursive_repr()
+    def __repr__(self):
+        fields_text = ", ".join(f"{n}={getattr(self, n)!r}" for n in shown)
+        return f"{self.__class__.__qualname__}({fields_text})"
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, __hash__
+    cls.__repr__, cls.__setattr__, cls.__delattr__ = __repr__, __setattr__, __delattr__
+    return cls
 
 
 class Matrix:
@@ -265,7 +377,7 @@ def nullspace_basis(m: Matrix) -> "Subspace":
     return m.nullspace_basis()
 
 
-@dataclass(frozen=True)
+@_frozen
 class Subspace:
     """A subspace of Q^n given by a linearly independent basis.
 
@@ -321,7 +433,7 @@ class Subspace:
         return self._rows.contains(dict(enumerate(v)))
 
 
-@dataclass(frozen=True)
+@_frozen
 class QuotientSpace:
     """Explicit presentation of Q^n / span(relations).
 

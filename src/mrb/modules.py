@@ -19,7 +19,6 @@ All verdicts (closure, surjectivity, membership) are decided by exact rank.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -48,6 +47,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _frozen,
     _int_product,
     _kernel,
     format_rational,
@@ -73,7 +73,7 @@ def _validate_action(dim_r: int, dim_m: int, action) -> None:
             raise MalformedPresentationError("action tensor has wrong shape")
 
 
-@dataclass(frozen=True)
+@_frozen
 class FdLeftModule:
     """One-sided module: action[i][p] holds the coordinates of b_i . v_p.
 
@@ -140,7 +140,7 @@ def _from_maps(side: str, inst: MrbAlgebraInstance, dim: int,
     return mod
 
 
-@dataclass(frozen=True)
+@_frozen
 class FdBimodule:
     """A left module and a right module on one space.
 
@@ -175,7 +175,7 @@ class FdBimodule:
         return self.right.action_matrix(r)
 
 
-@dataclass(frozen=True)
+@_frozen
 class ModuleHom:
     """Structure-preserving map between same-side modules over one instance."""
 
@@ -227,15 +227,14 @@ def _product_order(mod: FdLeftModule):
     return lambda x, y: _int_product(y, x)
 
 
-def _action_law_violations(mod: FdLeftModule) -> list[Violation]:
+def _action_law_violations(mod: FdLeftModule, den: int, unit: Sequence[int],
+                           sc, acts) -> list[Violation]:
     """The unit law A_u = 1 and associativity A_{b_i b_j} = mul(A_i, A_j),
     that is (b_i b_j) v = b_i (b_j v), or v (b_i b_j) = (v b_i) b_j, on the
-    unit, the structure constants and the tables cleared to integers over
-    one denominator D: both sides of each law are D^2 times their values."""
-    alg, d, n = mod.inst.algebra, mod.inst.dim, mod.dim
-    den, ((unit,), *blocks) = _integer_blocks(
-        [[alg.unit], *alg.structure_constants, *(m.entries for m in mod.tables)])
-    sc, acts = blocks[:d], blocks[d:]
+    unit, the structure constants and the tables A_i cleared to integers
+    over one denominator D: both sides of each law are D^2 times their
+    values."""
+    n = mod.dim
     mul = _product_order(mod)
     violations = []
     if _combination(unit, acts, n) != _scalar(n, den * den):
@@ -249,7 +248,11 @@ def _action_law_violations(mod: FdLeftModule) -> list[Violation]:
 
 def check_action_laws(mod: FdLeftModule) -> CheckReport:
     """R-module laws of the plain action: associativity and unit."""
-    return CheckReport("action-laws", tuple(_action_law_violations(mod)))
+    alg, d = mod.inst.algebra, mod.inst.dim
+    den, ((unit,), *blocks) = _integer_blocks(
+        [[alg.unit], *alg.structure_constants, *(m.entries for m in mod.tables)])
+    violations = _action_law_violations(mod, den, unit, blocks[:d], blocks[d:])
+    return CheckReport("action-laws", tuple(violations))
 
 
 def check_left_module(mod: FdLeftModule) -> CheckReport:
@@ -258,19 +261,21 @@ def check_left_module(mod: FdLeftModule) -> CheckReport:
 
     Written for the left side; on a right module every product is reversed:
     m_b(v P_a(x)) = m_b(m_a(v) x) + m_b(v) P_a(x) + l_b m_a(v) x + l_a m_b(v) x.
-    The weights, the instance's operators and the module's structure maps
-    are cleared to integers over one denominator, once per check, and the
-    axiom kernel decides every law on integer matrices.
+    The unit, the structure constants, the weights, the instance's operators
+    and the module's structure maps are cleared to integers over one
+    denominator, once per check, and the action laws and the axiom kernel
+    decide every law on those integer matrices.
     """
-    if _action_law_violations(mod):
-        raise PreconditionError("plain module laws fail; fix the action tensor first")
     inst, kind = mod.inst, f"{mod.side}-module"
     s, d = len(inst.omega), inst.dim
-    den, ((weights,), *blocks) = _integer_blocks(
-        [[inst.weights.values], *(m.entries for m in (*inst.operators.matrices, *mod.maps))])
+    den, ((unit, weights), *blocks) = _integer_blocks(
+        [[inst.algebra.unit, inst.weights.values], *inst.algebra.structure_constants,
+         *(m.entries for m in (*inst.operators.matrices, *mod.maps))])
+    sc, ops, acts, mops = blocks[:d], blocks[d:d + s], blocks[d + s:2 * d + s], blocks[2 * d + s:]
+    if _action_law_violations(mod, den, unit, sc, acts):
+        raise PreconditionError("plain module laws fail; fix the action tensor first")
     return CheckReport(kind, tuple(_axiom_violations(
-        kind, inst.omega, den, weights, blocks[:s], blocks[s:s + d], blocks[s + d:],
-        _product_order(mod))))
+        kind, inst.omega, den, weights, ops, acts, mops, _product_order(mod))))
 
 
 check_right_module = check_left_module
@@ -335,8 +340,10 @@ def zero_module(inst: MrbAlgebraInstance, side: str = "left") -> FdLeftModule:
     return _from_maps(side, inst, 0, [Matrix.zero(0, 0)] * (inst.dim + len(inst.omega)))
 
 
-@dataclass(frozen=True)
+@_frozen
 class DirectSum:
+    """A direct sum module with its inclusion and projection homs, one per summand."""
+
     module: FdLeftModule | FdRightModule
     inclusions: tuple[ModuleHom, ...]
     projections: tuple[ModuleHom, ...]

@@ -17,19 +17,20 @@ makes equality a coefficient comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
 from .core import MrbAlgebraInstance
-from .linalg import Vector, frac, vector
+from .linalg import Vector, _frozen, frac, vector
 from .modules import FdLeftModule
 from .opring import FreeModuleElement, OperatorRing, OpWord, basis_word, words_of_degree
 
 
-@dataclass(frozen=True)
+@_frozen
 class GeneratorSet:
+    """The distinct generator names X of a free operated module."""
+
     names: tuple[str, ...]
 
     def __post_init__(self):
@@ -129,7 +130,7 @@ class FreeOperatedModule:
         return OperatedModuleHom(self, target, resolved)
 
 
-@dataclass(frozen=True)
+@_frozen
 class OperatedModuleHom:
     """Structural evaluator out of the free operated module.
 

@@ -53,13 +53,12 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import MrbAlgebraInstance, PreconditionError
-from .linalg import SparseRowSpace, _cleared, frac, vector
+from .linalg import SparseRowSpace, _cleared, _frozen, frac, vector
 
 
 class OpWord(namedtuple("OpWord", "slots ops")):
@@ -114,7 +113,7 @@ def expand_word(inst: MrbAlgebraInstance, vectors: Sequence[Sequence],
     return {basis_word(inst, s, ops): c for s, c in slots.items()}
 
 
-@dataclass(frozen=True)
+@_frozen
 class OpElement:
     """Finitely supported rational combination of operator words.
 
@@ -204,23 +203,29 @@ class FreeModuleElement(OpElement):
         return word, gen
 
 
-@dataclass(frozen=True)
+@_frozen
 class RewriteReport:
+    """A normal form with its input and the number of rule applications that reached it."""
+
     input: OpElement
     output: OpElement
     applications: int
     strategy: str = "leftmost-innermost"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Discrepancy:
+    """A word with distinct normal forms and the differences that witness them."""
+
     word: OpWord
     normal_forms: tuple[OpElement, ...]
     witnesses: tuple[OpElement, ...]
 
 
-@dataclass(frozen=True)
+@_frozen
 class ConfluenceReport:
+    """The number of words probed and the discrepancies found among them."""
+
     probed: int
     discrepancies: tuple[Discrepancy, ...]
 
@@ -229,8 +234,10 @@ class ConfluenceReport:
         return not self.discrepancies
 
 
-@dataclass(frozen=True)
+@_frozen
 class OracleResult:
+    """The truncated quotient: its dimension, coset representatives and ranks."""
+
     dim: int
     basis_cosets: tuple[OpWord, ...]
     word_count: int

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .core import MrbAlgebraInstance
+from .linalg import _frozen
 from .opring import FreeModuleElement, OperatorRing, OpElement, OpWord, basis_word
 from .operated import FreeOperatedModule, GeneratorSet
 
@@ -44,8 +44,10 @@ class ExpressionError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
+@_frozen
 class Token:
+    """One lexeme with its kind and the 1-based line and column where it starts."""
+
     kind: str  # NUMBER IDENT QLABEL PLUS MINUS STAR LPAREN RPAREN DOT COLON END
     text: str
     line: int
@@ -89,7 +91,7 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
+@_frozen
 class WordAst:
     """One parsed word: slot labels, operator labels, optional generator.
 
@@ -103,8 +105,10 @@ class WordAst:
     kind: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class ExpressionAst:
+    """A parsed expression: (coefficient, word) terms, unbound to any instance."""
+
     terms: tuple[tuple[Fraction, WordAst], ...]
 
     def is_zero(self) -> bool:

@@ -25,7 +25,6 @@ modules id (x) theta.  Every verdict is an exact rank decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -35,6 +34,7 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     Vector,
+    _frozen,
     kron_difference_rows,
     quotient_space,
     unit_vector,
@@ -56,7 +56,7 @@ from .modules import (
 )
 
 
-@dataclass(frozen=True)
+@_frozen
 class TensorSpace:
     """Quotient presentation of M (x) N for right M and left N.
 
@@ -222,8 +222,10 @@ def _tensor_structure(t: TensorSpace, acting: FdLeftModule, on_ambient) -> FdLef
 # Hom-tensor adjunction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_frozen
 class AdjunctionReport:
+    """Hom(M (x) S, T) and Hom(M, Hom(S, T)): their dimensions and the unit maps."""
+
     dim_hom_tensor: int
     dim_hom_hom: int
     mutually_inverse: bool
@@ -295,8 +297,10 @@ def adjunction_check(m: FdRightModule, s_bimod: FdBimodule, t_mod: FdRightModule
 # Flatness probes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_frozen
 class ProbeResult:
+    """One flatness probe: the dimensions it measured, its verdict and a witness."""
+
     name: str
     dims: dict
     verdict: str
@@ -309,8 +313,10 @@ class ProbeResult:
         return out
 
 
-@dataclass(frozen=True)
+@_frozen
 class FlatnessReport:
+    """The probes run on one module and their verdicts."""
+
     module_side: str
     probes: tuple[ProbeResult, ...]
 
@@ -365,8 +371,10 @@ def flatness_probe(module: FdRightModule | FdLeftModule,
 # Structural comparison reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_frozen
 class TensorUnitReport:
+    """The evaluation map M (x) R -> M: the two dimensions and what the map is."""
+
     tensor_dim: int
     module_dim: int
     well_defined: bool
@@ -396,8 +404,10 @@ def tensor_unit_check(m: FdRightModule) -> TensorUnitReport:
     return TensorUnitReport(t.dim, m.dim, True, rk == t.dim, rk == m.dim)
 
 
-@dataclass(frozen=True)
+@_frozen
 class DirectSumTensorReport:
+    """S (x) (+) M_i against (+) (S (x) M_i): dimensions and the canonical maps."""
+
     sum_dim: int
     part_dims: tuple[int, ...]
     mutually_inverse: bool

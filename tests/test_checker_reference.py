@@ -30,7 +30,7 @@ from mrb.core import (
     check_mrb_identity,
     check_presentation,
 )
-from mrb.linalg import Matrix, is_zero_vector
+from mrb.linalg import Matrix
 from mrb.modules import (
     FdBimodule,
     check_action_laws,
@@ -52,6 +52,10 @@ def _tables(alg, left):
     sc, d = alg.structure_constants, alg.dim
     return tuple(Matrix.from_cols([sc[i][j] if left else sc[j][i] for j in range(d)], rows=d)
                  for i in range(d))
+
+
+def is_zero_vector(v):
+    return all(a == 0 for a in v)
 
 
 def _sum_of(terms, rows, cols):

@@ -154,10 +154,19 @@ def test_long_words_normalize_and_a_count_past_the_digit_limit_is_a_json_error()
     report = json.loads(out)
     assert code == 0 and report["normal_form"] == f"{2 ** 2500} * (e1 Q[1] e1)"
     assert report["applications"] == fib[5002] - 2
-    # at 22,000 letters the count has more digits than Python prints
+    # at 22,000 letters the count, F(22002) - 2, has 4,598 digits, more than
+    # Python prints: an input error, as a budget would be
     code, out = run_cli(["normalize", "scaled_projection(1,2)", "e1" + " Q[1] e1 Q[2] e1" * 11000])
-    assert code == 1 and out.count("\n") == 1
-    assert json.loads(out)["error"].startswith("Exceeds the limit (4300 digits)")
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out)["error"] == ("reduction tree too large to print: 4598 digits in its "
+                                        "count of applications, limit 4300")
+
+
+def test_digit_counts_are_exact_at_powers_of_ten():
+    # read off a float logarithm, which can be off by one next to 10^k
+    for k in (1, 2, 15, 16, 17, 22, 300, 4300, 5000):
+        assert (cli._digits(10 ** k - 1), cli._digits(10 ** k), cli._digits(10 ** k + 1)) \
+            == (k, k + 1, k + 1)
 
 
 def test_an_expression_with_a_leading_minus_is_the_expression():
@@ -444,28 +453,36 @@ def test_every_verb_has_a_golden_pair_and_a_readme_entry():
 
 
 def test_reweight_instance_path_checks_the_identity_twice(monkeypatch):
-    # once for the catalog instance, once for the reweighted one; each
-    # identity check checks the presentation first
-    calls = []
-    presentation_report = core._presentation_report
+    # once for the catalog instance, once for the reweighted one, whose
+    # report is the one printed; each identity check checks the presentation
+    # first, and a verified instance's check returns at once
+    calls, checks = [], []
+    presentation_report, check_mrb_identity = core._presentation_report, core.check_mrb_identity
 
     def counted(*args):
         calls.append(args)
         return presentation_report(*args)
 
+    def counted_check(inst):
+        checks.append(inst)
+        return check_mrb_identity(inst)
+
     monkeypatch.setattr(core, "_presentation_report", counted)
+    monkeypatch.setattr(core, "check_mrb_identity", counted_check)
     code, out = run_cli(["reweight", "scaled_projection(1,2)", '{"1": {"1": "1", "2": "1"}}'])
-    assert code == 0 and json.loads(out)["report"]["ok"]
+    assert code == 0 and json.loads(out)["report"] == {"ok": True, "subject": "mrb-identity",
+                                                      "violations": []}
     assert len(calls) == 2
+    assert [inst.omega for inst in checks if inst.omega != ("1", "2")] == [("1",)]
 
 
 def test_check_module_evaluates_the_action_laws_once(monkeypatch):
     calls = []
     violations = modules._action_law_violations
 
-    def counted(mod):
+    def counted(mod, *cleared):
         calls.append(mod)
-        return violations(mod)
+        return violations(mod, *cleared)
 
     monkeypatch.setattr(modules, "_action_law_violations", counted)
     code, out = run_cli(["check-module", "inputs/regular_left_sp12.json"])

@@ -6,16 +6,23 @@ never wrapped, so its per-layer metric reads zero without any error; these
 tests make such a rename fail here instead.  The last tests pin how
 `tools/bench_pairs.py` counts a pair as won in each metric direction and
 how it judges a metric against its bound, and which lines `tools/loc.py`
-counts as code.
+counts as code.  The value-class guards keep `import mrb` from compiling
+source: every class made by `linalg._frozen` has a docstring of its own and
+the decorator's __init__, and no ``dataclass`` method is generated.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import mrb
 from mrb.core import scaled_projection
 from mrb.modules import regular_left_module, regular_right_module
 from mrb.tensor import tensor_product
+from test_value_classes import value_classes
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -122,3 +129,29 @@ that is not a docstring"""
         return text, os
 ''')
     assert _load_tool("loc").count(sample) == (16, 6)
+
+
+def test_every_value_class_has_its_own_docstring_and_the_decorator_init():
+    # without a docstring, dataclass() builds one from inspect.signature
+    classes = value_classes()
+    assert len(classes) == 29
+    assert [c.__name__ for c in classes
+            if not vars(c).get("__doc__") or vars(c)["__doc__"].startswith(f"{c.__name__}(")] == []
+    assert [c.__name__ for c in classes
+            if vars(c)["__init__"].__qualname__ != "_frozen.<locals>.__init__"] == []
+
+
+def test_importing_the_package_generates_no_dataclass_method():
+    # dataclass() compiles each generated method from a text that defines
+    # __create_fn__; an audit hook sees every text compiled during the import
+    probe = """
+import sys
+texts = []
+sys.addaudithook(lambda event, args: event == "compile" and texts.append(args[0]))
+import mrb.cli
+print(sum(b"__create_fn__" in (t.encode() if isinstance(t, str) else t) for t in texts))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(mrb.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0"
