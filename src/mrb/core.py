@@ -27,13 +27,13 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .linalg import (
     Matrix,
     Vector,
+    _Latch,
     _cleared,
     _frozen,
     _int_product,
@@ -157,7 +157,7 @@ class MrbAlgebraInstance:
     algebra: AlgebraPresentation
     operators: OperatorFamily
     weights: WeightFamily
-    verified: bool = field(default=False, compare=False, init=False)
+    verified: bool = _Latch(False)
 
     def __post_init__(self):
         if self.operators.labels != self.weights.labels:

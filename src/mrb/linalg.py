@@ -24,7 +24,7 @@ off the engine's reduced rows; it serves :meth:`Matrix.nullspace_basis` and
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+import sys
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -48,8 +48,20 @@ def frac(x) -> Fraction:
     if isinstance(x, str):
         if not _RATIONAL_RE.match(x):
             raise ValueError(f"not a rational literal: {x!r}")
-        return Fraction(x)
+        return rational(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def rational(text: str) -> Fraction:
+    """The Fraction of a literal ``p`` or ``p/q`` of decimal digits, with an
+    optional sign; a part with more digits than Python converts to an int
+    (``sys.get_int_max_str_digits()``, 0 for no limit) is a ValueError that
+    names its digits and the limit."""
+    limit = sys.get_int_max_str_digits()
+    digits = max(map(len, text.lstrip("-").split("/")))
+    if limit and digits > limit:
+        raise ValueError(f"rational literal too long: {digits} digits, limit {limit}")
+    return Fraction(text)
 
 
 def format_rational(x: Fraction) -> str:
@@ -96,39 +108,74 @@ _set = object.__setattr__
 _UNSET = object()
 
 
+class _Latch:
+    """The class-body default of a field outside __init__ and equality, such
+    as ``verified: bool = _Latch(False)``: an instance reads the default
+    until it sets the field itself."""
+
+    def __init__(self, default):
+        self.default = default
+
+
+class _Fields:
+    """A class's ``__dataclass_fields__`` until it is first read, from an
+    instance, the class or a subclass: the read registers the fields with
+    ``dataclass``, which replaces this descriptor by the field dict, and
+    returns that dict."""
+
+    def __init__(self, cls: type, latches: dict):
+        self.cls, self.latches = cls, latches
+
+    def __get__(self, obj, owner=None):
+        from dataclasses import dataclass, field
+        for name, default in self.latches.items():
+            setattr(self.cls, name, field(default=default, init=False, compare=False))
+        dataclass(self.cls, init=False, repr=False, eq=False)
+        return vars(self.cls)["__dataclass_fields__"]
+
+
+def _refused(verb: str, name: str) -> AttributeError:
+    """The error for an assignment or deletion that a value class refuses,
+    imported only when one is refused."""
+    from dataclasses import FrozenInstanceError
+    return FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
 def _frozen(cls: type) -> type:
     """The package's decorator for immutable value classes: it gives cls the
-    methods of ``dataclass(frozen=True)`` but compiles no source.
+    methods of ``dataclass(frozen=True)`` without compiling source or
+    importing ``dataclasses``.
 
-    ``dataclass(cls, init=False, repr=False, eq=False)`` only registers the
-    fields, so ``dataclasses.fields``, ``replace`` and ``asdict`` work; the
-    class's ``__dataclass_params__`` record that call, not ``frozen=True``.
-    The six methods that ``dataclass(frozen=True)`` compiles through
-    ``exec`` are closures here, their code compiled once with this module:
-    __init__ takes the init fields by position or by name, fills in plain
-    defaults and then calls __post_init__, while a field outside __init__,
-    such as a latch, reads its class default until it is set; two instances
-    of one class are equal when their compared fields are, and hash and repr
-    give the generated methods' values; assigning or deleting a field, or
-    any attribute of an instance of cls itself, raises FrozenInstanceError,
-    and this is where the immutability comes from.  cls defines none of the
-    six itself, and has a docstring of its own: without one, ``dataclass``
-    builds one from ``inspect.signature``.
+    The fields are cls's own annotations in order, a default is the plain
+    class attribute, and a `_Latch` marks a field outside __init__ and
+    equality.  The first read of ``__dataclass_fields__`` (by
+    ``dataclasses.fields``, ``replace``, ``asdict``, ``is_dataclass`` or a
+    subclass) runs ``dataclass(cls, init=False, repr=False, eq=False)``,
+    which only registers the fields; ``__dataclass_params__`` records that
+    call, not ``frozen=True``.  The six generated methods are closures
+    compiled once with this module: __init__ takes the init fields by
+    position or name, fills in defaults and calls __post_init__, while a
+    latch reads its default until it is set; instances of one class are
+    equal when their init fields are, and hash and repr give the generated
+    methods' values; assigning or deleting a field, or any attribute of an
+    instance of cls itself, raises FrozenInstanceError.  cls defines none of
+    the six itself, and has a docstring of its own: without one,
+    ``dataclass`` builds one from ``inspect.signature``.
     """
-    dataclass(cls, init=False, repr=False, eq=False)
-    fs = fields(cls)
-    names = tuple(f.name for f in fs)
-    params = tuple(f.name for f in fs if f.init)
-    defaults = {f.name: f.default for f in fs if f.init and f.default is not MISSING}
+    own = vars(cls)
+    names = tuple(own.get("__annotations__", ()))
+    latches = {n: own[n].default for n in names if isinstance(own.get(n), _Latch)}
+    for name, default in latches.items():
+        setattr(cls, name, default)
+    params = tuple(n for n in names if n not in latches)
+    defaults = {n: own[n] for n in params if n in own}
     count, span, post_init = len(params), range(len(params)), hasattr(cls, "__post_init__")
     required = count - len(defaults)
     tail = tuple(defaults.values())
     if tuple(defaults) != params[required:]:
         raise TypeError(f"{cls.__qualname__}: a field without a default follows one with a default")
-    compared = [f.name for f in fs if f.compare]
     # attrgetter of one name returns the value, not a tuple of it
-    get, one = attrgetter(*compared), len(compared) == 1
-    shown = [f.name for f in fs if f.repr]
+    get, one = attrgetter(*params), count == 1
 
     if count == 1:
         # the one-field constructor, such as OpElement's, is hot: a
@@ -163,21 +210,22 @@ def _frozen(cls: type) -> type:
 
     @recursive_repr()
     def __repr__(self):
-        fields_text = ", ".join(f"{n}={getattr(self, n)!r}" for n in shown)
+        fields_text = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
         return f"{self.__class__.__qualname__}({fields_text})"
 
     def __setattr__(self, name, value):
         if type(self) is cls or name in names:
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+            raise _refused("assign to", name)
         super(cls, self).__setattr__(name, value)
 
     def __delattr__(self, name):
         if type(self) is cls or name in names:
-            raise FrozenInstanceError(f"cannot delete field {name!r}")
+            raise _refused("delete", name)
         super(cls, self).__delattr__(name)
 
     cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, __hash__
     cls.__repr__, cls.__setattr__, cls.__delattr__ = __repr__, __setattr__, __delattr__
+    cls.__match_args__, cls.__dataclass_fields__ = params, _Fields(cls, latches)
     return cls
 
 

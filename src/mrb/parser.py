@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import MrbAlgebraInstance
-from .linalg import _frozen
+from .linalg import _frozen, rational
 from .opring import FreeModuleElement, OperatorRing, OpElement, OpWord, basis_word
 from .operated import FreeOperatedModule, GeneratorSet
 
@@ -160,9 +160,11 @@ class _Parser:
             tok = self.peek()
         if tok.kind == "NUMBER" and self.tokens[self.pos + 1].kind == "STAR":
             try:
-                coeff *= Fraction(tok.text)
+                coeff *= rational(tok.text)
             except ZeroDivisionError:
                 raise ExpressionError(f"zero denominator in {tok.text}", tok.line, tok.column) from None
+            except ValueError as exc:  # a part past Python's digit limit
+                raise ExpressionError(str(exc), tok.line, tok.column) from None
             self.pos += 2  # NUMBER STAR
             if negative:
                 coeff = -coeff

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,27 @@ def test_long_words_normalize_and_a_count_past_the_digit_limit_is_a_json_error()
     assert code == 2 and out.count("\n") == 1
     assert json.loads(out)["error"] == ("reduction tree too large to print: 4598 digits in its "
                                         "count of applications, limit 4300")
+
+
+def test_a_literal_past_the_digit_limit_is_an_input_error_at_its_position():
+    # Python converts no int of more than sys.get_int_max_str_digits() digits
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 700)
+    too_long = f"rational literal too long: {limit + 700} digits, limit {limit}"
+    cases = [
+        (["normalize", "scaled_projection(1)", f"{long} * e1 Q[1] e1 : x"],
+         f"{too_long} at line 1, column 1"),
+        (["normalize", "scaled_projection(1)", f"e1 . 1 . e1 : x\n - 2/{long} * e1 : x"],
+         f"{too_long} at line 2, column 4"),
+        (["reweight", "scaled_projection(1,2)", json.dumps({"1": {"1": "1", "2": f"-{long}"}})],
+         f"malformed reweight spec: {too_long}"),
+    ]
+    for argv, error in cases:
+        assert run_cli(argv) == (2, json.dumps({"command": argv[0], "error": error},
+                                               separators=(",", ":")) + "\n"), argv[2][:20]
+    # a literal at the limit is read
+    code, out = run_cli(["normalize", "scaled_projection(1)", f"{'1' * limit} * e1 : x"])
+    assert code == 0 and json.loads(out)["normal_form"] == f"{'1' * limit} * (e1 : x)"
 
 
 def test_digit_counts_are_exact_at_powers_of_ten():

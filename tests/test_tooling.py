@@ -8,7 +8,8 @@ tests make such a rename fail here instead.  The last tests pin how
 how it judges a metric against its bound, and which lines `tools/loc.py`
 counts as code.  The value-class guards keep `import mrb` from compiling
 source: every class made by `linalg._frozen` has a docstring of its own and
-the decorator's __init__, and no ``dataclass`` method is generated.
+the decorator's __init__, no ``dataclass`` method is generated, and neither
+``dataclasses`` nor the modules it imports are loaded.
 """
 
 import importlib
@@ -151,7 +152,23 @@ sys.addaudithook(lambda event, args: event == "compile" and texts.append(args[0]
 import mrb.cli
 print(sum(b"__create_fn__" in (t.encode() if isinstance(t, str) else t) for t in texts))
 """
+    assert _fresh(probe) == "0"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, which imports ast, dis and tokenize; the
+    # value classes register their fields only when they are first read
+    probe = """
+import sys
+before = set(sys.modules)
+import mrb.cli
+print(sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & (set(sys.modules) - before)))
+"""
+    assert _fresh(probe) == "[]"
+
+
+def _fresh(probe: str) -> str:
+    """What probe prints in a fresh interpreter that imports this package."""
     env = dict(os.environ, PYTHONPATH=str(Path(mrb.__file__).resolve().parent.parent))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "0"
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()

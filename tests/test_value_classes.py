@@ -1,16 +1,27 @@
 """The package's frozen value classes against stdlib ``dataclass(frozen=True)``.
 
-Every value class is made by ``linalg._frozen``, which registers the fields
-with ``dataclass`` and attaches its own methods in place of the generated
-ones.  For each class a twin is built with ``dataclasses.make_dataclass(...,
-frozen=True)`` from the same fields, and on sample instances the two must
-agree on construction, ``==``, ``hash``, ``repr``, the refusal of assignment
-and deletion, ``dataclasses.fields``, ``replace`` and ``asdict``.
+Every value class is made by ``linalg._frozen``, which reads the fields off
+the class statement and attaches its own methods in place of the generated
+ones; the fields are registered with ``dataclass`` on their first read, not
+at import.  For each class a twin is built with
+``dataclasses.make_dataclass(..., frozen=True)`` from the same fields, and
+on sample instances the two must agree on construction, ``==``, ``hash``,
+``repr``, the refusal of assignment and deletion, ``dataclasses.fields``,
+``replace`` and ``asdict``.  Since registration happens once per process,
+each way of making the first read runs in a fresh interpreter, and must
+give every class the fields that ``dataclass`` registers when it runs on
+the class statement at once.
 """
 
+import __future__
 import dataclasses
 import inspect
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -212,3 +223,95 @@ def test_post_init_validates_every_way_of_construction():
                   lambda: dataclasses.replace(gens, names=("x", "x"))):
         with pytest.raises(ValueError, match="distinct"):
             build()
+
+
+def _spec(cls):
+    """(name, type, default, init, compare, repr) of each of cls's fields, the
+    default as its repr or "MISSING"."""
+    return [[f.name, f.type, "MISSING" if f.default is dataclasses.MISSING else repr(f.default),
+             f.init, f.compare, f.repr] for f in dataclasses.fields(cls)]
+
+
+def _eager_spec(cls):
+    """`_spec` of cls, or of the value class it subclasses, when its class
+    statement runs with ``dataclass`` registering the fields at once."""
+    while "__dataclass_fields__" not in vars(cls):
+        cls = cls.__base__
+    module = sys.modules[cls.__module__]
+    namespace = dict(
+        vars(module),
+        _frozen=lambda c: dataclasses.dataclass(c, init=False, repr=False, eq=False),
+        _Latch=lambda default: dataclasses.field(default=default, init=False, compare=False))
+    code = compile(inspect.getsource(cls), module.__file__, "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    exec(code, namespace)
+    return _spec(namespace[cls.__name__])
+
+
+# the first read, as `result = ...`, of a fresh interpreter that has
+# registered no fields yet, its result, and the classes it registers: never
+# a subclass of a value class, which reads its base's fields
+FIRST_READS = {
+    "fields of a subclass instance": (
+        "result = [f.name for f in dataclasses.fields(\n"
+        "    FreeModuleElement.from_dict({(OpWord((0,), ()), 'x'): 2}))]",
+        ["terms"], ["OpElement"]),
+    "fields of a subclass": (
+        "result = [f.name for f in dataclasses.fields(FdRightModule)]",
+        ["inst", "dim", "action", "operators"], ["FdLeftModule"]),
+    "replace of a verified instance": (
+        "inst = catalog_instance('scaled_projection(1,2)')\n"
+        "copy = dataclasses.replace(inst)\n"
+        "try:\n"
+        "    dataclasses.replace(inst, verified=True)\n"
+        "    refused = None\n"
+        "except ValueError as exc:\n"
+        "    refused = str(exc)\n"
+        "result = [inst.verified, copy.verified, copy == inst, refused]",
+        [True, False, True,
+         "field verified is declared with init=False, it cannot be specified with replace()"],
+        ["MrbAlgebraInstance"]),
+    "asdict": (
+        "result = dataclasses.asdict(CheckReport('identity', (Violation('k', (0, 1)),)))",
+        {"subject": "identity", "violations": [{"kind": "k", "where": [0, 1], "residual": None}]},
+        ["CheckReport", "Violation"]),
+    "is_dataclass": (
+        "result = [dataclasses.is_dataclass(Token), dataclasses.is_dataclass(Matrix)]",
+        [True, False], ["Token"]),
+}
+
+PROBE = """
+import dataclasses, json, sys
+from mrb import cli, core, linalg, modules, operated, opring, parser, tensor
+from mrb.core import CheckReport, Violation, catalog_instance
+from mrb.linalg import Matrix
+from mrb.modules import FdRightModule
+from mrb.opring import FreeModuleElement, OpWord
+from mrb.parser import Token
+
+classes = [c for layer in (core, linalg, modules, operated, opring, parser, tensor)
+           for c in vars(layer).values() if isinstance(c, type)
+           and c.__module__ == layer.__name__ and "__dataclass_fields__" in vars(c)]
+docs = [c.__doc__ for c in classes]
+assert not [c for c in classes if "__dataclass_params__" in vars(c)]
+{first_read}
+subclasses = [FdRightModule, FreeModuleElement]
+registered = sorted(c.__name__ for c in classes + subclasses if "__dataclass_params__" in vars(c))
+{spec}
+specs = {{c.__name__: _spec(c) for c in classes + subclasses}}
+print(json.dumps({{"result": result, "registered": registered, "specs": specs,
+                  "docs kept": [c.__doc__ for c in classes] == docs}}))
+"""
+
+
+@pytest.mark.parametrize("case", FIRST_READS)
+def test_the_first_read_of_the_fields_registers_them_as_dataclass_would(case):
+    first_read, result, registered = FIRST_READS[case]
+    probe = PROBE.format(first_read=first_read, spec=inspect.getsource(_spec))
+    env = dict(os.environ, PYTHONPATH=str(Path(linalg.__file__).resolve().parent.parent))
+    out = json.loads(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                    text=True, check=True).stdout)
+    assert (out["result"], out["registered"]) == (result, registered)
+    assert out["docs kept"]
+    classes = [*value_classes(), modules.FdRightModule, FreeModuleElement]
+    assert out["specs"] == {cls.__name__: _eager_spec(cls) for cls in classes}
