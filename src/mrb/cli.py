@@ -40,13 +40,16 @@ def _message(exc: Exception) -> str:
     return str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
 
 
-def _load_json(path: str):
+def _load_json(where: str, text: str | None = None):
+    """The JSON value in text, or in the file at path `where` without one.
+    Malformed JSON and a bare integer past Python's digit limit, which json
+    reports as a plain ValueError, are input errors that name `where`."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(where).read_text() if text is None else text)
     except FileNotFoundError:
-        raise InputError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}")
+        raise InputError(f"no such file: {where}")
+    except ValueError as exc:
+        raise InputError(f"invalid JSON in {where}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +213,7 @@ def _cmd_oracle(max_qdegree, inst):
 
 
 def _cmd_quotient(mod, relations):
-    vectors = json.loads(relations)
+    vectors = _load_json("relations", relations)
     if not isinstance(vectors, list) or any(
             not isinstance(v, list) or len(v) != mod.dim for v in vectors):
         raise InputError(f"relations must be a JSON array of length-{mod.dim} vectors")
@@ -250,7 +253,7 @@ def _cmd_hom_module(variant, m, n):
 
 
 def _cmd_reweight(target, spec):
-    spec_doc = json.loads(spec)
+    spec_doc = _load_json("reweight spec", spec)
     try:
         rspec = core.ReweightSpec.from_dict(spec_doc)
     except (TypeError, ValueError) as exc:
@@ -398,8 +401,7 @@ def main(argv=None, stdout=None) -> int:
         code, report = handler(*values)
         # an int past Python's digit limit for printing raises ValueError here
         text = dump(report)
-    except (InputError, ArgumentError, expr.ExpressionError, KeyError,
-            json.JSONDecodeError, opring.BudgetExceeded) as exc:
+    except (InputError, ArgumentError, expr.ExpressionError, KeyError, opring.BudgetExceeded) as exc:
         code, text = 2, dump({"error": _message(exc)})
     except RecursionError:
         code, text = 2, dump({"error": "input nested too deeply"})

@@ -417,14 +417,6 @@ class Matrix:
         return tuple(sols)
 
 
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def nullspace_basis(m: Matrix) -> "Subspace":
-    return m.nullspace_basis()
-
-
 @_frozen
 class Subspace:
     """A subspace of Q^n given by a linearly independent basis.

@@ -403,15 +403,15 @@ def quotient_module(mod: FdLeftModule, sub: Subspace,
 
 
 def module_constants(mod: FdLeftModule) -> Subspace:
-    """Solution space of m_w(r v) = P_w(r) v over all basis r and labels w."""
-    acts, n = mod.tables, mod.dim
-    blocks = []
-    for mw, pw in zip(mod.operators, mod.inst.operators.matrices):
-        for i, act in enumerate(acts):
-            # m_w(b_i v) - P_w(b_i) v, with P_w(b_i) acting as sum_k (P_w)_{k,i} A_k
-            blocks.extend((mw @ act - _sum_of(zip(pw.col(i), acts), n, n)).entries)
-    null = Matrix.from_rows(blocks, cols=mod.dim).nullspace_basis()
-    return Subspace.spanned_by(mod.dim, null.basis)
+    """The v with m_w(r v) = P_w(r) v for every r and label w (m_w(v r) =
+    v P_w(r) on a right module), in canonical basis: the values f(1) of the
+    homs f from the regular module of mod's side, as f(r) = r f(1).  That
+    reading needs the plain action laws, which are checked first."""
+    if not check_action_laws(mod).ok:
+        raise PreconditionError("plain module laws fail; fix the action tensor first")
+    regular = regular_left_module if mod.side == "left" else regular_right_module
+    homs = hom_space(regular(mod.inst), mod)
+    return Subspace.spanned_by(mod.dim, [f.apply(mod.inst.algebra.unit) for f in homs])
 
 
 def restricted_free(inst: MrbAlgebraInstance, generators: Sequence[str]) -> FdLeftModule:
@@ -430,7 +430,8 @@ def restricted_lift(free: FdLeftModule, images: Sequence[Sequence],
                     target: FdLeftModule) -> ModuleHom:
     """The unique hom out of a restricted free module determined by generator
     images, one per generator in order, which must all be module constants
-    of the target."""
+    of the target: for each image_k a hom f: R -> target with f(1) = image_k
+    exists, and the lift is those homs side by side."""
     inst = free.inst
     if target.inst != inst:
         raise ValueError("target lives over a different instance")

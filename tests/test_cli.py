@@ -184,6 +184,27 @@ def test_a_literal_past_the_digit_limit_is_an_input_error_at_its_position():
     assert code == 0 and json.loads(out)["normal_form"] == f"{'1' * limit} * (e1 : x)"
 
 
+@pytest.mark.parametrize("where", ["reweight spec", "relations", "module document"])
+def test_a_bare_json_integer_past_the_digit_limit_is_an_input_error(where, tmp_path):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for it
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 700)
+    doc = (GOLDEN / "inputs" / "regular_left_sp12.json").read_text()
+    path = tmp_path / "long_dim.json"
+    path.write_text(re.sub(r'"dim": ?\d+', f'"dim": {long}', doc, count=1))
+    argv, source = {
+        "reweight spec": (["reweight", "scaled_projection(1,2)", f'{{"1": {{"1": {long}}}}}'],
+                          "reweight spec"),
+        "relations": (["quotient", "inputs/regular_left_sp12.json", f"[[{long}, 0]]"],
+                      "relations"),
+        "module document": (["check-module", str(path)], str(path)),
+    }[where]
+    code, out = run_cli(argv)
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out)["error"].startswith(
+        f"invalid JSON in {source}: Exceeds the limit ({limit} digits)")
+
+
 def test_digit_counts_are_exact_at_powers_of_ten():
     # read off a float logarithm, which can be off by one next to 10^k
     for k in (1, 2, 15, 16, 17, 22, 300, 4300, 5000):
@@ -412,6 +433,9 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
          "trivial expects 2 arguments, as in trivial(d,s); got 1"),
         (["check-algebra", "trivial(1,2,3)"],
          "trivial expects 2 arguments, as in trivial(d,s); got 3"),
+        (["check-algebra", "trivial(2000,1)"],
+         "trivial(2000,1) asks for 8000000000 structure constants, identity equations or "
+         "labels; the budget is 64000"),
         (["check-module", str(bad_right_operator)],
          f"malformed module document {bad_right_operator}: operator matrix has wrong shape"),
         (["check-module", str(bad_left_operator)],
@@ -537,6 +561,17 @@ def test_check_module_reports_a_failing_unit_law(tmp_path):
     assert code == 1
     assert report["subject"] == "action-laws"
     assert [v["kind"] for v in report["violations"]] == ["unit-action"]
+
+
+def test_module_constants_of_a_module_whose_action_laws_fail_exit_1(tmp_path):
+    # e1 acts on v1 as 2: the unit acts as 1 no longer
+    doc = json.loads((GOLDEN / "inputs" / "regular_left_sp12.json").read_text())
+    doc["action"][0][0][0] = "2"
+    path = tmp_path / "bad_action.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["mc", str(path)]) == (1, json.dumps(
+        {"command": "mc", "error": "plain module laws fail; fix the action tensor first"},
+        separators=(",", ":")) + "\n")
 
 
 def test_a_subspace_that_is_not_a_submodule_exits_1():

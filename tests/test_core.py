@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,27 @@ def test_catalog_instance_parser():
     assert catalog_instance("trivial(2,3)").dim == 2
     with pytest.raises(KeyError):
         catalog_instance("nonsense(1)")
+
+
+@pytest.mark.parametrize("name,count", [
+    ("trivial(2000,1)", 2000 ** 3), ("trivial(1,1000000)", 10 ** 12),
+    ("trivial(41,1)", 41 ** 3), ("trivial(1,253)", 253 ** 2), ("trivial(0,64001)", 64001)])
+def test_a_trivial_instance_past_the_budget_is_refused_before_it_is_built(name, count):
+    tracemalloc.start()
+    with pytest.raises(ValueError) as err:
+        catalog_instance(name)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert str(err.value) == (f"{name} asks for {count} structure constants, identity "
+                              f"equations or labels; the budget is 64000")
+    assert peak < 64 * 1024
+
+
+def test_trivial_instances_at_the_budget_are_built_and_verified():
+    # 40^3 structure constants, and 252^2 identity equations and 252 labels
+    assert core._INSTANCE_BUDGET == 40 ** 3
+    for name in ("trivial(40,1)", "trivial(1,252)"):
+        assert catalog_instance(name).verified
 
 
 def test_basis_vector_rejects_indices_outside_the_basis():

@@ -8,9 +8,13 @@ from pathlib import Path
 import pytest
 
 from mrb.core import (
+    _CATALOG_NAMES,
     PreconditionError,
     ReweightSpec,
+    _sum_of,
+    catalog_instance,
     check_mrb_identity,
+    reweight,
     scaled_projection,
     trivial_instance,
     upper_triangular_instance,
@@ -46,6 +50,7 @@ from mrb.modules import (
 )
 from mrb.modules import _coords_in, _from_maps
 from mrb.tensor import tensor_left_structure, tensor_product
+from test_kernel import _replace, _set
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +68,11 @@ def reg_r(sp12):
     return regular_right_module(sp12)
 
 
-def perturb_operator(mod, label, i=0, j=0):
+def perturb_operator(mod, label, i=0, j=0, amount=1):
     ops = list(mod.operators)
     k = mod.inst.omega.index(label)
     bumped = [list(r) for r in ops[k].entries]
-    bumped[i][j] += 1
+    bumped[i][j] += amount
     ops[k] = Matrix(bumped)
     return type(mod)(mod.inst, mod.dim, mod.action, tuple(ops))
 
@@ -312,6 +317,71 @@ def test_mc_regular_scaled_projection_full(reg):
 def test_mc_perturbed_strictly_smaller(reg):
     bad = perturb_operator(reg, "1", 0, 1)
     assert module_constants(bad).dim < 2
+
+
+# D = 2: operators 3P and P, weights -3/2 and -1/2; D = 4: operators P/2 and
+# -2P, weights -1/4 and 1
+REWEIGHTINGS = {"D=2": {"a": {"1": 1, "2": 1}, "b": {"2": "1/2"}},
+                "D=4": {"a": {"1": "1/2"}, "b": {"2": -1}}}
+MC_NAMES = [*_CATALOG_NAMES, *(f"{name} {tag}" for name in
+                               ("scaled_projection(1,2)", "upper_triangular(1,2)")
+                               for tag in REWEIGHTINGS)]
+
+
+def mc_instance(name):
+    base, _, tag = name.partition(" ")
+    inst = catalog_instance(base)
+    return reweight(inst, ReweightSpec.from_dict(REWEIGHTINGS[tag])) if tag else inst
+
+
+def dense_module_constants(mod):
+    """The v with m_w(b_i v) = P_w(b_i) v, solved as one dense system: the
+    block m_w A_i - sum_k (P_w)_{k,i} A_k for each label w and basis b_i."""
+    acts, n = mod.tables, mod.dim
+    blocks = [row for mw, pw in zip(mod.operators, mod.inst.operators.matrices)
+              for i, act in enumerate(acts)
+              for row in (mw @ act - _sum_of(zip(pw.col(i), acts), n, n)).entries]
+    return Subspace.spanned_by(n, Matrix.from_rows(blocks, cols=n).nullspace_basis().basis)
+
+
+def mc_modules(inst):
+    """On each side: R, R + R, and R with one operator entry raised by 1, 2
+    or 1/2 at three places."""
+    first, last, d = inst.omega[0], inst.omega[-1], inst.dim
+    for regular in (regular_left_module, regular_right_module):
+        r = regular(inst)
+        yield from (r, direct_sum([r, r]).module, perturb_operator(r, first),
+                    perturb_operator(r, last, d - 1, 0, 2),
+                    perturb_operator(r, first, 0, d - 1, Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("name", MC_NAMES)
+def test_module_constants_are_the_solutions_of_the_dense_block_system(name):
+    # 17 instances, 10 modules each: 170 modules, 85 per side
+    mods = list(mc_modules(mc_instance(name)))
+    assert [m.side for m in mods] == ["left"] * 5 + ["right"] * 5
+    for mod in mods:
+        assert check_action_laws(mod).ok
+        assert module_constants(mod) == dense_module_constants(mod), (mod.side, mod.dim)
+
+
+@pytest.mark.parametrize("name", MC_NAMES)
+def test_module_constants_refuse_a_module_whose_action_laws_fail(name):
+    # b_1 acts on v_1 with one more: the unit acts as 1 no longer, and homs
+    # out of R are not read off at the unit
+    inst = mc_instance(name)
+    laws = "^plain module laws fail; fix the action tensor first$"
+    for regular in (regular_left_module, regular_right_module):
+        r = regular(inst)
+        bumped = r.action[0][0][0] + 1
+        bad = type(r)(inst, r.dim, _set(r.action, 0, _replace(r.action[0], 0, 0, bumped)),
+                      r.operators)
+        assert not check_action_laws(bad).ok
+        with pytest.raises(PreconditionError, match=laws):
+            module_constants(bad)
+        if bad.side == "left":
+            with pytest.raises(PreconditionError, match=laws):
+                restricted_lift(restricted_free(inst, ["x"]), [(0,) * inst.dim], bad)
 
 
 # -- restricted free and its lift ---------------------------------------------------
