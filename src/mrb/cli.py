@@ -1,9 +1,12 @@
 """Command-line front end: one verb per construction, JSON reports on stdout.
 
 Each verb is one row of ``VERBS``: its handler and its ordered arguments,
-each given as an argparse name, a loader and argparse options.  The parser
-is built from the table; ``main`` runs every argument's loader in table
-order and calls the handler with the loaded values.
+each given as a name, a loader and a spec (one word or one or more, an
+option's default or "required", and a help string).  ``_parse`` reads the
+command line straight off the table and returns each argument's raw text;
+``main`` runs every argument's loader in table order, which converts and
+checks it, and calls the handler with the loaded values.  ``-h``/``--help``
+prints a verb's arguments, or the verbs, and exits 0.
 
 Exit codes: 0 success / all checks clean, 1 check violations or failed
 verdicts (report still emitted), 2 input errors, usage errors and
@@ -19,7 +22,6 @@ canonically ordered JSON so identical inputs produce byte-identical output;
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -42,12 +44,14 @@ def _message(exc: Exception) -> str:
 
 def _load_json(where: str, text: str | None = None):
     """The JSON value in text, or in the file at path `where` without one.
-    Malformed JSON and a bare integer past Python's digit limit, which json
+    A file that cannot be read (missing, a directory, not readable),
+    malformed JSON and a bare integer past Python's digit limit, which json
     reports as a plain ValueError, are input errors that name `where`."""
     try:
         return json.loads(Path(where).read_text() if text is None else text)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {where}")
+    except OSError as exc:  # no file, a directory, a file that may not be read
+        raise InputError(f"no such file: {where}" if isinstance(exc, FileNotFoundError)
+                         else f"cannot read {where}: {exc.strerror}")
     except ValueError as exc:
         raise InputError(f"invalid JSON in {where}: {exc}")
 
@@ -114,10 +118,21 @@ def _hom_document(path: str) -> modules.ModuleHom:
         raise InputError(f"malformed hom document {path}: {exc}")
 
 
-def _max_qdegree(n: int) -> int:
+def _max_qdegree(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:  # not an integer, or one past Python's digit limit
+        raise InputError(f"argument --max-qdegree: invalid int value: {text!r}")
     if n < 0:
         raise InputError("--max-qdegree must be nonnegative")
     return n
+
+
+def _variant(text: str) -> str:
+    if text not in modules._HOM_VARIANTS:
+        choices = str(sorted(modules._HOM_VARIANTS))[1:-1]
+        raise InputError(f"argument --variant: invalid choice: {text!r} (choose from {choices})")
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -304,81 +319,109 @@ def _cmd_lift(theta, phi):
 # Dispatch
 # ---------------------------------------------------------------------------
 
-_MAX_QDEGREE = ("--max-qdegree", _max_qdegree,
-                {"type": int, "default": 3,
-                 "help": "truncation degree for rewriting checks (default 3)"})
+MANY, REQUIRED = "one or more", "required"
+_FILE = (None, "module document file")
+_LEFT, _RIGHT, _EITHER = _module("left"), _module("right"), _module("left", "right")
+_MAX_QDEGREE = ("--max-qdegree", _max_qdegree, ("3", "truncation degree of the words (default 3)"))
+_INSTANCE = ("instance", _verified_instance, (None, "catalog name, JSON text or instance file"))
 
-# verb -> (handler, its arguments as (argparse name, loader, argparse kwargs))
+# verb -> (handler, its arguments in loading order as (name, loader, (how, help))).
+# A name that starts with "--" is an option, and its `how` is REQUIRED or its
+# default text; any other name is a positional argument, and its `how` is
+# MANY for one or more words, None for one.
 VERBS = {
-    "check-algebra": (_cmd_check_algebra, [("instance", _instance, {})]),
-    "check-module": (_cmd_check_module, [("module", _module(), {})]),
-    "normalize": (_cmd_normalize, [("instance", _verified_instance, {}),
-                                   ("expression", str, {})]),
-    "confluence": (_cmd_confluence, [_MAX_QDEGREE, ("instance", _verified_instance, {})]),
-    "oracle": (_cmd_oracle, [_MAX_QDEGREE, ("instance", _verified_instance, {})]),
-    "quotient": (_cmd_quotient, [("module", _module("left"), {}),
-                                 ("relations", str, {"help": "JSON array of relation vectors"})]),
-    "direct-sum": (_cmd_direct_sum, [("modules", _module("left", "right"), {"nargs": "+"})]),
-    "mc": (_cmd_mc, [("module", _module("left"), {})]),
+    "check-algebra": (_cmd_check_algebra, [("instance", _instance, _INSTANCE[2])]),
+    "check-module": (_cmd_check_module, [("module", _module(), _FILE)]),
+    "normalize": (_cmd_normalize, [_INSTANCE,
+                                   ("expression", str, (None, "ring or module element"))]),
+    "confluence": (_cmd_confluence, [_MAX_QDEGREE, _INSTANCE]),
+    "oracle": (_cmd_oracle, [_MAX_QDEGREE, _INSTANCE]),
+    "quotient": (_cmd_quotient, [("module", _LEFT, _FILE),
+                                 ("relations", str, (None, "JSON array of relation vectors"))]),
+    "direct-sum": (_cmd_direct_sum, [("modules", _EITHER, (MANY, _FILE[1]))]),
+    "mc": (_cmd_mc, [("module", _LEFT, _FILE)]),
     "restricted-free": (_cmd_restricted_free, [
-        ("instance", _verified_instance, {}),
-        ("generators", str, {"help": "comma-separated generator names"})]),
-    "hom": (_cmd_hom, [("source", _module("left", "right"), {}),
-                       ("target", _module("left", "right"), {})]),
-    "hom-module": (_cmd_hom_module, [
-        ("--variant", str, {"required": True, "choices": sorted(modules._HOM_VARIANTS)}),
-        ("module", _module(), {}), ("other", _module(), {})]),
+        _INSTANCE, ("generators", str, (None, "comma-separated generator names"))]),
+    "hom": (_cmd_hom, [("source", _EITHER, _FILE), ("target", _EITHER, _FILE)]),
+    "hom-module": (_cmd_hom_module, [("--variant", _variant, (REQUIRED, "a, b, c or d")),
+                                     ("module", _module(), _FILE), ("other", _module(), _FILE)]),
     "reweight": (_cmd_reweight, [
-        ("target", _left_module_or_instance,
-         {"help": "instance (file or catalog name) or module file"}),
-        ("spec", str, {"help": "JSON object {new_label: {old_label: rational}}"})]),
-    "tensor": (_cmd_tensor, [("right_module", _module("right"), {}),
-                             ("left_module", _module("left"), {})]),
-    "adjunction": (_cmd_adjunction, [("right_module", _module("right"), {}),
-                                     ("bimodule", _module("bimodule"), {}),
-                                     ("other_right_module", _module("right"), {})]),
-    "flat-probe": (_cmd_flat_probe, [
-        ("module", _module("left", "right"), {}),
-        ("injections", lambda path: (Path(path).stem, _hom_document(path)),
-         {"nargs": "+", "help": "hom document files"})]),
-    "lift": (_cmd_lift, [("epi", _hom_document, {"help": "hom document for the surjection"}),
-                         ("hom", _hom_document, {"help": "hom document to lift"})]),
+        ("target", _left_module_or_instance, (None, "instance, or left module file")),
+        ("spec", str, (None, "JSON object {new_label: {old_label: rational}}"))]),
+    "tensor": (_cmd_tensor, [("right_module", _RIGHT, _FILE), ("left_module", _LEFT, _FILE)]),
+    "adjunction": (_cmd_adjunction, [("right_module", _RIGHT, _FILE),
+                                     ("bimodule", _module("bimodule"), _FILE),
+                                     ("other_right_module", _RIGHT, _FILE)]),
+    "flat-probe": (_cmd_flat_probe, [("module", _EITHER, _FILE), ("injections", lambda path: (
+        Path(path).stem, _hom_document(path)), (MANY, "hom document files"))]),
+    "lift": (_cmd_lift, [("epi", _hom_document, (None, "hom document for the surjection")),
+                         ("hom", _hom_document, (None, "hom document to lift"))]),
 }
 
 
-def build_arg_parser():
-    """The ``mrb`` argparse parser, built from ``VERBS``.  argparse is
-    imported here, not with the package, which a library caller or a
-    benchmark worker imports without parsing a command line."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        """Usage errors raise InputError; ``--help`` still prints and exits 0.
-
-        Every option but ``-h`` has a long name, so an argument with one
-        leading minus sign, such as the expression ``-2*e1``, is a positional
-        argument.
-        """
-
-        def error(self, message):
-            raise InputError(message)
-
-        def _parse_optional(self, arg_string):
-            if arg_string[:1] == "-" and arg_string[:2] not in ("--", "-h"):
-                return None
-            return super()._parse_optional(arg_string)
-
-    p = _Parser(prog="mrb", description=__doc__)
-    sub = p.add_subparsers(dest="verb", required=True)
-    for verb, (_, arguments) in VERBS.items():
-        sp = sub.add_parser(verb)
-        for name, _, kwargs in arguments:
-            sp.add_argument(name, **kwargs)
-        sp.add_argument("--pretty", action="store_true", help="indent the JSON report")
-    return p
+def _help(verb: str | None):
+    """Print the usage and the arguments of verb, or the usage of every verb
+    and what ``mrb`` does without one, and exit 0."""
+    for v in [verb] if verb else VERBS:
+        print(f"usage: mrb {v} [-h] [--pretty]", *(
+            name + " ..." * (how == MANY) if name[:2] != "--" else f"{name} VALUE"
+            if how == REQUIRED else f"[{name} VALUE]" for name, _, (how, _) in VERBS[v][1]))
+    rows = VERBS[verb][1] + [("--pretty", None, (None, "indent the JSON report"))] if verb else []
+    print("".join(f"\n  {name:20} {text}" for name, _, (_, text) in rows) or f"\n{__doc__}")
+    raise SystemExit(0)
 
 
-_parser = functools.cache(build_arg_parser)
+def _option(word: str, names: list[str]):
+    """The option of `names` that a command-line word gives and its ``=``
+    value; the word itself for an unknown or ambiguous option or a flag
+    given a value, "" for a positional argument.  Every option but ``-h``
+    has a long name, which any unique prefix abbreviates, so a word with one
+    leading minus sign, such as the expression ``-2*e1``, is a positional
+    argument, and so is a word with a space that names no option."""
+    if word[:2] != "--":
+        return ("--help" if word == "-h" else word if word[:2] == "-h" else ""), None
+    name, eq, value = word.partition("=")
+    matches = [n for n in names if n.startswith(name)]
+    if len(matches) != 1 or eq and matches[0] in ("--pretty", "--help"):
+        return ("" if " " in word and not matches else word), None
+    return matches[0], (value if eq else None)
+
+
+def _parse(argv: list[str]):
+    """The verb, ``--pretty`` and each argument's raw text (a list for MANY),
+    in ``VERBS`` order, of a command line.  Options may come before, after
+    or between positional words, as ``--name value`` or ``--name=value``,
+    and ``--`` ends them.  The positional words fill the positional
+    arguments in order, and a MANY argument takes all that are left."""
+    verb = argv[0] if argv else None
+    if verb not in VERBS:
+        if verb == "-h" or verb and len(verb) > 2 and "--help".startswith(verb):
+            _help(None)
+        raise InputError(f"argument verb: invalid choice: {verb!r} (choose from {', '.join(VERBS)})"
+                         if argv else "the following arguments are required: verb")
+    arguments = VERBS[verb][1]
+    raws = {name: None if how in (None, MANY, REQUIRED) else how for name, _, (how, _) in arguments}
+    names = [name for name in raws if name[:2] == "--"] + ["--pretty", "--help"]
+    cut = argv.index("--") if "--" in argv else len(argv)
+    pretty, words, pos, extras = False, iter(argv[1:cut]), [], []
+    for word in words:
+        name, value = _option(word, names)
+        pretty = pretty or name == "--pretty"
+        if name == "--help":
+            _help(verb)
+        elif name in raws:  # an option with a value: after "=", or the next word
+            raws[name] = next(words, None) if value is None else value
+        elif name != "--pretty":  # a positional word, or an unknown option
+            (extras if name else pos).append(word)
+    pos += argv[cut + 1:]  # the positional words, in order
+    for name, _, (how, _) in arguments:
+        if name[:2] != "--" and pos:
+            raws[name], pos = (pos, []) if how == MANY else (pos[0], pos[1:])
+    missing = [name for name, raw in raws.items() if raw is None]
+    if missing or extras or pos:
+        raise InputError(f"the following arguments are required: {', '.join(missing)}" if missing
+                         else f"unrecognized arguments: {' '.join(extras + pos)}")
+    return verb, pretty, list(raws.values())
 
 
 def main(argv=None, stdout=None) -> int:
@@ -391,14 +434,10 @@ def main(argv=None, stdout=None) -> int:
         return json.dumps({"command": verb, **report}, sort_keys=True, **layout)
 
     try:
-        args = _parser().parse_args(argv)
-        verb, pretty = args.verb, args.pretty
+        verb, pretty, raws = _parse(argv)
         handler, arguments = VERBS[verb]
-        values = []
-        for name, load, _ in arguments:
-            raw = getattr(args, name.lstrip("-").replace("-", "_"))
-            values.append([load(r) for r in raw] if isinstance(raw, list) else load(raw))
-        code, report = handler(*values)
+        code, report = handler(*[[load(r) for r in raw] if isinstance(raw, list) else load(raw)
+                                 for (_, load, _), raw in zip(arguments, raws)])
         # an int past Python's digit limit for printing raises ValueError here
         text = dump(report)
     except (InputError, ArgumentError, expr.ExpressionError, KeyError, opring.BudgetExceeded) as exc:

@@ -461,18 +461,45 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
     for argv, message in cases:
         code, out = run_cli(argv)
         assert (code, json.loads(out)) == (2, {"command": argv[0], "error": message}), argv
-    # usage errors: argparse words them differently across Python versions,
-    # so only the offending token is pinned
+    # usage errors, worded by cli._parse
     usage_cases = [
-        (["mc"], "module"),
+        (["mc"], "the following arguments are required: module"),
         (["hom-module", "inputs/regular_right_sp12.json", "inputs/regular_bimodule_sp12.json"],
-         "--variant"),
-        (["mc", "inputs/regular_left_sp12.json", "--max-qdegree", "7"], "--max-qdegree"),
+         "the following arguments are required: --variant"),
+        (["mc", "inputs/regular_left_sp12.json", "--max-qdegree", "7"],
+         "unrecognized arguments: --max-qdegree 7"),
+        (["mc", "inputs/regular_left_sp12.json", "--pretty=1"],
+         "unrecognized arguments: --pretty=1"),
+        # an option's value is the word after it, whatever that word is
+        (["oracle", "trivial(1,1)", "--max-qdegree"],
+         "the following arguments are required: --max-qdegree"),
+        (["oracle", "--max-qdegree", "--pretty", "trivial(1,1)"],
+         "argument --max-qdegree: invalid int value: '--pretty'"),
+        (["oracle", "--max-qdegree", "1.5", "trivial(1,1)"],
+         "argument --max-qdegree: invalid int value: '1.5'"),
+        (["hom-module", "--variant=e", "inputs/regular_right_sp12.json",
+          "inputs/regular_bimodule_sp12.json"],
+         "argument --variant: invalid choice: 'e' (choose from 'a', 'b', 'c', 'd')"),
     ]
-    for argv, token in usage_cases:
+    for argv, message in usage_cases:
         code, out = run_cli(argv)
-        doc = json.loads(out)
-        assert (code, doc["command"]) == (2, argv[0]) and token in doc["error"], argv
+        assert (code, json.loads(out)) == (2, {"command": argv[0], "error": message}), argv
+    # a value past Python's digit limit is no int either
+    long = "1" * (sys.get_int_max_str_digits() + 700)
+    assert run_cli(["oracle", "--max-qdegree", long, "trivial(1,1)"]) == (2, json.dumps(
+        {"command": "oracle", "error": f"argument --max-qdegree: invalid int value: '{long}'"},
+        separators=(",", ":")) + "\n")
+
+
+@pytest.mark.parametrize("verb", ["check-module", "check-algebra", "lift"])
+def test_a_json_argument_that_cannot_be_read_is_an_input_error(verb, tmp_path):
+    # a module, an instance and a hom document at a path that is a directory
+    unreadable = tmp_path / "x.json"
+    unreadable.mkdir()
+    argv = [verb, str(unreadable)] + [str(unreadable)] * (verb == "lift")
+    assert run_cli(argv) == (2, json.dumps(
+        {"command": verb, "error": f"cannot read {unreadable}: Is a directory"},
+        separators=(",", ":")) + "\n")
 
 
 @pytest.mark.parametrize("argv,token", [([], "verb"), (["frobnicate"], "frobnicate")],
@@ -483,11 +510,32 @@ def test_missing_or_unknown_verb_is_a_json_input_error(argv, token):
     assert (code, doc["command"]) == (2, None) and token in doc["error"]
 
 
-def test_help_prints_usage_and_exits_0(capsys):
+def _help(argv, capsys) -> str:
     with pytest.raises(SystemExit) as exc:
-        cli.main(["mc", "--help"])
+        cli.main(argv)
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: mrb mc")
+    return capsys.readouterr().out
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    assert _help(["mc", "--help"], capsys).startswith("usage: mrb mc")
+    # anywhere among the options, and as any prefix of --help
+    assert _help(["mc", "--pretty", "--he", "inputs/regular_left_sp12.json"], capsys).startswith(
+        "usage: mrb mc")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+def test_mrb_help_names_every_verb(flag, capsys):
+    out = _help([flag], capsys)
+    assert [verb for verb in cli.VERBS if f"usage: mrb {verb} " not in out] == []
+
+
+def test_a_verb_help_shows_each_argument_and_its_help_string(capsys):
+    out = _help(["hom-module", "--help"], capsys)
+    assert out.startswith("usage: mrb hom-module [-h] [--pretty] --variant VALUE module other\n")
+    for name, _, (_, text) in cli.VERBS["hom-module"][1]:
+        assert re.search(rf"^  {re.escape(name)} +{re.escape(text)}$", out, re.M), name
+    assert re.search(r"^  --pretty +indent the JSON report$", out, re.M)
 
 
 def test_every_verb_has_a_golden_pair_and_a_readme_entry():
@@ -611,3 +659,158 @@ def test_python_dash_m_mrb_prints_the_golden_bytes():
                           capture_output=True, env=env)
     assert done.returncode == entry["exit"]
     assert done.stdout == (GOLDEN / "expected" / f"{entry['name']}.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The argparse parser that `mrb` built from its verb table before cli._parse
+# read the command line itself, kept as the reference cli._parse is checked
+# against: each verb's arguments with the argparse options they had.
+# ---------------------------------------------------------------------------
+
+REFERENCE_ARGUMENTS = {
+    "check-algebra": [("instance", {})],
+    "check-module": [("module", {})],
+    "normalize": [("instance", {}), ("expression", {})],
+    "confluence": [("--max-qdegree", {"type": int, "default": 3}), ("instance", {})],
+    "oracle": [("--max-qdegree", {"type": int, "default": 3}), ("instance", {})],
+    "quotient": [("module", {}), ("relations", {})],
+    "direct-sum": [("modules", {"nargs": "+"})],
+    "mc": [("module", {})],
+    "restricted-free": [("instance", {}), ("generators", {})],
+    "hom": [("source", {}), ("target", {})],
+    "hom-module": [("--variant", {"required": True, "choices": ["a", "b", "c", "d"]}),
+                   ("module", {}), ("other", {})],
+    "reweight": [("target", {}), ("spec", {})],
+    "tensor": [("right_module", {}), ("left_module", {})],
+    "adjunction": [("right_module", {}), ("bimodule", {}), ("other_right_module", {})],
+    "flat-probe": [("module", {}), ("injections", {"nargs": "+"})],
+    "lift": [("epi", {}), ("hom", {})],
+}
+
+
+def build_arg_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise cli.InputError(message)
+
+        def _parse_optional(self, arg_string):
+            if arg_string[:1] == "-" and arg_string[:2] not in ("--", "-h"):
+                return None
+            return super()._parse_optional(arg_string)
+
+    p = _Parser(prog="mrb")
+    sub = p.add_subparsers(dest="verb", required=True)
+    for verb, arguments in REFERENCE_ARGUMENTS.items():
+        sp = sub.add_parser(verb)
+        for name, kwargs in arguments:
+            sp.add_argument(name, **kwargs)
+        sp.add_argument("--pretty", action="store_true")
+    return p
+
+
+def test_the_reference_parser_has_the_verbs_and_arguments_of_the_table():
+    assert {verb: [name for name, _ in arguments]
+            for verb, arguments in REFERENCE_ARGUMENTS.items()} == {
+        verb: [name for name, _, _ in arguments] for verb, (_, arguments) in cli.VERBS.items()}
+
+
+def _argv_variants(argv):
+    """Command lines around a golden argv: its options moved, respelled,
+    abbreviated and broken, --pretty at each place, "--", leading-minus
+    words, and positional words dropped or added."""
+    verb, rest = argv[0], argv[1:]
+    options, positional, words = [], [], iter(rest)
+    for word in words:
+        if word[:2] != "--":
+            positional.append(word)
+        else:
+            options.append([word] if word == "--pretty" else [word, next(words)])
+    valued = [o for o in options if len(o) == 2]
+    flat = [w for o in options for w in o]
+    arranged = [[*positional[:i], *flat, *positional[i:]] for i in range(len(positional) + 1)]
+    out = [*arranged, [*flat, "--", *positional], [*positional[:1], "--", *positional[1:], *flat],
+           [*flat, *positional, "--"], [*positional, *flat, "--", "--pretty"],
+           positional[:-1] + flat, positional[1:] + flat, positional + flat + ["extra.json"],
+           ["--bogus", *rest], [*rest, "--bogus=1"], [*rest, "--pretty=1"], [*rest, "--pretty="],
+           [*rest, "--=x"], [*rest, "--p"], [*rest, "--pre"], flat, [*rest, "--max-qdegree", "7"],
+           [*rest, "--variant", "a"], [*rest, "--bogus value"]]
+    out += [[*v[:j], "--pretty", *v[j:]] for v in arranged for j in range(len(v) + 1)]
+    for name, value in valued:
+        others = [w for o in options if o[0] != name for w in o]
+        for spelled in (name, name[:5], name[:3]):
+            out += [[*others, f"{spelled}={value}", *positional],
+                    [*positional, spelled, value, *others]]
+        for bad in ("x", "1.5", "", " 2 ", "-1", "2x", "e", "a b", "-h", "--pretty"):
+            out += [[*others, name, bad, *positional], [*positional, f"{name}={bad}", *others]]
+        out += [[*others, *positional, name]]
+    if verb == "normalize":
+        for expression in ("-2*e1", "-2 * e1 + e2", "-e1", "-", "--e1 Q[1] e2", "-- e1"):
+            out += [[positional[0], expression], [positional[0], expression, "--pretty"],
+                    ["--pretty", positional[0], "--", expression]]
+    return [[verb, *v] for v in out]
+
+
+# Command lines the reference rejects and cli._parse reads: a one-or-more
+# argument whose words an option splits takes all of them.
+SPLIT_GROUPS = {
+    ("direct-sum", "inputs/regular_left_sp12.json", "--pretty", "inputs/regular_left_sp12.json"),
+}
+
+
+def test_the_parser_reads_what_the_reference_reads_and_rejects_the_rest():
+    reference, accepted, split = build_arg_parser(), 0, set()
+    variants = {tuple(v) for entry in MANIFEST for v in _argv_variants(entry["argv"])}
+    for argv in sorted(variants):
+        try:
+            ns = reference.parse_args(argv)
+        except cli.InputError:
+            if run_cli(argv)[0] != 2:
+                split.add(argv)
+            continue
+        accepted += 1
+        verb, pretty, raws = cli._parse(list(argv))
+        assert (verb, pretty) == (ns.verb, ns.pretty), argv
+        for (name, _, _), raw in zip(cli.VERBS[verb][1], raws):
+            value = getattr(ns, name.lstrip("-").replace("-", "_"))
+            assert (int(raw) if name == "--max-qdegree" else raw) == value, (argv, name)
+    assert split == SPLIT_GROUPS
+    assert accepted > 300 and len(variants) - accepted > 300
+
+
+# the command-line words of the argv fuzz: verbs, options, their prefixes and
+# "=" forms, values, golden input paths, catalog names and free text; no
+# word asks for help
+OPTION_WORDS = ["--pretty", "--max-qdegree", "--variant", "--p", "--pre", "--m", "--max",
+                "--v", "--var", "--", "--max-qdegree=2", "--max=0", "--variant=a", "--v=b",
+                "--pretty=1", "--bogus", "--=x", "-", ""]
+VALUE_WORDS = ["0", "1", "2", "3", "-1", "x", "a", "b", "e", "-2*e1", "e1 Q[1] e2", "x,y",
+               '[["0","1"]]', '{"1": {"1": "1"}}', "no_such.json", "scaled_projection(1,2)",
+               "scaled_projection(1)", "trivial(1,1)", "trivial(2,1)"]
+INPUT_WORDS = sorted(str(p) for p in (GOLDEN / "inputs").glob("*.json"))
+
+
+def _asks_for_help(word: str) -> bool:
+    return word == "-h" or len(word) > 2 and "--help".startswith(word)
+
+
+ARGV_WORDS = st.one_of(
+    st.sampled_from(list(cli.VERBS)), st.sampled_from(OPTION_WORDS),
+    st.sampled_from(VALUE_WORDS), st.sampled_from(INPUT_WORDS),
+    st.text(alphabet="-=ehlp1 .", max_size=8).filter(lambda w: not _asks_for_help(w)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(ARGV_WORDS, max_size=6),
+                 st.tuples(st.sampled_from(list(cli.VERBS)), st.lists(ARGV_WORDS, max_size=5))
+                 .map(lambda t: [t[0], *t[1]])))
+def test_any_command_line_is_answered_with_one_json_line(argv):
+    buf = io.StringIO()
+    code = cli.main(argv, stdout=buf)
+    out = buf.getvalue()
+    assert code in (0, 1, 2)
+    # one JSON line, or with --pretty one indented document
+    doc = json.loads(out)
+    assert out.count("\n") == 1 or out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert doc["command"] == (argv[0] if argv and argv[0] in cli.VERBS else None)

@@ -9,7 +9,8 @@ how it judges a metric against its bound, and which lines `tools/loc.py`
 counts as code.  The value-class guards keep `import mrb` from compiling
 source: every class made by `linalg._frozen` has a docstring of its own and
 the decorator's __init__, no ``dataclass`` method is generated, and neither
-``dataclasses`` nor the modules it imports are loaded.
+``dataclasses`` nor the modules it imports are loaded; and a command-line
+call loads no ``argparse``.
 """
 
 import importlib
@@ -165,6 +166,20 @@ import mrb.cli
 print(sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & (set(sys.modules) - before)))
 """
     assert _fresh(probe) == "[]"
+
+
+def test_a_cli_call_loads_neither_argparse_nor_gettext_nor_locale():
+    # cli._parse reads the command line off VERBS; argparse would import
+    # gettext, which imports locale
+    golden = Path(__file__).resolve().parent / "golden" / "inputs"
+    probe = f"""
+import io, sys
+from mrb import cli
+out = io.StringIO()
+code = cli.main(["mc", {str(golden / "regular_left_sp12.json")!r}, "--pretty"], stdout=out)
+print(code, sorted({{"argparse", "gettext", "locale"}} & set(sys.modules)), out.getvalue()[:1])
+"""
+    assert _fresh(probe) == "0 [] {"
 
 
 def _fresh(probe: str) -> str:
