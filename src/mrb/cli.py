@@ -66,10 +66,14 @@ def _document(arg: str):
 
 
 def _instance(arg: str, doc=None) -> core.MrbAlgebraInstance:
-    """A catalog name, JSON instance text, or the instance document at a
-    ``.json`` path; `doc` is that document when it was read already."""
+    """A catalog name, JSON instance text (its first non-space character
+    ``{``), or the instance document at a ``.json`` path; `doc` is that
+    document, or the argument, when it was read already."""
+    doc = _document(arg) if doc is None else doc
+    if isinstance(doc, str) and doc.lstrip().startswith("{"):
+        doc = _load_json("instance text", doc)
     try:
-        return core.load_instance(_document(arg) if doc is None else doc)
+        return core.load_instance(doc)
     except (KeyError, ValueError) as exc:
         raise InputError(_message(exc))
 

@@ -25,7 +25,6 @@ that fails.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -374,42 +373,27 @@ def _require_verified(inst: MrbAlgebraInstance, what: str,
 # Instance catalog
 # ---------------------------------------------------------------------------
 
+def _unit_algebra(units: Mapping[str, tuple[int, int]]) -> AlgebraPresentation:
+    """The span of the matrix units E_ij named by units, with basis labels
+    in their order: E_ij E_jl = E_il, every other product is zero, and the
+    unit is the sum of the diagonal units.  The span must be closed under
+    that product."""
+    labels, pairs = tuple(units), tuple(units.values())
+    d = len(labels)
+    index, zero = {ij: n for n, ij in enumerate(pairs)}, (Fraction(0),) * d
+    sc = tuple(tuple(unit_vector(d, index[i, l]) if j == k else zero for k, l in pairs)
+               for i, j in pairs)
+    return AlgebraPresentation(d, labels, sc, tuple(Fraction(i == j) for i, j in pairs))
+
+
 def componentwise_algebra(d: int) -> AlgebraPresentation:
     """Q^d with entrywise product; basis e1..ed, unit (1, ..., 1)."""
-    sc = tuple(
-        tuple(
-            tuple(Fraction(1 if i == j == k else 0) for k in range(d))
-            for j in range(d)
-        )
-        for i in range(d)
-    )
-    return AlgebraPresentation(
-        dim=d,
-        basis_labels=tuple(f"e{i + 1}" for i in range(d)),
-        structure_constants=sc,
-        unit=(Fraction(1),) * d,
-    )
+    return _unit_algebra({f"e{i + 1}": (i, i) for i in range(d)})
 
 
 def upper_triangular_algebra() -> AlgebraPresentation:
     """Upper triangular 2x2 matrices; basis t11, t12, t22."""
-    labels = ("t11", "t12", "t22")
-    # products of matrix units E11, E12, E22
-    table = {
-        ("t11", "t11"): "t11",
-        ("t11", "t12"): "t12",
-        ("t12", "t22"): "t12",
-        ("t22", "t22"): "t22",
-    }
-    sc = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-    for (a, b), c in table.items():
-        sc[labels.index(a)][labels.index(b)][labels.index(c)] = Fraction(1)
-    return AlgebraPresentation(
-        dim=3,
-        basis_labels=labels,
-        structure_constants=tuple(tuple(tuple(v) for v in row) for row in sc),
-        unit=(Fraction(1), Fraction(0), Fraction(1)),
-    )
+    return _unit_algebra({"t11": (0, 0), "t12": (0, 1), "t22": (1, 1)})
 
 
 def trivial_instance(d: int, s: int) -> MrbAlgebraInstance:
@@ -421,12 +405,16 @@ def trivial_instance(d: int, s: int) -> MrbAlgebraInstance:
     return MrbAlgebraInstance(alg, ops, weights)
 
 
-def _scaled_family(alg: AlgebraPresentation, proj: Matrix, c: Sequence) -> MrbAlgebraInstance:
+def _scaled_family(alg: AlgebraPresentation, kept: str, c: Sequence) -> MrbAlgebraInstance:
+    """The operators c_w P with weights -c_w/2, P the projection onto the
+    basis element `kept` along the others, checked by the identity checker."""
     coeffs = tuple(frac(x) for x in c)
     if not coeffs:
         raise ValueError("coefficient list must be nonempty")
     if any(x == 0 for x in coeffs):
         raise ValueError("zero coefficients are rejected; they degenerate to the trivial family")
+    k, d = alg.label_index(kept), alg.dim
+    proj = Matrix([[int(i == j == k) for j in range(d)] for i in range(d)])
     labels = tuple(str(i + 1) for i in range(len(coeffs)))
     ops = OperatorFamily(labels, tuple(proj.scale(x) for x in coeffs))
     weights = WeightFamily(labels, tuple(-x / 2 for x in coeffs))
@@ -441,9 +429,7 @@ def scaled_projection(c: Sequence) -> MrbAlgebraInstance:
     P is a Rota-Baxter operator of weight -1 on the componentwise algebra,
     so every scaled family passes the identity checker.
     """
-    alg = componentwise_algebra(2)
-    proj = Matrix([[1, 0], [0, 0]])
-    return _scaled_family(alg, proj, c)
+    return _scaled_family(componentwise_algebra(2), "e1", c)
 
 
 def upper_triangular_instance(c: Sequence = (1, 2)) -> MrbAlgebraInstance:
@@ -451,9 +437,7 @@ def upper_triangular_instance(c: Sequence = (1, 2)) -> MrbAlgebraInstance:
 
     Correctness is established by running the checker, not asserted.
     """
-    alg = upper_triangular_algebra()
-    proj = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    return _scaled_family(alg, proj, c)
+    return _scaled_family(upper_triangular_algebra(), "t11", c)
 
 
 _CATALOG_NAMES = (
@@ -470,7 +454,9 @@ def catalog() -> dict[str, MrbAlgebraInstance]:
 
 # structure constants d^3, identity equations s^2 d and labels s of one
 # trivial(d,s); at the budget trivial(40,1) takes 0.4 s and 28 MB on 2 vCPUs,
-# and trivial(40,40), the costliest instance it admits, 16 s and 93 MB
+# and trivial(40,40), the costliest instance it admits, 16 s and 93 MB.  It
+# also bounds the (d+s) n^2 structure-map entries of a direct sum of dim n:
+# 252 copies of trivial(1,0)'s regular module, the costliest, take 1.4 s
 _INSTANCE_BUDGET = 64000
 
 _CATALOG_NAME_RE = re.compile(r"(trivial|scaled_projection|upper_triangular)\(([^)]*)\)$")
@@ -488,6 +474,8 @@ def catalog_instance(name: str) -> MrbAlgebraInstance:
         if len(args) != 2:
             raise ValueError(f"trivial expects 2 arguments, as in trivial(d,s); got {len(args)}")
         d, s = (int(a) for a in args)
+        if d < 0:
+            raise ValueError(f"trivial({d},{s}) asks for a negative dimension")
         count = max(d ** 3, s * s * d, s)
         if count > _INSTANCE_BUDGET:
             raise ValueError(f"trivial({d},{s}) asks for {count} structure constants, identity "
@@ -617,12 +605,10 @@ def instance_from_json(doc: Mapping) -> MrbAlgebraInstance:
     return MrbAlgebraInstance(alg, ops, weights)
 
 
-def load_instance(text_or_doc) -> MrbAlgebraInstance:
-    """Accept an instance, a JSON string, a catalog name, or else a document."""
-    if isinstance(text_or_doc, MrbAlgebraInstance):
-        return text_or_doc
-    if not isinstance(text_or_doc, str):
-        return instance_from_json(text_or_doc)
-    if text_or_doc.lstrip().startswith("{"):
-        return instance_from_json(json.loads(text_or_doc))
-    return catalog_instance(text_or_doc)
+def load_instance(inst_or_doc) -> MrbAlgebraInstance:
+    """Accept an instance, a catalog name, or else a document."""
+    if isinstance(inst_or_doc, MrbAlgebraInstance):
+        return inst_or_doc
+    if isinstance(inst_or_doc, str):
+        return catalog_instance(inst_or_doc)
+    return instance_from_json(inst_or_doc)

@@ -321,10 +321,6 @@ class Matrix:
                                for r1, r2 in zip(self.entries, other.entries)],
                               self.rows, self.cols)
 
-    def __neg__(self) -> "Matrix":
-        return Matrix._shaped([[-a for a in r] for r in self.entries],
-                              self.rows, self.cols)
-
     def scale(self, c) -> "Matrix":
         c = frac(c)
         return Matrix._shaped([[c * a if a else a for a in r] for r in self.entries],

@@ -30,6 +30,7 @@ from .core import (
     PreconditionError,
     ReweightSpec,
     Violation,
+    _INSTANCE_BUDGET,
     _axiom_violations,
     _combination,
     _combine,
@@ -207,9 +208,9 @@ class ModuleHom:
         return self.matrix.rank() == self.target.dim
 
 
-def module_hom(source, target, matrix, check: bool = True) -> ModuleHom:
+def module_hom(source, target, matrix) -> ModuleHom:
     h = ModuleHom(source, target, matrix if isinstance(matrix, Matrix) else Matrix(matrix))
-    if check and not h.is_intertwiner():
+    if not h.is_intertwiner():
         raise ValueError("matrix does not intertwine the actions and operator families")
     return h
 
@@ -351,7 +352,9 @@ class DirectSum:
 
 def direct_sum(mods: Sequence[FdLeftModule | FdRightModule],
                inst: MrbAlgebraInstance | None = None) -> DirectSum:
-    """Block-diagonal direct sum with inclusion and projection homs."""
+    """Block-diagonal direct sum with inclusion and projection homs.  A sum
+    whose d + s structure maps, total x total each, hold more entries than
+    `_INSTANCE_BUDGET` is refused before any is built."""
     inst, side = (mods[0].inst, mods[0].side) if mods else (inst, "left")
     if inst is None:
         raise ArgumentError("an instance is required for the empty direct sum")
@@ -359,6 +362,10 @@ def direct_sum(mods: Sequence[FdLeftModule | FdRightModule],
         raise ArgumentError("all summands must share the instance and side")
     offsets = list(itertools.accumulate([0] + [m.dim for m in mods]))
     total = offsets[-1]
+    count = (inst.dim + len(inst.omega)) * total * total
+    if count > _INSTANCE_BUDGET:
+        raise ArgumentError(f"a direct sum of dimension {total} asks for {count} structure-map "
+                            f"entries; the budget is {_INSTANCE_BUDGET}")
     out = _from_maps(side, inst, total, [Matrix.block_diag([m.maps[k] for m in mods])
                                          for k in range(inst.dim + len(inst.omega))])
     eye = Matrix.identity(total).entries
@@ -451,9 +458,7 @@ def restricted_lift(free: FdLeftModule, images: Sequence[Sequence],
     # the slot of b_i in generator k's copy of R goes to b_i . image_k
     mat = Matrix.from_cols([act.apply(img) for img in image_list for act in target.tables],
                            rows=target.dim)
-    hom = module_hom(free, target, mat, check=False)
-    if not hom.is_intertwiner():
-        raise AssertionError("restricted lift failed to intertwine; target axioms suspect")
+    hom = module_hom(free, target, mat)
     zero = (Fraction(0),) * d
     for k, img in enumerate(image_list):
         if hom(zero * k + tuple(inst.algebra.unit) + zero * (n - k - 1)) != img:
@@ -577,7 +582,7 @@ def lift_through_epi(theta: ModuleHom, phi: ModuleHom) -> ModuleHom | None:
     if coords is None:
         return None
     out = _sum_of(zip(coords[0], basis), theta.source.dim, phi.source.dim)
-    return module_hom(phi.source, theta.source, out, check=False)
+    return ModuleHom(phi.source, theta.source, out)
 
 
 # ---------------------------------------------------------------------------

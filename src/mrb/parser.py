@@ -111,9 +111,6 @@ class ExpressionAst:
 
     terms: tuple[tuple[Fraction, WordAst], ...]
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
@@ -227,7 +224,7 @@ def _bind(ast: ExpressionAst, inst: MrbAlgebraInstance, dotted: bool,
     if not dotted and with_gen and len(with_gen) != len(ast.terms):
         raise ExpressionError("cannot mix ring words and module words in one expression")
     cls = FreeModuleElement if dotted or with_gen else OpElement
-    out = cls.zero()
+    out: dict = {}
     for coeff, t in ast.terms:
         if t.kind == ("op" if dotted else "operated"):
             raise ExpressionError("bracketed letters are not mixable-tensor syntax" if dotted
@@ -237,8 +234,9 @@ def _bind(ast: ExpressionAst, inst: MrbAlgebraInstance, dotted: bool,
         w = basis_word(inst, _slot_indices(inst, t.slots), t.ops)
         if gens is not None:
             gens.index(t.gen)
-        out = out + cls.from_dict({cls.join(w, t.gen): coeff})
-    return out
+        key = cls.join(w, t.gen)
+        out[key] = out.get(key, 0) + coeff
+    return cls.from_dict(out)
 
 
 def bind_op_expression(ast: ExpressionAst, ring: OperatorRing) -> OpElement | FreeModuleElement:

@@ -31,6 +31,7 @@ from mrb.linalg import Matrix, Subspace
 from mrb.modules import (
     FdLeftModule,
     FdRightModule,
+    ModuleHom,
     check_left_module,
     check_right_module,
     direct_sum,
@@ -420,7 +421,7 @@ def test_criterion_09_direct_sum_and_flatness_laws():
             for c, b in zip(combo, basis):
                 m = m + b.scale(c)
             if m.rank() == s_mod.dim:
-                epi = module_hom(free, s_mod, m, check=False)
+                epi = ModuleHom(free, s_mod, m)
                 break
         if epi is None:
             continue  # no epi from a restricted free module: probe not applicable

@@ -814,3 +814,38 @@ def test_any_command_line_is_answered_with_one_json_line(argv):
     doc = json.loads(out)
     assert out.count("\n") == 1 or out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert doc["command"] == (argv[0] if argv and argv[0] in cli.VERBS else None)
+
+
+def test_inline_instance_text_reads_as_the_file_holding_it():
+    for name in ("upper_triangular", "misweighted"):
+        path = f"inputs/{name}.json"
+        text = (GOLDEN / path).read_text()
+        expected = run_cli(["check-algebra", path])
+        assert run_cli(["check-algebra", text]) == expected
+        assert run_cli(["check-algebra", " \n" + text]) == expected
+
+
+def test_malformed_inline_instance_text_is_an_input_error():
+    code, out = run_cli(["check-algebra", '{"dim": 2,'])
+    assert code == 2
+    assert json.loads(out)["error"].startswith("invalid JSON in instance text: ")
+
+
+def test_json_text_as_a_module_documents_instance_is_an_unknown_catalog_name(tmp_path):
+    doc = json.loads((GOLDEN / "inputs" / "regular_left_sp12.json").read_text())
+    text = json.dumps(doc["instance"])
+    path = tmp_path / "text_instance.json"
+    path.write_text(json.dumps({**doc, "instance": text}))
+    code, out = run_cli(["check-module", str(path)])
+    assert code == 2
+    # the loader reports str() of the KeyError, the repr of its message
+    unknown = KeyError(f"unknown catalog instance {text!r}")
+    assert json.loads(out)["error"] == f"malformed module document {path}: {unknown}"
+
+
+def test_a_restricted_free_module_past_the_budget_is_an_input_error():
+    gens = ",".join(f"x{i}" for i in range(200))
+    code, out = run_cli(["restricted-free", "upper_triangular(1,2)", gens])
+    assert code == 2
+    assert json.loads(out)["error"] == ("a direct sum of dimension 600 asks for 1800000 "
+                                        "structure-map entries; the budget is 64000")

@@ -274,3 +274,63 @@ def test_basis_vector_rejects_indices_outside_the_basis():
     for i in (-1, 3):
         with pytest.raises(ValueError, match=f"basis index {i} out of range"):
             alg.basis_vector(i)
+
+
+# The catalog builders before the matrix-unit builder, kept as the reference
+# the catalog's documents are pinned against: hand-written structure-constant
+# loops and hand-written projection matrices.
+
+def reference_componentwise_algebra(d):
+    sc = tuple(tuple(tuple(Fraction(1 if i == j == k else 0) for k in range(d))
+                     for j in range(d)) for i in range(d))
+    return AlgebraPresentation(d, tuple(f"e{i + 1}" for i in range(d)), sc, (Fraction(1),) * d)
+
+
+def reference_upper_triangular_algebra():
+    labels = ("t11", "t12", "t22")
+    table = {("t11", "t11"): "t11", ("t11", "t12"): "t12",
+             ("t12", "t22"): "t12", ("t22", "t22"): "t22"}
+    sc = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    for (a, b), c in table.items():
+        sc[labels.index(a)][labels.index(b)][labels.index(c)] = Fraction(1)
+    return AlgebraPresentation(3, labels, tuple(tuple(tuple(v) for v in row) for row in sc),
+                               (Fraction(1), Fraction(0), Fraction(1)))
+
+
+def reference_instance(name):
+    kind, args = name.rstrip(")").split("(")
+    args = [Fraction(a) for a in args.split(",")]
+    if kind == "trivial":
+        d, s = map(int, args)
+        labels = tuple(str(i + 1) for i in range(s))
+        return MrbAlgebraInstance(reference_componentwise_algebra(d),
+                                  OperatorFamily(labels, (Matrix.zero(d, d),) * s),
+                                  WeightFamily(labels, (Fraction(0),) * s))
+    if kind == "scaled_projection":
+        alg, proj = reference_componentwise_algebra(2), Matrix([[1, 0], [0, 0]])
+    else:
+        alg, proj = reference_upper_triangular_algebra(), Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    labels = tuple(str(i + 1) for i in range(len(args)))
+    return MrbAlgebraInstance(alg, OperatorFamily(labels, tuple(proj.scale(c) for c in args)),
+                              WeightFamily(labels, tuple(-c / 2 for c in args)))
+
+
+@pytest.mark.parametrize("name", [*core._CATALOG_NAMES, "trivial(40,1)"])
+def test_catalog_documents_match_the_hand_written_builders(name):
+    inst = catalog_instance(name)
+    assert inst.verified
+    assert instance_to_json(inst) == instance_to_json(reference_instance(name))
+    assert inst == reference_instance(name)
+
+
+def test_the_matrix_unit_algebras_match_the_hand_written_ones():
+    for d in (0, 1, 2, 3, 7):
+        assert componentwise_algebra(d) == reference_componentwise_algebra(d)
+    assert upper_triangular_algebra() == reference_upper_triangular_algebra()
+
+
+def test_a_trivial_instance_of_negative_dimension_is_refused():
+    for name in ("trivial(-5,3)", "trivial(-1,0)"):
+        with pytest.raises(ValueError) as err:
+            catalog_instance(name)
+        assert str(err.value) == f"{name} asks for a negative dimension"

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -21,6 +22,7 @@ from mrb.core import (
 )
 from mrb.linalg import Matrix, Subspace, unit_vector
 from mrb.modules import (
+    ArgumentError,
     ClosureViolationError,
     FdBimodule,
     FdLeftModule,
@@ -279,6 +281,29 @@ def test_direct_sum_empty(sp12):
     assert ds.module.dim == 0
 
 
+def test_a_direct_sum_past_the_budget_is_refused_before_it_is_built():
+    # 38 copies of the regular module of upper_triangular(1,2): 3 + 2
+    # structure maps of shape 114 x 114, 64,980 entries
+    reg = regular_left_module(catalog_instance("upper_triangular(1,2)"))
+    for copies, total in ((38, 114), (200, 600)):
+        tracemalloc.start()
+        with pytest.raises(ArgumentError) as err:
+            direct_sum([reg] * copies)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert str(err.value) == (f"a direct sum of dimension {total} asks for {5 * total ** 2} "
+                                  f"structure-map entries; the budget is 64000")
+        assert peak < 64 * 1024
+
+
+def test_the_largest_direct_sum_under_the_budget_is_built():
+    # 37 copies: 5 maps of shape 111 x 111, 61,605 entries
+    reg = regular_left_module(catalog_instance("upper_triangular(1,2)"))
+    ds = direct_sum([reg] * 37)
+    assert ds.module.dim == 111 and len(ds.inclusions) == len(ds.projections) == 37
+    assert ds.projections[36].matrix @ ds.inclusions[36].matrix == Matrix.identity(3)
+
+
 def test_direct_sum_kernel_additivity(reg, sp12):
     # ker(psi1 (+) psi2) = ker(psi1) (+) ker(psi2), by dimension count
     rng = random.Random(23)
@@ -290,7 +315,7 @@ def test_direct_sum_kernel_additivity(reg, sp12):
             for b in hs:
                 m = m + b.scale(Fraction(rng.randint(-2, 2)))
             mats.append(m)
-        homs = [module_hom(reg, reg, m, check=True) for m in mats]
+        homs = [module_hom(reg, reg, m) for m in mats]
         ds_src = direct_sum([reg, reg])
         block = Matrix.block_diag([h.matrix for h in homs])
         combined = module_hom(ds_src.module, ds_src.module, block)

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrb.core import scaled_projection
-from mrb.opring import FreeModuleElement, OpElement, OperatorRing
+from mrb.opring import FreeModuleElement, OpElement, OperatorRing, basis_word
 from mrb.operated import FreeOperatedModule
 from mrb.parser import (
     ExpressionError,
+    _slot_indices,
     bind_op_expression,
     bind_operated_expression,
     parse_expression,
@@ -166,3 +168,81 @@ def test_zero_literal(ring):
     assert isinstance(e, OpElement)
     assert e.is_zero()
     assert print_op_element(e, ring.inst) == "0"
+
+
+# The binder before it summed coefficients in one dict: a fold that adds
+# one single-term element at a time, kept as the reference.
+
+def reference_bind(ast, inst, dotted, gens=None):
+    with_gen = [t for _, t in ast.terms if t.gen is not None]
+    if not dotted and with_gen and len(with_gen) != len(ast.terms):
+        raise ExpressionError("cannot mix ring words and module words in one expression")
+    cls = FreeModuleElement if dotted or with_gen else OpElement
+    out = cls.zero()
+    for coeff, t in ast.terms:
+        if t.kind == ("op" if dotted else "operated"):
+            raise ExpressionError("bracketed letters are not mixable-tensor syntax" if dotted
+                                  else "dotted words are not operator-ring syntax")
+        if dotted and t.gen is None:
+            raise ExpressionError("mixable-tensor words require a generator")
+        w = basis_word(inst, _slot_indices(inst, t.slots), t.ops)
+        if gens is not None:
+            gens.index(t.gen)
+        out = out + cls.from_dict({cls.join(w, t.gen): coeff})
+    return out
+
+
+# a few words per syntax, so that drawn expressions repeat and cancel words
+WORDS = {
+    "ring": ["e1", "e2", "e1 Q[1] e2", "e2 Q[2] e1", "e1 Q[1] e1 Q[2] e2"],
+    "module": ["e1 : x", "e2 : x", "e1 Q[1] e2 : x", "e1 Q[2] e2 : y", "e2 Q[1] e1 Q[1] e1 : y"],
+    "dotted": ["e1 : x", "e2 : y", "e1 . 1 . e2 : x", "e2 . 2 . e1 : y", "e1 . 1 . e1 . 2 . e2 : x"],
+}
+
+TERMS = st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3), st.integers(0, 4), st.booleans()),
+                 min_size=1, max_size=12)
+
+
+def expression_text(words, terms):
+    """The expression sum c * (word) over the drawn terms; a term drawn with
+    True is followed by its negation, so that the pair cancels."""
+    pairs = []
+    for num, den, w, cancel in terms:
+        c = Fraction(num, den)
+        pairs += [(c, words[w])] + ([(-c, words[w])] if cancel else [])
+    return " ".join(f"{'-' if c < 0 else '+' if k else ''} {abs(c)} * ({w})"
+                    for k, (c, w) in enumerate(pairs)).strip()
+
+
+@settings(max_examples=100, deadline=None)
+@given(syntax=st.sampled_from(sorted(WORDS)), terms=TERMS)
+def test_binding_equals_the_term_by_term_fold(ring, fom, syntax, terms):
+    ast = parse_expression(expression_text(WORDS[syntax], terms))
+    if syntax == "dotted":
+        bound, expected = (bind_operated_expression(ast, fom),
+                           reference_bind(ast, fom.inst, True, fom.gens))
+    else:
+        bound, expected = bind_op_expression(ast, ring), reference_bind(ast, ring.inst, False)
+    assert type(bound) is type(expected)
+    assert bound == expected
+
+
+def test_binding_builds_a_number_of_elements_that_does_not_grow_with_the_terms(ring, monkeypatch):
+    built = []
+    init = OpElement.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OpElement, "__init__", counted)
+    counts = []
+    for n in (1, 16, 128):
+        # n distinct words e1 Q[a1] e1 ... Q[a7] e1, the letters read off k's bits
+        words = [f"e1 {' e1 '.join(f'Q[{1 + (k >> b & 1)}]' for b in range(7))} e1"
+                 for k in range(n)]
+        ast = parse_expression(" + ".join(f"{k + 1} * ({w})" for k, w in enumerate(words)))
+        built.clear()
+        assert len(bind_op_expression(ast, ring).terms) == n
+        counts.append(len(built))
+    assert counts == [1, 1, 1]

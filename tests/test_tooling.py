@@ -5,8 +5,8 @@
 never wrapped, so its per-layer metric reads zero without any error; these
 tests make such a rename fail here instead.  The last tests pin how
 `tools/bench_pairs.py` counts a pair as won in each metric direction and
-how it judges a metric against its bound, and which lines `tools/loc.py`
-counts as code.  The value-class guards keep `import mrb` from compiling
+how it judges a metric against its bound, which lines `tools/loc.py`
+counts as code and which lines `tools/unreached.py` lists as never run.  The value-class guards keep `import mrb` from compiling
 source: every class made by `linalg._frozen` has a docstring of its own and
 the decorator's __init__, no ``dataclass`` method is generated, and neither
 ``dataclasses`` nor the modules it imports are loaded; and a command-line
@@ -187,3 +187,44 @@ def _fresh(probe: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(Path(mrb.__file__).resolve().parent.parent))
     return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def test_unreached_lists_the_function_lines_a_traced_call_never_ran(tmp_path):
+    # module and class bodies are not listed, a function's def line counts
+    # as run once it is called, and the census is by line: g's return ran,
+    # so the lambda on its line is not listed though it was never called
+    sample = tmp_path / "sample.py"
+    sample.write_text('''import os
+
+
+def f(x):
+    if x:
+        return os.sep
+    y = [i for i in range(x)]
+    return y
+
+
+def g():
+    return lambda v: v
+
+
+class C:
+    def h(self):
+        return 1
+''')
+    tool = _load_tool("unreached")
+    spec = importlib.util.spec_from_file_location("unreached_sample", sample)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    ran = {}
+    previous = sys.gettrace()
+    sys.settrace(tool.tracer(tmp_path, ran))
+    try:
+        module.f(1)
+        module.g()
+    finally:
+        sys.settrace(previous)
+    assert tool.function_lines(sample) == {4, 5, 6, 7, 8, 11, 12, 16, 17}
+    assert tool.unreached(sample, ran[str(sample)]) == [
+        (7, "y = [i for i in range(x)]"), (8, "return y"), (16, "def h(self):"),
+        (17, "return 1")]
