@@ -279,11 +279,11 @@ def _cmd_reweight(target, spec):
         raise InputError(f"malformed reweight spec: {exc}")
     if not isinstance(target, core.MrbAlgebraInstance):
         return _checked_module(modules.reweight_module(target, rspec), kind="module")
-    out_inst, rep = core._reweighted(target, rspec)
+    out_inst = core.reweight(target, rspec)
     return 0, {
         "kind": "instance",
         "instance": core.instance_to_json(out_inst),
-        "report": rep.to_json(),
+        "report": core.check_mrb_identity(out_inst).to_json(),
     }
 
 

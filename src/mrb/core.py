@@ -476,6 +476,8 @@ def catalog_instance(name: str) -> MrbAlgebraInstance:
         d, s = (int(a) for a in args)
         if d < 0:
             raise ValueError(f"trivial({d},{s}) asks for a negative dimension")
+        if s < 0:
+            raise ValueError(f"trivial({d},{s}) asks for a negative number of labels")
         count = max(d ** 3, s * s * d, s)
         if count > _INSTANCE_BUDGET:
             raise ValueError(f"trivial({d},{s}) asks for {count} structure constants, identity "
@@ -531,14 +533,9 @@ def _combine(spec: ReweightSpec, matrix_of, d: int) -> tuple[Matrix, ...]:
 def reweight(inst: MrbAlgebraInstance, spec: ReweightSpec) -> MrbAlgebraInstance:
     """Instance with operators and weights replaced by the spec's combinations.
 
-    The result is re-verified by the identity checker before being returned.
+    The result is re-verified by the identity checker before being returned,
+    so :func:`check_mrb_identity` gives its clean report back at once.
     """
-    return _reweighted(inst, spec)[0]
-
-
-def _reweighted(inst: MrbAlgebraInstance,
-                spec: ReweightSpec) -> tuple[MrbAlgebraInstance, CheckReport]:
-    """The reweighted instance and the identity checker's clean report on it."""
     if not inst.verified:
         raise PreconditionError("instance must be verified before reweighting")
     if not spec.rows:
@@ -554,10 +551,9 @@ def _reweighted(inst: MrbAlgebraInstance,
         OperatorFamily(labels, matrices),
         WeightFamily(labels, values),
     )
-    report = check_mrb_identity(out)
-    if not report.ok:
+    if not check_mrb_identity(out).ok:
         raise AssertionError("reweighted instance failed the identity checker")
-    return out, report
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +601,8 @@ def instance_from_json(doc: Mapping) -> MrbAlgebraInstance:
     return MrbAlgebraInstance(alg, ops, weights)
 
 
-def load_instance(inst_or_doc) -> MrbAlgebraInstance:
-    """Accept an instance, a catalog name, or else a document."""
-    if isinstance(inst_or_doc, MrbAlgebraInstance):
-        return inst_or_doc
-    if isinstance(inst_or_doc, str):
-        return catalog_instance(inst_or_doc)
-    return instance_from_json(inst_or_doc)
+def load_instance(name_or_doc) -> MrbAlgebraInstance:
+    """Accept a catalog name, or else a document."""
+    if isinstance(name_or_doc, str):
+        return catalog_instance(name_or_doc)
+    return instance_from_json(name_or_doc)

@@ -289,6 +289,10 @@ class Matrix:
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 
+    def columns(self, js: Sequence[int]) -> "Matrix":
+        """The matrix of the columns js of self, in that order."""
+        return Matrix._shaped([[row[j] for j in js] for row in self.entries], self.rows, len(js))
+
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.entries == other.entries \
             and self.rows == other.rows and self.cols == other.cols
@@ -474,20 +478,17 @@ class QuotientSpace:
     """Explicit presentation of Q^n / span(relations).
 
     ``project`` maps ambient vectors to quotient coordinates and kills every
-    relation; ``section`` lists one ambient representative per quotient
-    coordinate, with project o section = identity.  Representatives are the
-    lexicographically first standard basis vectors complementing the
-    relation row space.
+    relation; ``free`` lists the free columns of the relations' RREF,
+    leftmost first, and ``project`` is the identity on them, so the standard
+    basis vectors at ``free`` are one ambient representative per quotient
+    coordinate: the lexicographically first complement of the relation row
+    space.
     """
 
     ambient_dim: int
     dim: int
     project: Matrix
-    section: tuple[Vector, ...]
-
-    def section_matrix(self) -> Matrix:
-        """The representatives as the columns of an ambient_dim x dim matrix."""
-        return Matrix._shaped(zip(*self.section), self.ambient_dim, self.dim)
+    free: tuple[int, ...]
 
 
 def quotient_space(ambient_dim: int,
@@ -506,9 +507,8 @@ def quotient_space(ambient_dim: int,
         else:
             rows.append(dict(enumerate(vector(r))))
     free, kernel = _kernel(rows, ambient_dim)
-    section = tuple(unit_vector(ambient_dim, f) for f in free)
     project = Matrix._shaped(kernel, len(kernel), ambient_dim)
-    return QuotientSpace(ambient_dim, len(free), project, section)
+    return QuotientSpace(ambient_dim, len(free), project, tuple(free))
 
 
 def kron_difference_rows(x: Matrix, y: Matrix) -> list[dict[int, Fraction]]:

@@ -402,8 +402,8 @@ def quotient_module(mod: FdLeftModule, sub: Subspace,
     if offender is not None:
         raise ClosureViolationError(f"subspace is not closed under {offender}")
     qs = quotient_space(mod.dim, sub.basis)
-    sec = qs.section_matrix()
-    out = _from_maps(mod.side, mod.inst, qs.dim, [qs.project @ x @ sec for x in mod.maps])
+    out = _from_maps(mod.side, mod.inst, qs.dim,
+                     [qs.project @ x.columns(qs.free) for x in mod.maps])
     if with_projection:
         return out, module_hom(mod, out, qs.project)
     return out
@@ -549,15 +549,15 @@ def hom_module(m: FdLeftModule | FdBimodule, n: FdLeftModule | FdBimodule,
     if base_src.side != base_dst.side:
         raise ArgumentError("module side does not match the bimodule hypothesis")
     basis = hom_space(base_src, base_dst)
-
-    def induced(x: Matrix) -> Matrix:
-        # column j: the coordinates of x o f_j (post) or f_j o x (pre)
-        coords = _coords_in(basis, [x @ f if post else f @ x for f in basis])
-        if coords is None:
-            raise AssertionError("induced map left the hom space")
-        return Matrix._shaped(zip(*coords), len(basis), len(basis))
-
-    return _from_maps(result_side, acting.inst, len(basis), [induced(x) for x in acting.maps])
+    # column j of the k-th map: the coordinates of x_k o f_j (post) or
+    # f_j o x_k (pre), for every acting map x_k off one elimination
+    coords = _coords_in(basis, [x @ f if post else f @ x for x in acting.maps for f in basis])
+    if coords is None:
+        raise AssertionError("induced map left the hom space")
+    dim = len(basis)
+    return _from_maps(result_side, acting.inst, dim,
+                      [Matrix._shaped(zip(*coords[k * dim:(k + 1) * dim]), dim, dim)
+                       for k in range(len(acting.maps))])
 
 
 def reweight_module(mod: FdLeftModule, spec: ReweightSpec) -> FdLeftModule:

@@ -169,7 +169,7 @@ def _factor(t: TensorSpace, ambient: Matrix) -> Matrix | None:
     or None when the matrix does not kill every relation of t."""
     if any(_images(ambient, t.relations)):
         return None
-    return ambient @ t.quotient.section_matrix()
+    return ambient.columns(t.quotient.free)
 
 
 def _descend(src: TensorSpace, dst: TensorSpace, ambient: Matrix, what: str) -> Matrix:

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import re
@@ -433,6 +434,8 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
          "trivial expects 2 arguments, as in trivial(d,s); got 1"),
         (["check-algebra", "trivial(1,2,3)"],
          "trivial expects 2 arguments, as in trivial(d,s); got 3"),
+        (["check-algebra", "trivial(1,-2)"],
+         "trivial(1,-2) asks for a negative number of labels"),
         (["check-algebra", "trivial(2000,1)"],
          "trivial(2000,1) asks for 8000000000 structure constants, identity equations or "
          "labels; the budget is 64000"),
@@ -549,7 +552,8 @@ def test_every_verb_has_a_golden_pair_and_a_readme_entry():
 def test_reweight_instance_path_checks_the_identity_twice(monkeypatch):
     # once for the catalog instance, once for the reweighted one, whose
     # report is the one printed; each identity check checks the presentation
-    # first, and a verified instance's check returns at once
+    # first, and a verified instance's check returns at once, so only the
+    # checks of an unverified instance are counted
     calls, checks = [], []
     presentation_report, check_mrb_identity = core._presentation_report, core.check_mrb_identity
 
@@ -558,7 +562,8 @@ def test_reweight_instance_path_checks_the_identity_twice(monkeypatch):
         return presentation_report(*args)
 
     def counted_check(inst):
-        checks.append(inst)
+        if not inst.verified:
+            checks.append(inst)
         return check_mrb_identity(inst)
 
     monkeypatch.setattr(core, "_presentation_report", counted)
@@ -849,3 +854,76 @@ def test_a_restricted_free_module_past_the_budget_is_an_input_error():
     assert code == 2
     assert json.loads(out)["error"] == ("a direct sum of dimension 600 asks for 1800000 "
                                         "structure-map entries; the budget is 64000")
+
+
+# -- the document fuzz: golden documents with a few entries perturbed, read by
+# the verbs that take each kind of document from a file
+FUZZED = {
+    "instance": ("upper_triangular", "misweighted"),
+    "module": ("regular_left_sp12", "regular_right_sp12", "regular_bimodule_sp12",
+               "perturbed_left_sp12", "sub_e2_left_sp12", "sum_left_sp12"),
+    "hom": ("identity_reg", "inclusion_sub_e2", "projection_sum_to_reg"),
+}
+DOCUMENT_VERBS = {"check-algebra": "instance", "check-module": "module", "hom": "module",
+                  "lift": "hom"}
+# a value that is written out as an array nested past the recursion limit
+DEEP = "deeply nested"
+JUNK = st.sampled_from([None, True, -1, 0, 10 ** 6, 10 ** 40, 2.5, "", "x", "1/0", "0.5", "1e5",
+                        "--1", "9" * 5000, [], {}, [[1, 2], [3]], {"a": [{"b": []}]}, DEEP]
+                       ).map(copy.deepcopy)
+
+
+def _paths(doc, path=()):
+    """The path to every value of a JSON document, the document's own () first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+@st.composite
+def perturbed_documents(draw, kind):
+    """A golden document of the kind, as JSON text, with one to three values
+    dropped, grown (an extra key, or an extra entry that makes an array
+    ragged or mis-sized) or replaced by a value of another type or range."""
+    name = draw(st.sampled_from(FUZZED[kind]))
+    holder = [json.loads((GOLDEN / "inputs" / f"{name}.json").read_text())]
+    for _ in range(draw(st.integers(1, 3))):
+        *where, key = draw(st.sampled_from(list(_paths(holder))[1:]))
+        parent = holder
+        for step in where:
+            parent = parent[step]
+        edit, value = draw(st.sampled_from(["drop", "grow", "replace"])), parent[key]
+        if edit == "drop" and parent is not holder:
+            del parent[key]
+        elif edit == "grow" and isinstance(value, dict):
+            value["extra"] = draw(JUNK)
+        elif edit == "grow" and isinstance(value, list):
+            value.append(value[-1] if value else draw(JUNK))
+        else:
+            parent[key] = draw(JUNK)
+    return json.dumps(holder[0]).replace(json.dumps(DEEP), "[" * 100000 + "]" * 100000)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(DOCUMENT_VERBS)).flatmap(lambda verb: st.tuples(
+    st.just(verb), perturbed_documents(DOCUMENT_VERBS[verb]), st.integers(0, 2))))
+def test_any_perturbed_document_is_answered_with_one_json_line(fuzz_dir, case):
+    # the two-document verbs read it twice, or beside a golden document
+    verb, text, order = case
+    path = fuzz_dir / "perturbed.json"
+    path.write_text(text)
+    path, golden = str(path), str(GOLDEN / "inputs" / f"{FUZZED[DOCUMENT_VERBS[verb]][0]}.json")
+    pairs = ([path, path], [path, golden], [golden, path])
+    argv = [verb, *(pairs[order] if verb in ("hom", "lift") else [path])]
+    buf = io.StringIO()
+    code = cli.main(argv, stdout=buf)
+    out = buf.getvalue()
+    assert code in (0, 1, 2)
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)["command"] == verb

@@ -334,3 +334,12 @@ def test_a_trivial_instance_of_negative_dimension_is_refused():
         with pytest.raises(ValueError) as err:
             catalog_instance(name)
         assert str(err.value) == f"{name} asks for a negative dimension"
+
+
+def test_a_trivial_instance_with_a_negative_number_of_labels_is_refused(monkeypatch):
+    # refused before anything is built: trivial_instance is never called
+    monkeypatch.setattr(core, "trivial_instance", None)
+    for name in ("trivial(1,-2)", "trivial(0,-1)"):
+        with pytest.raises(ValueError) as err:
+            catalog_instance(name)
+        assert str(err.value) == f"{name} asks for a negative number of labels"

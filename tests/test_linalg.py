@@ -14,7 +14,6 @@ from mrb.linalg import (
     frac,
     kron_difference_rows,
     quotient_space,
-    unit_vector,
 )
 from test_opring_reference import FractionRowSpace
 
@@ -110,9 +109,8 @@ def test_quotient_properties(extra, rel3):
     # projection kills every relation
     for r in relations:
         assert all(x == 0 for x in qs.project.apply(r))
-    # project o section = identity on the quotient
-    sec = qs.section_matrix()
-    assert qs.project @ sec == Matrix.identity(qs.dim)
+    # project is the identity on the free columns
+    assert qs.project.columns(qs.free) == Matrix.identity(qs.dim)
     # dimension law
     stacked = Matrix.from_rows(relations, cols=ambient) if relations else Matrix.zero(0, ambient)
     assert qs.dim == ambient - stacked.rank()
@@ -120,8 +118,8 @@ def test_quotient_properties(extra, rel3):
 
 def test_section_is_standard_basis_complement():
     qs = quotient_space(3, [(Fraction(1), Fraction(2), Fraction(0))])
-    # pivot lands on the first column, so representatives are e2, e3
-    assert qs.section == (unit_vector(3, 1), unit_vector(3, 2))
+    # pivot lands on the first column, so the free columns are the other two
+    assert qs.free == (1, 2)
 
 
 def test_solve_consistent_and_inconsistent():

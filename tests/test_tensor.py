@@ -5,7 +5,7 @@ import pytest
 
 from mrb import modules, tensor
 from mrb.core import check_mrb_identity, scaled_projection, trivial_instance
-from mrb.linalg import Matrix, Subspace
+from mrb.linalg import Matrix, QuotientSpace, Subspace
 from mrb.modules import (
     FdLeftModule,
     FdRightModule,
@@ -24,6 +24,7 @@ from mrb.modules import (
     zero_module,
 )
 from mrb.tensor import (
+    TensorSpace,
     adjunction_check,
     bilinearity_report,
     direct_sum_tensor_check,
@@ -85,6 +86,22 @@ def test_tensor_regular_pair_dimension_two(reg_r, reg):
     assert t.ambient_dim == 4
     assert t.dim == 2
     assert bilinearity_report(t).ok
+
+
+def test_bilinearity_names_every_relation_a_projection_fails_to_kill(reg_r, reg):
+    # the identity as project, every column free: each nonzero relation of
+    # the regular pair is a balancing violation whose residual is the
+    # relation itself; the additive families hold, as zeta is linear
+    t = tensor_product(reg_r, reg)
+    unquotiented = TensorSpace(reg_r, reg, QuotientSpace(4, 4, Matrix.identity(4), (0, 1, 2, 3)),
+                               t.relations)
+    rep = bilinearity_report(unquotiented)
+    assert not rep.ok
+    assert [(v.kind, v.where) for v in rep.violations] == [
+        ("balancing", (i,)) for i in (1, 2, 5, 6, 9, 10, 13, 14)]
+    assert [v.residual for v in rep.violations] == [
+        (0, 1, 0, 0), (0, 0, -1, 0), (0, -1, 0, 0), (0, 0, 1, 0),
+        (0, 1, 0, 0), (0, 0, -1, 0), (0, 2, 0, 0), (0, 0, -2, 0)]
 
 
 def test_tensor_trivial_instance_regular_pair(triv22):
@@ -255,12 +272,12 @@ def test_adjunction_checks_the_bimodule_once(sp12, reg_r, monkeypatch):
 
 
 def test_adjunction_eliminates_once_per_batch(rref_calls):
-    # the tensor quotient 1, hom module "d" 1 + 2 actions + 3 operators, the
+    # the tensor quotient 1, hom module "d" 1 + 1 for its induced maps, the
     # three hom spaces 3, theta 2 and theta' 1
     inst = scaled_projection((2, 3, 5))
     m = direct_sum([regular_right_module(inst)] * 3).module
     assert adjunction_check(m, regular_bimodule(inst), regular_right_module(inst)).ok
-    assert len(rref_calls) == 13
+    assert len(rref_calls) == 9
 
 
 def test_adjunction_zero_target(sp12, reg_r):
