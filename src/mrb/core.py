@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import weakref
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -57,13 +58,17 @@ class AlgebraPresentation:
 
     ``structure_constants[i][j]`` is the coordinate vector of b_i * b_j.
     Associativity and the unit laws are not enforced here; they are what
-    :func:`check_presentation` verifies.
+    :func:`check_presentation` verifies.  ``verified`` is a latch set only
+    by a clean presentation report, in :func:`check_presentation` or in
+    :func:`check_mrb_identity`'s first stage; it is not a constructor
+    argument and is excluded from equality.
     """
 
     dim: int
     basis_labels: tuple[str, ...]
     structure_constants: tuple[tuple[Vector, ...], ...]
     unit: Vector
+    verified: bool = _Latch(False)
 
     def __post_init__(self):
         d = self.dim
@@ -183,8 +188,10 @@ class MrbAlgebraInstance:
     def apply_operator(self, label: str, v: Sequence) -> Vector:
         return self.operators.matrix(label).apply(v)
 
-    def _mark_verified(self):
-        object.__setattr__(self, "verified", True)
+
+def _latch(value):
+    """Set the ``verified`` latch of a presentation or an instance."""
+    object.__setattr__(value, "verified", True)
 
 
 @_frozen
@@ -278,14 +285,20 @@ def check_presentation(alg: AlgebraPresentation) -> CheckReport:
     and the unit are cleared to integers over one denominator D, and every
     law, of degree 2 in them, is decided on integer matrices D^2 times the
     rational ones; a residual is divided by D^2 only where it is nonzero.
+    A clean report sets ``alg.verified``, and a verified presentation's
+    clean report is returned at once.
     """
+    if alg.verified:
+        return CheckReport("presentation", ())
     den, ((unit,), *sc) = _integer_blocks([[alg.unit], *alg.structure_constants])
-    return _presentation_report(den, unit, sc, _regular_tables(sc, True))
+    return _presentation_report(alg, den, unit, sc, _regular_tables(sc, True))
 
 
-def _presentation_report(den: int, unit: Sequence[int], sc, left) -> CheckReport:
-    """`check_presentation` on the unit, the structure constants and the left
-    tables L_i already cleared, all times den."""
+def _presentation_report(alg: AlgebraPresentation, den: int, unit: Sequence[int], sc,
+                         left) -> CheckReport:
+    """`check_presentation` of alg on its unit, its structure constants and
+    its left tables L_i already cleared, all times den; a clean report sets
+    ``alg.verified``."""
     d, square = len(sc), den * den
     units = [_column_violations(kind, _combination((*unit, -1), (*tables, _scalar(d, square)), d),
                                 square, lambda i: (i,))
@@ -296,6 +309,8 @@ def _presentation_report(den: int, unit: Sequence[int], sc, left) -> CheckReport
         for j, lj in enumerate(left):
             diff = _combination((*sc[i][j], -1), (*left, _int_product(li, lj)), d)
             violations += _column_violations("associativity", diff, square, lambda k: (i, j, k))
+    if not violations:
+        _latch(alg)
     return CheckReport("presentation", tuple(violations))
 
 
@@ -332,19 +347,29 @@ def _axiom_violations(kind: str, labels: Sequence[str], den: int, weights: Seque
     return violations
 
 
+# every live instance that passed check_mrb_identity, held by weak reference
+_VERIFIED: weakref.WeakSet = weakref.WeakSet()
+
+
 def check_mrb_identity(inst: MrbAlgebraInstance) -> CheckReport:
     """Exhaustively evaluate the coupled operator identity.
 
     It is the axiom kernel on the left-multiplication matrices L_i, the
     regular left module: one matrix equation per label pair and b_i covers
     every b_j, column j being the residual at (i, j, a, b).  The
-    presentation is checked first, on the same L_i; both run on the
-    structure constants, the unit, the operators and the weights cleared to
-    integers over one denominator.  An empty report marks the instance
-    verified; a verified instance is frozen, so its clean report is
-    returned at once.
+    presentation is checked first, on the same L_i, unless ``inst.algebra``
+    is verified already; both run on the structure constants, the unit, the
+    operators and the weights cleared to integers over one denominator.
+
+    An empty report marks the instance verified and records it in
+    `_VERIFIED`, which holds no strong reference.  Each verdict is decided
+    once per value: a verified instance is frozen, and an instance equal to
+    a live verified one (equality compares every field the check reads,
+    exactly) has its verdict, so either is marked verified and gets the
+    clean report at once.
     """
-    if inst.verified:
+    if inst.verified or inst in _VERIFIED:
+        _latch(inst)
         return CheckReport("mrb-identity", ())
     alg, d = inst.algebra, inst.dim
     den, ((unit, weights), *blocks) = _integer_blocks(
@@ -352,12 +377,13 @@ def check_mrb_identity(inst: MrbAlgebraInstance) -> CheckReport:
          *(m.entries for m in inst.operators.matrices)])
     sc, ops = blocks[:d], blocks[d:]
     acts = _regular_tables(sc, True)
-    if not _presentation_report(den, unit, sc, acts).ok:
+    if not alg.verified and not _presentation_report(alg, den, unit, sc, acts).ok:
         raise PreconditionError("presentation must pass check_presentation first")
     report = CheckReport("mrb-identity", tuple(_axiom_violations(
         "mrb-identity", inst.omega, den, weights, ops, acts, ops, _int_product)))
     if report.ok:
-        inst._mark_verified()
+        _latch(inst)
+        _VERIFIED.add(inst)
     return report
 
 
@@ -456,7 +482,7 @@ def catalog() -> dict[str, MrbAlgebraInstance]:
 # trivial(d,s); at the budget trivial(40,1) takes 0.4 s and 28 MB on 2 vCPUs,
 # and trivial(40,40), the costliest instance it admits, 16 s and 93 MB.  It
 # also bounds the (d+s) n^2 structure-map entries of a direct sum of dim n:
-# 252 copies of trivial(1,0)'s regular module, the costliest, take 1.4 s
+# 252 copies of trivial(1,0)'s regular module, the costliest, take 15 ms
 _INSTANCE_BUDGET = 64000
 
 _CATALOG_NAME_RE = re.compile(r"(trivial|scaled_projection|upper_triangular)\(([^)]*)\)$")
@@ -533,8 +559,10 @@ def _combine(spec: ReweightSpec, matrix_of, d: int) -> tuple[Matrix, ...]:
 def reweight(inst: MrbAlgebraInstance, spec: ReweightSpec) -> MrbAlgebraInstance:
     """Instance with operators and weights replaced by the spec's combinations.
 
-    The result is re-verified by the identity checker before being returned,
-    so :func:`check_mrb_identity` gives its clean report back at once.
+    The result keeps inst's algebra object, whose presentation is verified,
+    and is re-verified by the identity checker before being returned, so
+    :func:`check_mrb_identity` gives its clean report back at once; the
+    check runs in full unless an equal instance is verified and alive.
     """
     if not inst.verified:
         raise PreconditionError("instance must be verified before reweighting")

@@ -352,8 +352,9 @@ class DirectSum:
 
 def direct_sum(mods: Sequence[FdLeftModule | FdRightModule],
                inst: MrbAlgebraInstance | None = None) -> DirectSum:
-    """Block-diagonal direct sum with inclusion and projection homs.  A sum
-    whose d + s structure maps, total x total each, hold more entries than
+    """Block-diagonal direct sum with inclusion and projection homs, which
+    intertwine by construction and are built unchecked.  A sum whose d + s
+    structure maps, total x total each, hold more entries than
     `_INSTANCE_BUDGET` is refused before any is built."""
     inst, side = (mods[0].inst, mods[0].side) if mods else (inst, "left")
     if inst is None:
@@ -373,8 +374,8 @@ def direct_sum(mods: Sequence[FdLeftModule | FdRightModule],
     projections = []
     for k, m in enumerate(mods):
         prj = Matrix._shaped(eye[offsets[k]:offsets[k + 1]], m.dim, total)
-        inclusions.append(module_hom(m, out, prj.transpose()))
-        projections.append(module_hom(out, m, prj))
+        inclusions.append(ModuleHom(m, out, prj.transpose()))
+        projections.append(ModuleHom(out, m, prj))
     return DirectSum(out, tuple(inclusions), tuple(projections))
 
 
@@ -561,7 +562,10 @@ def hom_module(m: FdLeftModule | FdBimodule, n: FdLeftModule | FdBimodule,
 
 
 def reweight_module(mod: FdLeftModule, spec: ReweightSpec) -> FdLeftModule:
-    """Module over the reweighted instance with combined operator family."""
+    """Module over the reweighted instance with combined operator family.
+
+    The instance is `core.reweight`'s, whose identity check returns at once
+    when an equal reweighted instance is verified and alive."""
     new_inst = reweight(mod.inst, spec)
     return _from_maps(mod.side, new_inst, mod.dim,
                       (*mod.tables, *_combine(spec, mod.operator, mod.dim)))

@@ -1,12 +1,15 @@
+import gc
 import json
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from mrb import core
 from mrb.core import (
+    _CATALOG_NAMES,
     AlgebraPresentation,
     MalformedPresentationError,
     MrbAlgebraInstance,
@@ -122,8 +125,12 @@ def test_check_mrb_requires_valid_presentation():
 
 
 def test_identity_check_builds_each_side_tables_once(monkeypatch):
+    # a fresh algebra object, its labels renamed, so that neither its latch
+    # nor a live verified instance equal to fresh decides the check
     inst = upper_triangular_instance((1, 2))
-    fresh = MrbAlgebraInstance(inst.algebra, inst.operators, inst.weights)
+    alg = inst.algebra
+    algebra = AlgebraPresentation(alg.dim, ("u11", "u12", "u22"), alg.structure_constants, alg.unit)
+    fresh = MrbAlgebraInstance(algebra, inst.operators, inst.weights)
     sides = []
     build = core._regular_tables
 
@@ -209,6 +216,112 @@ def test_only_a_passing_check_sets_verified():
     fresh = MrbAlgebraInstance(inst.algebra, inst.operators, inst.weights)
     assert not fresh.verified
     assert check_mrb_identity(fresh).ok and fresh.verified
+
+
+# -- the latches: a verdict decided once per value ---------------------------------
+
+def _one_entry_perturbations(inst):
+    """(operators, weights) of inst with one operator entry or one weight
+    raised by 1, for every entry and every weight."""
+    mats, values = inst.operators.matrices, inst.weights.values
+    for a, m in enumerate(mats):
+        for i in range(m.rows):
+            for j in range(m.cols):
+                rows = [list(row) for row in m.entries]
+                rows[i][j] += 1
+                changed = (*mats[:a], Matrix(rows), *mats[a + 1:])
+                yield OperatorFamily(inst.omega, changed), inst.weights
+    for a in range(len(values)):
+        changed = (*values[:a], values[a] + 1, *values[a + 1:])
+        yield inst.operators, WeightFamily(inst.omega, changed)
+
+
+def _seeded_spec(inst, rng, rows=2):
+    return ReweightSpec.from_dict({
+        f"i{k}": {w: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for w in inst.omega}
+        for k in range(rows)
+    })
+
+
+@pytest.mark.parametrize("name", _CATALOG_NAMES)
+def test_a_perturbed_value_gets_the_verdict_of_a_check_on_fresh_objects(name, instances,
+                                                                        monkeypatch):
+    # beside its verified source, a perturbation shares the source's latched
+    # algebra object; the reference check runs on a new algebra object with
+    # no verified instance recorded
+    inst = instances[name]
+    for source in (inst, reweight(inst, _seeded_spec(inst, random.Random(name)))):
+        alg = source.algebra
+        assert source.verified and alg.verified and source in core._VERIFIED
+        for operators, weights in _one_entry_perturbations(source):
+            latched = check_mrb_identity(MrbAlgebraInstance(alg, operators, weights))
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "_VERIFIED", weakref.WeakSet())
+                algebra = AlgebraPresentation(alg.dim, alg.basis_labels,
+                                              alg.structure_constants, alg.unit)
+                fresh = check_mrb_identity(MrbAlgebraInstance(algebra, operators, weights))
+            assert latched == fresh
+
+
+def test_the_axioms_weight_shift_is_rejected_beside_its_verified_source(instances):
+    # the negative control of the reweighting benchmark: one weight of a
+    # nonzero combined operator raised by 1, on the reweighted instance's
+    # own algebra object, while that instance is alive and verified
+    rng = random.Random(601)
+    shifted = 0
+    for inst in instances.values():
+        out = reweight(inst, _seeded_spec(inst, rng, rows=3))
+        for k, m in enumerate(out.operators.matrices):
+            if m == Matrix.zero(m.rows, m.cols):
+                continue
+            values = out.weights.values
+            weights = WeightFamily(out.omega, (*values[:k], values[k] + 1, *values[k + 1:]))
+            control = MrbAlgebraInstance(out.algebra, out.operators, weights)
+            report = check_mrb_identity(control)
+            assert not report.ok and not control.verified
+            assert any(any(v.residual) for v in report.violations)
+            shifted += 1
+    assert shifted > 0
+
+
+def test_a_failing_presentation_is_never_latched():
+    alg = componentwise_algebra(2)
+    broken = AlgebraPresentation(2, alg.basis_labels, alg.structure_constants,
+                                 (Fraction(1), Fraction(0)))
+    inst = MrbAlgebraInstance(broken, OperatorFamily(("1",), (Matrix.zero(2, 2),)),
+                              WeightFamily(("1",), (Fraction(0),)))
+    for _ in range(3):
+        assert not check_presentation(broken).ok
+        with pytest.raises(PreconditionError):
+            check_mrb_identity(inst)
+        assert not broken.verified and not inst.verified
+
+
+def test_an_instance_equal_to_a_collected_one_is_checked_in_full(monkeypatch):
+    calls = []
+    violations = core._axiom_violations
+
+    def counted(*args):
+        calls.append(args[0])
+        return violations(*args)
+
+    def build():
+        # basis labels that no other instance uses, so nothing else is equal
+        alg = AlgebraPresentation(1, ("collected",), (((Fraction(1),),),), (Fraction(1),))
+        return MrbAlgebraInstance(alg, OperatorFamily(("1",), (Matrix([[-1]]),)),
+                                  WeightFamily(("1",), (Fraction(1, 2),)))
+
+    monkeypatch.setattr(core, "_axiom_violations", counted)
+    first = build()
+    assert check_mrb_identity(first).ok and len(calls) == 1
+    twin = build()
+    assert not twin.verified and twin in core._VERIFIED
+    assert check_mrb_identity(twin).ok and twin.verified and len(calls) == 1
+    del first, twin
+    gc.collect()
+    again = build()
+    assert again not in core._VERIFIED
+    assert check_mrb_identity(again).ok and again.verified and len(calls) == 2
 
 
 def test_reweight_closure_random_specs(instances):

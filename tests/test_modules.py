@@ -276,6 +276,23 @@ def test_direct_sum_two_copies(reg):
         assert inc.is_intertwiner() and prj.is_intertwiner()
 
 
+@pytest.mark.parametrize("name", _CATALOG_NAMES)
+def test_direct_sum_inclusions_and_projections_intertwine(name, instances, permuted):
+    # direct_sum builds them unchecked; on unequal summands a misplaced
+    # block would not intertwine
+    inst = instances[name]
+    for regular in (regular_left_module, regular_right_module):
+        reg = regular(inst)
+        free = (restricted_free(inst, ["x", "y"]) if reg.side == "left"
+                else direct_sum([reg, reg]).module)
+        mods = [reg, permuted(reg, list(reversed(range(inst.dim)))), free,
+                zero_module(inst, reg.side)]
+        ds = direct_sum(mods)
+        for m, inc, prj in zip(mods, ds.inclusions, ds.projections, strict=True):
+            assert inc.source == prj.target == m and inc.target == prj.source == ds.module
+            assert inc.is_intertwiner() and prj.is_intertwiner()
+
+
 def test_direct_sum_empty(sp12):
     ds = direct_sum([], inst=sp12)
     assert ds.module.dim == 0
