@@ -482,7 +482,7 @@ def catalog() -> dict[str, MrbAlgebraInstance]:
 # trivial(d,s); at the budget trivial(40,1) takes 0.4 s and 28 MB on 2 vCPUs,
 # and trivial(40,40), the costliest instance it admits, 16 s and 93 MB.  It
 # also bounds the (d+s) n^2 structure-map entries of a direct sum of dim n:
-# 252 copies of trivial(1,0)'s regular module, the costliest, take 15 ms
+# 252 copies of trivial(1,0)'s regular module, the costliest, take 14 ms
 _INSTANCE_BUDGET = 64000
 
 _CATALOG_NAME_RE = re.compile(r"(trivial|scaled_projection|upper_triangular)\(([^)]*)\)$")

@@ -553,10 +553,10 @@ def test_reweight_instance_path_checks_the_identity_twice(monkeypatch):
     # once for the catalog instance, once for the reweighted one, whose
     # report is the one printed; a verified instance's check returns at once,
     # so only the checks of an unverified instance are counted.  The
-    # presentation is evaluated once: the reweighted instance keeps the
-    # algebra object, whose latch the first evaluation set; and when an
-    # equal catalog instance is alive the first check returns at once and
-    # the second evaluates it
+    # presentation is evaluated once either way: the first check evaluates
+    # it and latches the algebra object, which the reweighted instance
+    # keeps; or, when an equal catalog instance is alive, the first check
+    # returns at once and the reweighted instance's check evaluates it
     calls, checks = [], []
     presentation_report, check_mrb_identity = core._presentation_report, core.check_mrb_identity
 
