@@ -285,11 +285,8 @@ def check_presentation(alg: AlgebraPresentation) -> CheckReport:
     and the unit are cleared to integers over one denominator D, and every
     law, of degree 2 in them, is decided on integer matrices D^2 times the
     rational ones; a residual is divided by D^2 only where it is nonzero.
-    A clean report sets ``alg.verified``, and a verified presentation's
-    clean report is returned at once.
+    A clean report sets ``alg.verified``.
     """
-    if alg.verified:
-        return CheckReport("presentation", ())
     den, ((unit,), *sc) = _integer_blocks([[alg.unit], *alg.structure_constants])
     return _presentation_report(alg, den, unit, sc, _regular_tables(sc, True))
 
@@ -348,7 +345,8 @@ def _axiom_violations(kind: str, labels: Sequence[str], den: int, weights: Seque
 
 
 # every live instance that passed check_mrb_identity, held by weak reference
-_VERIFIED: weakref.WeakSet = weakref.WeakSet()
+# under its hash; of two verified instances with one hash the later is kept
+_VERIFIED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def check_mrb_identity(inst: MrbAlgebraInstance) -> CheckReport:
@@ -362,13 +360,18 @@ def check_mrb_identity(inst: MrbAlgebraInstance) -> CheckReport:
     operators and the weights cleared to integers over one denominator.
 
     An empty report marks the instance verified and records it in
-    `_VERIFIED`, which holds no strong reference.  Each verdict is decided
+    `_VERIFIED` under its hash, which a check computes once; the record
+    holds no strong reference.  Each verdict is decided
     once per value: a verified instance is frozen, and an instance equal to
     a live verified one (equality compares every field the check reads,
     exactly) has its verdict, so either is marked verified and gets the
     clean report at once.
     """
-    if inst.verified or inst in _VERIFIED:
+    if inst.verified:
+        return CheckReport("mrb-identity", ())
+    # the one hash of inst, which reads every structure constant
+    key = hash(inst)
+    if _VERIFIED.get(key) == inst:
         _latch(inst)
         return CheckReport("mrb-identity", ())
     alg, d = inst.algebra, inst.dim
@@ -383,7 +386,7 @@ def check_mrb_identity(inst: MrbAlgebraInstance) -> CheckReport:
         "mrb-identity", inst.omega, den, weights, ops, acts, ops, _int_product)))
     if report.ok:
         _latch(inst)
-        _VERIFIED.add(inst)
+        _VERIFIED[key] = inst
     return report
 
 

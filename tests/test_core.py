@@ -252,11 +252,11 @@ def test_a_perturbed_value_gets_the_verdict_of_a_check_on_fresh_objects(name, in
     inst = instances[name]
     for source in (inst, reweight(inst, _seeded_spec(inst, random.Random(name)))):
         alg = source.algebra
-        assert source.verified and alg.verified and source in core._VERIFIED
+        assert source.verified and alg.verified and source in core._VERIFIED.values()
         for operators, weights in _one_entry_perturbations(source):
             latched = check_mrb_identity(MrbAlgebraInstance(alg, operators, weights))
             with monkeypatch.context() as patch:
-                patch.setattr(core, "_VERIFIED", weakref.WeakSet())
+                patch.setattr(core, "_VERIFIED", weakref.WeakValueDictionary())
                 algebra = AlgebraPresentation(alg.dim, alg.basis_labels,
                                               alg.structure_constants, alg.unit)
                 fresh = check_mrb_identity(MrbAlgebraInstance(algebra, operators, weights))
@@ -315,13 +315,36 @@ def test_an_instance_equal_to_a_collected_one_is_checked_in_full(monkeypatch):
     first = build()
     assert check_mrb_identity(first).ok and len(calls) == 1
     twin = build()
-    assert not twin.verified and twin in core._VERIFIED
+    assert not twin.verified and twin in core._VERIFIED.values()
     assert check_mrb_identity(twin).ok and twin.verified and len(calls) == 1
     del first, twin
     gc.collect()
     again = build()
-    assert again not in core._VERIFIED
+    assert again not in core._VERIFIED.values()
     assert check_mrb_identity(again).ok and again.verified and len(calls) == 2
+
+
+def test_a_check_hashes_the_instance_once_and_a_shared_hash_decides_nothing(monkeypatch):
+    # every instance gets one hash, so a verified instance and a failing one
+    # collide in the record; only equality lets a recorded verdict through
+    hashes = []
+
+    def one_hash(inst):
+        hashes.append(inst)
+        return 0
+
+    source = scaled_projection((1,))
+    monkeypatch.setattr(MrbAlgebraInstance, "__hash__", one_hash)
+    monkeypatch.setattr(core, "_VERIFIED", weakref.WeakValueDictionary())
+    passing = MrbAlgebraInstance(source.algebra, source.operators, source.weights)
+    assert check_mrb_identity(passing).ok and hashes == [passing]
+    twin = MrbAlgebraInstance(source.algebra, source.operators, source.weights)
+    assert check_mrb_identity(twin).ok and hashes == [passing, twin]
+    shifted = WeightFamily(source.omega, (source.weights.values[0] + 1,))
+    failing = MrbAlgebraInstance(source.algebra, source.operators, shifted)
+    assert not check_mrb_identity(failing).ok and not failing.verified
+    assert hashes == [passing, twin, failing]
+    assert check_mrb_identity(passing).ok and len(hashes) == 3
 
 
 def test_reweight_closure_random_specs(instances):
