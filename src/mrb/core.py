@@ -498,10 +498,15 @@ def catalog_instance(name: str) -> MrbAlgebraInstance:
     if not m:
         raise KeyError(f"unknown catalog instance {name!r}")
     kind, argtext = m.groups()
-    args = [a.strip() for a in argtext.split(",") if a.strip()]
+    args = [a.strip() for a in argtext.split(",")] if argtext.strip() else []
+    if "" in args:
+        raise ValueError(f"empty argument in {name.strip()!r}")
     if kind == "trivial":
         if len(args) != 2:
             raise ValueError(f"trivial expects 2 arguments, as in trivial(d,s); got {len(args)}")
+        for a in args:  # ASCII digits; a minus sign gets the negative-count message
+            if not (a.isascii() and a.removeprefix("-").isdigit()):
+                raise ValueError(f"trivial takes decimal integers d and s; got {a!r}")
         d, s = (int(a) for a in args)
         if d < 0:
             raise ValueError(f"trivial({d},{s}) asks for a negative dimension")
@@ -614,10 +619,18 @@ def instance_to_json(inst: MrbAlgebraInstance) -> dict:
     }
 
 
+def _dim_from_json(doc: Mapping) -> int:
+    """doc's ``dim``, which must be a JSON integer; a bool is not one."""
+    dim = doc["dim"]
+    if type(dim) is not int:
+        raise TypeError(f"dim must be a JSON integer; got {dim!r}")
+    return dim
+
+
 def instance_from_json(doc: Mapping) -> MrbAlgebraInstance:
     try:
         alg = AlgebraPresentation(
-            dim=int(doc["dim"]),
+            dim=_dim_from_json(doc),
             basis_labels=tuple(str(x) for x in doc["basis"]),
             structure_constants=tuple(
                 tuple(vector(v) for v in row) for row in doc["structure_constants"]

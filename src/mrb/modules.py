@@ -34,6 +34,7 @@ from .core import (
     _axiom_violations,
     _combination,
     _combine,
+    _dim_from_json,
     _integer_blocks,
     _matrix_from_json,
     _matrix_to_json,
@@ -617,7 +618,7 @@ def _part_from_json(doc: Mapping, side: str, prefix: str = "") -> FdLeftModule:
     """The module of the given side in doc's fields under prefix."""
     inst = _require_verified(load_instance(doc[prefix + "instance"]), prefix + "instance")
     return _module_class(side)(
-        inst, int(doc["dim"]),
+        inst, _dim_from_json(doc),
         tuple(tuple(vector(v) for v in block) for block in doc[prefix + "action"]),
         tuple(_matrix_from_json(doc[prefix + "operators"][w]) for w in inst.omega))
 

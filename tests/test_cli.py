@@ -308,6 +308,19 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
     bad_matrix.write_text(json.dumps({"source": regular, "target": regular, "matrix": 5}))
     bad_dim = tmp_path / "bad_dim.json"
     bad_dim.write_text(json.dumps({"action": [], "dim": "x", "instance": "scaled_projection(1,2)"}))
+    # a dim that is not a JSON integer, in a module and in an instance
+    # document; int() would read each as the true dimension
+    upper = json.loads((GOLDEN / "inputs" / "upper_triangular.json").read_text())
+    bad_dims = []
+    for k, (module_dim, instance_dim) in enumerate(((2.9, 3.7), (True, True), ("2", "3"))):
+        mod, inst = tmp_path / f"dim_module{k}.json", tmp_path / f"dim_instance{k}.json"
+        mod.write_text(json.dumps({**regular, "dim": module_dim}))
+        inst.write_text(json.dumps({**upper, "dim": instance_dim}))
+        bad_dims += [
+            (["check-module", str(mod)],
+             f"malformed module document {mod}: dim must be a JSON integer; got {module_dim!r}"),
+            (["check-algebra", str(inst)],
+             f"malformed instance document: dim must be a JSON integer; got {instance_dim!r}")]
     bad_action = tmp_path / "bad_action.json"
     bad_action.write_text(json.dumps({**regular, "action": 5}))
     bad_source = tmp_path / "bad_source.json"
@@ -356,7 +369,8 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
         (["lift", str(bad_matrix), str(bad_matrix)],
          f"malformed hom document {bad_matrix}: matrix must be a JSON array of rows"),
         (["reweight", str(bad_dim), '{"1": {"1": "1"}}'],
-         f"malformed module document {bad_dim}: invalid literal for int() with base 10: 'x'"),
+         f"malformed module document {bad_dim}: dim must be a JSON integer; got 'x'"),
+        *bad_dims,
         (["quotient", "inputs/regular_left_sp12.json", '[["a", 1]]'],
          "malformed relations: not a rational literal: 'a'"),
         (["quotient", "inputs/regular_left_sp12.json", "[[0.5, 1]]"],
@@ -434,6 +448,16 @@ def test_input_errors_exit_2_with_json_error(tmp_path):
          "trivial expects 2 arguments, as in trivial(d,s); got 1"),
         (["check-algebra", "trivial(1,2,3)"],
          "trivial expects 2 arguments, as in trivial(d,s); got 3"),
+        (["check-algebra", "scaled_projection(1,,2)"],
+         "empty argument in 'scaled_projection(1,,2)'"),
+        (["check-algebra", "trivial(,2,1)"],
+         "empty argument in 'trivial(,2,1)'"),
+        (["check-algebra", "scaled_projection(1,2,)"],
+         "empty argument in 'scaled_projection(1,2,)'"),
+        (["check-algebra", "scaled_projection()"],
+         "coefficient list must be nonempty"),
+        (["check-algebra", "trivial(1_0,1)"],
+         "trivial takes decimal integers d and s; got '1_0'"),
         (["check-algebra", "trivial(1,-2)"],
          "trivial(1,-2) asks for a negative number of labels"),
         (["check-algebra", "trivial(2000,1)"],

@@ -91,7 +91,7 @@ def test_tensor_regular_pair_dimension_two(reg_r, reg):
 def test_bilinearity_names_every_relation_a_projection_fails_to_kill(reg_r, reg):
     # the identity as project, every column free: each nonzero relation of
     # the regular pair is a balancing violation whose residual is the
-    # relation itself; the additive families hold, as zeta is linear
+    # relation itself
     t = tensor_product(reg_r, reg)
     unquotiented = TensorSpace(reg_r, reg, QuotientSpace(4, 4, Matrix.identity(4), (0, 1, 2, 3)),
                                t.relations)
@@ -152,6 +152,45 @@ def test_relations_are_kronecker_columns_in_a_permuted_basis(instances, permuted
     random.Random(6).shuffle(perm)
     m, n = permuted(two, perm), regular_left_module(inst)
     assert _dense_relations(tensor_product(m, n)) == _kron_relations(m, n)
+
+
+def test_bilinearity_matches_dense_projection_of_each_relation(instances):
+    # a random rational project in place of the quotient's: the report must
+    # name exactly the relations whose dense image under project.apply is
+    # nonzero, with that image as the residual
+    rng = random.Random(11)
+    named = killed = 0
+    for inst in instances.values():
+        t = tensor_product(regular_right_module(inst), regular_left_module(inst))
+        rows = rng.randint(1, 3)
+        project = Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * rng.randint(0, 1)
+                           for _ in range(t.ambient_dim)] for _ in range(rows)])
+        skewed = TensorSpace(t.m_factor, t.n_factor,
+                             QuotientSpace(t.ambient_dim, rows, project, tuple(range(rows))),
+                             t.relations)
+        expected = [(i, img) for i, img in enumerate(map(project.apply, _dense_relations(t)))
+                    if any(img)]
+        rep = bilinearity_report(skewed)
+        assert [(v.kind, v.where, v.residual) for v in rep.violations] == [
+            ("balancing", (i,), img) for i, img in expected]
+        named += len(expected)
+        killed += len(t.relations) - len(expected)
+    assert named and killed
+
+
+def test_bilinearity_report_walks_only_the_relations(instances, monkeypatch):
+    # ambient 324: the report reads each relation's nonzeros, and projects
+    # no dense vector and no pure tensor
+    inst = instances["upper_triangular(1,2)"]
+    t = tensor_product(direct_sum([regular_right_module(inst)] * 6).module,
+                       direct_sum([regular_left_module(inst)] * 6).module)
+    assert t.ambient_dim == 324
+    calls = []
+    apply, zeta = Matrix.apply, TensorSpace.zeta
+    monkeypatch.setattr(Matrix, "apply", lambda *a: calls.append("apply") or apply(*a))
+    monkeypatch.setattr(TensorSpace, "zeta", lambda *a: calls.append("zeta") or zeta(*a))
+    assert bilinearity_report(t).ok
+    assert calls == []
 
 
 def test_tensor_requires_matching_instance(reg_r, triv22):
