@@ -28,18 +28,13 @@ import sys
 from pathlib import Path
 
 from . import core, modules, opring, parser as expr, tensor
-from .core import PreconditionError
+from .core import PreconditionError, _field, _message
 from .linalg import Matrix, Subspace, frac
 from .modules import ArgumentError, ClosureViolationError
 
 
 class InputError(ValueError):
     pass
-
-
-def _message(exc: Exception) -> str:
-    # str() of a KeyError is the repr of its message
-    return str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
 
 
 def _load_json(where: str, text: str | None = None):
@@ -92,7 +87,7 @@ def _module(*sides: str):
         try:
             mod = modules.module_from_json(doc)
         except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed module document {path}: {exc}")
+            raise InputError(f"malformed module document {path}: {_message(exc)}")
         if sides and mod.side not in sides:
             expected = " or ".join(_SIDE_NAMES[s] for s in sides)
             raise InputError(f"{path} holds {_SIDE_NAMES[mod.side]}; expected {expected}")
@@ -112,14 +107,14 @@ def _hom_document(path: str) -> modules.ModuleHom:
     if not isinstance(doc, dict):
         raise InputError(f"malformed hom document {path}: not a JSON object")
     try:
-        source = modules.module_from_json(doc["source"])
-        target = modules.module_from_json(doc["target"])
-        rows = doc["matrix"]
+        source = modules.module_from_json(_field(doc, "source"))
+        target = modules.module_from_json(_field(doc, "target"))
+        rows = _field(doc, "matrix")
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError("matrix must be a JSON array of rows")
         return modules.module_hom(source, target, core._matrix_from_json(rows))
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed hom document {path}: {exc}")
+        raise InputError(f"malformed hom document {path}: {_message(exc)}")
 
 
 def _max_qdegree(text: str) -> int:

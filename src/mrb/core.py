@@ -619,9 +619,23 @@ def instance_to_json(inst: MrbAlgebraInstance) -> dict:
     }
 
 
+def _message(exc: Exception) -> str:
+    """exc's message, shown once: str() of a KeyError is the repr of its
+    argument."""
+    return str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
+
+
+def _field(doc: Mapping, key: str, what: str = "field"):
+    """doc[key]; a key doc lacks is a KeyError whose message names it."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise KeyError(f"missing {what} {key!r}") from None
+
+
 def _dim_from_json(doc: Mapping) -> int:
     """doc's ``dim``, which must be a JSON integer; a bool is not one."""
-    dim = doc["dim"]
+    dim = _field(doc, "dim")
     if type(dim) is not int:
         raise TypeError(f"dim must be a JSON integer; got {dim!r}")
     return dim
@@ -631,17 +645,19 @@ def instance_from_json(doc: Mapping) -> MrbAlgebraInstance:
     try:
         alg = AlgebraPresentation(
             dim=_dim_from_json(doc),
-            basis_labels=tuple(str(x) for x in doc["basis"]),
+            basis_labels=tuple(str(x) for x in _field(doc, "basis")),
             structure_constants=tuple(
-                tuple(vector(v) for v in row) for row in doc["structure_constants"]
+                tuple(vector(v) for v in row) for row in _field(doc, "structure_constants")
             ),
-            unit=vector(doc["unit"]),
+            unit=vector(_field(doc, "unit")),
         )
-        omega = tuple(str(w) for w in doc["omega"])
-        ops = OperatorFamily(omega, tuple(_matrix_from_json(doc["operators"][w]) for w in omega))
-        weights = WeightFamily(omega, tuple(frac(doc["weights"][w]) for w in omega))
+        omega = tuple(str(w) for w in _field(doc, "omega"))
+        ops = OperatorFamily(omega, tuple(
+            _matrix_from_json(_field(_field(doc, "operators"), w, "operator")) for w in omega))
+        weights = WeightFamily(omega, tuple(frac(_field(_field(doc, "weights"), w, "weight"))
+                                            for w in omega))
     except (KeyError, TypeError) as exc:
-        raise MalformedPresentationError(f"malformed instance document: {exc}") from exc
+        raise MalformedPresentationError(f"malformed instance document: {_message(exc)}") from exc
     return MrbAlgebraInstance(alg, ops, weights)
 
 

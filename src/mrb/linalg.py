@@ -15,10 +15,12 @@ package computes itself are taken as they are.
 
 Linear systems that are sparse by construction never pass through a dense
 row.  :func:`kron_difference_rows` builds the rows of a Kronecker difference
-x (x) I - I (x) y as ``{column: Fraction}`` dicts from the nonzeros of x and
-y, and :func:`_kernel` reads the free columns and the kernel basis straight
-off the engine's reduced rows; it serves :meth:`Matrix.nullspace_basis` and
-:func:`quotient_space` alike.
+x (x) I - I (x) y as ``{column: entry}`` dicts from the nonzeros of x and y;
+the Hom and tensor systems build them in integers from integer tables, with
+the columns numbered from the right, and the engine takes them as they are,
+clearing no row.  :func:`_kernel` reads the free columns and the kernel
+basis straight off the engine's reduced rows, for those systems,
+:meth:`Matrix.nullspace_basis` and :func:`quotient_space` alike.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import attrgetter
 from reprlib import recursive_repr
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -372,9 +374,10 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices, read off
-        :func:`_reduced_from_right`: one row per pivot, leftmost first."""
+        the engine's reduced rows of :func:`_from_right`: one row per pivot,
+        leftmost first."""
         last = self.cols - 1
-        reduced = _reduced_from_right(self._sparse_rows(), self.cols)
+        reduced = _reduced(_from_right(self._sparse_rows(), self.cols))
         leads = sorted(reduced, reverse=True)
         rows = [[_ZERO] * self.cols for _ in range(self.rows)]
         for out, lead in zip(rows, leads):
@@ -506,23 +509,30 @@ def quotient_space(ambient_dim: int,
             raise ValueError("relation vector has wrong length")
         else:
             rows.append(dict(enumerate(vector(r))))
-    free, kernel = _kernel(rows, ambient_dim)
-    project = Matrix._shaped(kernel, len(kernel), ambient_dim)
-    return QuotientSpace(ambient_dim, len(free), project, tuple(free))
+    return _quotient_from_right(_from_right(rows, ambient_dim), ambient_dim)
 
 
-def kron_difference_rows(x: Matrix, y: Matrix) -> list[dict[int, Fraction]]:
-    """The rows of x (x) I_q - I_p (x) y for x of shape p x p and y of shape
-    q x q, as {column: Fraction} dicts of nonzeros built from the nonzeros
-    of x and y.  Row i * q + k holds x[i][j] at column j * q + k and
-    -y[k][l] at column i * q + l; the two meet only on the diagonal."""
-    q = y.rows
-    xs = [[(j * q, a) for j, a in enumerate(row) if a] for row in x.entries]
-    ys = [[(l, -b) for l, b in enumerate(row) if b] for row in y.entries]
-    ydiag = [row[k] for k, row in enumerate(y.entries)]
+def _quotient_from_right(rows: Iterable[dict[int, int]], ambient_dim: int) -> QuotientSpace:
+    """:func:`quotient_space` of integer rows numbered from the right."""
+    free, kernel = _kernel_from_right(rows, ambient_dim)
+    return QuotientSpace(ambient_dim, len(free), Matrix._shaped(kernel, len(kernel), ambient_dim),
+                         tuple(free))
+
+
+def kron_difference_rows(x, y) -> list[dict]:
+    """The rows of x (x) I_q - I_p (x) y for x p x p and y q x q, each a
+    Matrix or a table of int rows, as {column: entry} dicts built from the
+    nonzeros of x and y, whatever their type.  Row i * q + k holds x[i][j]
+    at column j * q + k and -y[k][l] at column i * q + l; the two meet only
+    on the diagonal."""
+    x, y = (m.entries if isinstance(m, Matrix) else m for m in (x, y))
+    q = len(y)
+    xs = [[(j * q, a) for j, a in enumerate(row) if a] for row in x]
+    ys = [[(l, -b) for l, b in enumerate(row) if b] for row in y]
+    ydiag = [row[k] for k, row in enumerate(y)]
     rows = []
     for i, xi in enumerate(xs):
-        base, xii = i * q, x.entries[i][i]
+        base, xii = i * q, x[i][i]
         for k, yk in enumerate(ys):
             row = {jq + k: a for jq, a in xi}
             row.update((base + l, b) for l, b in yk)
@@ -538,23 +548,49 @@ def kron_difference_rows(x: Matrix, y: Matrix) -> list[dict[int, Fraction]]:
     return rows
 
 
-def _reduced_from_right(rows: Iterable[dict[int, Fraction]], cols: int) -> dict[int, dict[int, Fraction]]:
-    """The reduced rows of the span of sparse rows, with column c numbered
-    cols - 1 - c: the engine's largest-column pivot is then the leftmost
-    one, and its interreduced basis is the RREF."""
+def _kron_rows_from_right(pairs: Iterable[tuple[Sequence, Sequence]], sx: int,
+                          sy: int) -> list[dict[int, int]]:
+    """The rows of (sx x) (x) I - I (x) (sy y) over the pairs (x, y) of
+    square integer tables, in order, with column c numbered p q - 1 - c:
+    turning both factors, J x J and J y J for the reversal J, reverses the
+    columns and the row order of :func:`kron_difference_rows`."""
+    rows = []
+    for pair in pairs:
+        x, y = ([row[::-1] if s == 1 else [s * v for v in reversed(row)] for row in reversed(t)]
+                for t, s in zip(pair, (sx, sy)))
+        rows += reversed(kron_difference_rows(x, y))
+    return rows
+
+
+def _from_right(rows: Iterable[dict], cols: int) -> Iterator[dict[int, int]]:
+    """Each row as an integer row with column c numbered cols - 1 - c: the
+    engine's largest-column pivot is then the leftmost one, and its
+    interreduced basis is the RREF."""
     last = cols - 1
+    return (_integer_row({last - c: a for c, a in row.items()}) for row in rows)
+
+
+def _reduced(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, Fraction]]:
+    """The reduced rows of the span of integer rows with no zero entry,
+    which the engine consumes."""
     space = SparseRowSpace()
     for row in rows:
-        space.add({last - c: a for c, a in row.items()})
+        space._add(row)
     return space.reduced_rows()
 
 
-def _kernel(rows: Iterable[dict[int, Fraction]], cols: int) -> tuple[list[int], tuple[Vector, ...]]:
+def _kernel(rows: Iterable[dict], cols: int) -> tuple[list[int], tuple[Vector, ...]]:
     """The free columns of the RREF of the sparse rows and, for each, the
     kernel vector that is 1 there, 0 at the other free columns, and minus
-    that column of the RREF at the pivots, read off the reduced rows."""
+    that column of the RREF at the pivots."""
+    return _kernel_from_right(_from_right(rows, cols), cols)
+
+
+def _kernel_from_right(rows: Iterable[dict[int, int]], cols: int) -> tuple[list[int], tuple[Vector, ...]]:
+    """:func:`_kernel` of integer rows numbered from the right, read off the
+    engine's reduced rows."""
     last = cols - 1
-    reduced = _reduced_from_right(rows, cols)
+    reduced = _reduced(rows)
     free = [j for j in range(cols) if last - j not in reduced]
     kernel = {f: list(unit_vector(cols, f)) for f in free}
     for lead, row in reduced.items():
@@ -606,21 +642,31 @@ def _eliminate(row: dict[int, int], col: int, pivot: dict[int, int]) -> dict[int
     return row
 
 
+def _integer_row(row: dict) -> dict[int, int]:
+    """A new integer row of row's nonzeros: ints as they are, a row with a
+    Fraction cleared once (:func:`_cleared`)."""
+    if all(type(v) is int for v in row.values()):
+        return {c: v for c, v in row.items() if v}
+    return {c: n for c, n in _cleared(row.items())[1] if n}
+
+
 class SparseRowSpace:
     """Incremental echelon form over sparse rational rows, eliminated in
     integers.
 
-    Rows are dicts mapping column index to an int or a Fraction; a row of
-    Fractions is cleared to integers once, on entry.  Each pivot row is kept
-    as a primitive integer row (the gcd of its entries removed) with a
+    Rows are dicts mapping column index to an int or a Fraction.  A row of
+    ints is taken as it is, and a row with a Fraction is cleared to integers
+    once, on entry; the caller's dict is never changed.  Each pivot row is
+    kept as a primitive integer row (the gcd of its entries removed) with a
     positive leading entry, and a row is reduced against pivot p by
     row <- (p_lead/g) row - (row_lead/g) p, with no division (Bareiss, Math.
     Comp. 22, 1968).  The pivot of a row is its largest column index, so
     when columns are ordered by word degree the elimination mirrors
     degree-lowering rewriting and fill-in stays small.  Only
     :meth:`reduced_rows` divides.  It is the package's one elimination
-    engine: the truncated ideal spans use it directly, :meth:`Matrix.rref`
-    with columns reversed.
+    engine: the truncated ideal spans use it directly, :meth:`Matrix.rref`,
+    the kernel read-off and the Hom and tensor systems with columns
+    reversed, the last two with the integer Kronecker rows they are built as.
     """
 
     def __init__(self):
@@ -638,7 +684,10 @@ class SparseRowSpace:
         """The remainder of row against the pivots, as an integer row: a
         nonzero multiple of the rational remainder, or empty when row lies
         in the span."""
-        row = {c: n for c, n in _cleared(row.items())[1] if n}
+        return self._reduce(_integer_row(row))
+
+    def _reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """:meth:`reduce` of an integer row of nonzeros, which it consumes."""
         while row:
             lead = max(row)
             pivot = self._pivots.get(lead)
@@ -649,7 +698,11 @@ class SparseRowSpace:
 
     def add(self, row: dict) -> bool:
         """Insert a row; returns True if it enlarged the span."""
-        row = self.reduce(row)
+        return self._add(_integer_row(row))
+
+    def _add(self, row: dict[int, int]) -> bool:
+        """:meth:`add` of an integer row of nonzeros, which it consumes."""
+        row = self._reduce(row)
         if not row:
             return False
         lead = max(row)

@@ -35,6 +35,7 @@ from .core import (
     _combination,
     _combine,
     _dim_from_json,
+    _field,
     _integer_blocks,
     _matrix_from_json,
     _matrix_to_json,
@@ -51,9 +52,9 @@ from .linalg import (
     Vector,
     _frozen,
     _int_product,
-    _kernel,
+    _kernel_from_right,
+    _kron_rows_from_right,
     format_rational,
-    kron_difference_rows,
     quotient_space,
     vector,
 )
@@ -104,6 +105,13 @@ class FdLeftModule:
         the operators; built on first use and kept out of equality and hash."""
         return (*(Matrix.from_cols(block, rows=self.dim) for block in self.action),
                 *self.operators)
+
+    @cached_property
+    def integer_maps(self) -> tuple[int, list[list[list[int]]]]:
+        """D, the lcm of the denominators of ``maps``, and each map times D
+        as int rows, which the Hom and tensor systems are built from; cleared
+        on first use and, like ``maps``, kept out of equality and hash."""
+        return _integer_blocks([m.entries for m in self.maps])
 
     @property
     def tables(self) -> tuple[Matrix, ...]:
@@ -472,17 +480,21 @@ def restricted_lift(free: FdLeftModule, images: Sequence[Sequence],
 # Hom spaces
 # ---------------------------------------------------------------------------
 
-def _intertwiner_space(ns: int, nt: int, src_pairs, dst_pairs) -> tuple[Matrix, ...]:
-    """Basis of {f : f A = B f for each paired (A, B)}, f of shape nt x ns.
+def _intertwiner_space(src: FdLeftModule, dst: FdLeftModule) -> tuple[Matrix, ...]:
+    """Basis of {f : f A = B f for each paired (A, B)} of src's and dst's
+    structure maps, f of shape dst.dim x src.dim.
 
     With f flattened row by row, B f - f A is (B (x) I - I (x) A^T) f, so
-    the equations are the sparse rows of these Kronecker differences, pair
-    by pair, and the basis is the kernel read off their one elimination.
+    the equations are the rows of these Kronecker differences, pair by pair,
+    and the basis is the kernel read off their one elimination.  The rows
+    are D_A D_B times these, for the integer maps of src over D_A and of dst
+    over D_B, with their columns numbered from the right for the engine.
     """
-    rows = [row for a, b in zip(src_pairs, dst_pairs)
-            for row in kron_difference_rows(b, a.transpose())]
+    ns, nt = src.dim, dst.dim
+    (d_a, a_maps), (d_b, b_maps) = src.integer_maps, dst.integer_maps
+    rows = _kron_rows_from_right(zip(b_maps, (tuple(zip(*a)) for a in a_maps)), d_a, d_b)
     return tuple(Matrix._shaped([v[i * ns:(i + 1) * ns] for i in range(nt)], nt, ns)
-                 for v in _kernel(rows, nt * ns)[1])
+                 for v in _kernel_from_right(rows, nt * ns)[1])
 
 
 def hom_space(src: FdLeftModule | FdRightModule, dst: FdLeftModule | FdRightModule) -> tuple[Matrix, ...]:
@@ -491,7 +503,7 @@ def hom_space(src: FdLeftModule | FdRightModule, dst: FdLeftModule | FdRightModu
         raise ArgumentError("hom space requires modules of the same side")
     if src.inst != dst.inst:
         raise ArgumentError("hom space requires modules over the same instance")
-    return _intertwiner_space(src.dim, dst.dim, src.maps, dst.maps)
+    return _intertwiner_space(src, dst)
 
 
 def hom_subspace(src, dst) -> Subspace:
@@ -616,11 +628,12 @@ def module_to_json(mod: FdLeftModule | FdRightModule | FdBimodule) -> dict:
 
 def _part_from_json(doc: Mapping, side: str, prefix: str = "") -> FdLeftModule:
     """The module of the given side in doc's fields under prefix."""
-    inst = _require_verified(load_instance(doc[prefix + "instance"]), prefix + "instance")
+    inst = _require_verified(load_instance(_field(doc, prefix + "instance")), prefix + "instance")
     return _module_class(side)(
         inst, _dim_from_json(doc),
-        tuple(tuple(vector(v) for v in block) for block in doc[prefix + "action"]),
-        tuple(_matrix_from_json(doc[prefix + "operators"][w]) for w in inst.omega))
+        tuple(tuple(vector(v) for v in block) for block in _field(doc, prefix + "action")),
+        tuple(_matrix_from_json(_field(_field(doc, prefix + "operators"), w, "operator"))
+              for w in inst.omega))
 
 
 def module_from_json(doc: Mapping) -> FdLeftModule | FdRightModule | FdBimodule:

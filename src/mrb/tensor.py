@@ -36,8 +36,8 @@ from .linalg import (
     QuotientSpace,
     Vector,
     _frozen,
-    kron_difference_rows,
-    quotient_space,
+    _kron_rows_from_right,
+    _quotient_from_right,
     vector,
 )
 from .modules import (
@@ -91,16 +91,23 @@ def tensor_product(m: FdRightModule, n: FdLeftModule) -> TensorSpace:
     For each pair (A, B) -- the actions of the basis elements in basis order,
     then the operators label by label -- and each basis pair (p, q), the
     relation is (A e_p) (x) e_q - e_p (x) (B e_q): row (p, q) of the
-    Kronecker difference A^T (x) I - I (x) B^T, built sparse from the
-    nonzeros of A and B and eliminated once.
+    Kronecker difference A^T (x) I - I (x) B^T.  It is eliminated once as
+    D_A D_B times these rows, for the integer maps of m over D_A and of n
+    over D_B, with the columns numbered from the right for the engine; the
+    relations are those rows over D_A D_B, one Fraction per distinct value.
     """
     if m.inst != n.inst:
         raise ArgumentError("tensor factors must live over the same instance")
     if m.side != "right" or n.side != "left":
         raise ArgumentError("tensor_product takes a right module and a left module")
-    relations = tuple(row for a, b in zip(m.maps, n.maps)
-                      for row in kron_difference_rows(a.transpose(), b.transpose()))
-    return TensorSpace(m, n, quotient_space(m.dim * n.dim, relations), relations)
+    (d_a, a_maps), (d_b, b_maps) = m.integer_maps, n.integer_maps
+    rows = _kron_rows_from_right(((tuple(zip(*a)), tuple(zip(*b))) for a, b in zip(a_maps, b_maps)),
+                                 d_b, d_a)
+    den, last = d_a * d_b, m.dim * n.dim - 1
+    value = {v: Fraction(v, den) for v in {v for row in rows for v in row.values()}}
+    # the relations are read first: the engine consumes the rows
+    relations = tuple({last - c: value[v] for c, v in row.items()} for row in rows)
+    return TensorSpace(m, n, _quotient_from_right(rows, m.dim * n.dim), relations)
 
 
 def bilinearity_report(t: TensorSpace) -> CheckReport:

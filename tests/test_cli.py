@@ -870,9 +870,58 @@ def test_json_text_as_a_module_documents_instance_is_an_unknown_catalog_name(tmp
     path.write_text(json.dumps({**doc, "instance": text}))
     code, out = run_cli(["check-module", str(path)])
     assert code == 2
-    # the loader reports str() of the KeyError, the repr of its message
-    unknown = KeyError(f"unknown catalog instance {text!r}")
-    assert json.loads(out)["error"] == f"malformed module document {path}: {unknown}"
+    # the catalog's message, shown once and unquoted
+    assert json.loads(out)["error"] == (f"malformed module document {path}: "
+                                        f"unknown catalog instance {text!r}")
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _report(argv):
+    code, out = run_cli(argv)
+    return code, json.loads(out)
+
+
+def test_the_module_reader_names_a_missing_field_and_quotes_a_message_once(tmp_path):
+    doc = json.loads((GOLDEN / "inputs" / "regular_left_sp12.json").read_text())
+    cases = [({**doc, "instance": "foo(1)"}, "unknown catalog instance 'foo(1)'"),
+             (_without(doc, "action"), "missing field 'action'"),
+             (_without(doc, "instance"), "missing field 'instance'"),
+             ({**doc, "operators": {"1": doc["operators"]["1"]}}, "missing operator '2'")]
+    for k, (bad, message) in enumerate(cases):
+        path = tmp_path / f"module{k}.json"
+        path.write_text(json.dumps(bad))
+        assert _report(["check-module", str(path)]) == (
+            2, {"command": "check-module", "error": f"malformed module document {path}: {message}"})
+
+
+def test_the_hom_reader_names_a_missing_field(tmp_path):
+    regular = json.loads((GOLDEN / "inputs" / "regular_right_sp12.json").read_text())
+    hom = {"source": regular, "target": regular, "matrix": [["1", "0"], ["0", "1"]]}
+    for field in ("source", "target", "matrix"):
+        path = tmp_path / f"no_{field}.json"
+        path.write_text(json.dumps(_without(hom, field)))
+        assert _report(["lift", str(path), str(path)]) == (
+            2, {"command": "lift",
+                "error": f"malformed hom document {path}: missing field {field!r}"})
+
+
+def test_the_instance_reader_names_a_missing_field(tmp_path):
+    doc = json.loads((GOLDEN / "inputs" / "upper_triangular.json").read_text())
+    cases = [(_without(doc, "basis"), "missing field 'basis'"),
+             (_without(doc, "dim"), "missing field 'dim'"),
+             ({**doc, "operators": {}}, f"missing operator {doc['omega'][0]!r}"),
+             ({**doc, "weights": {}}, f"missing weight {doc['omega'][0]!r}")]
+    for k, (bad, message) in enumerate(cases):
+        path = tmp_path / f"instance{k}.json"
+        path.write_text(json.dumps(bad))
+        assert _report(["check-algebra", str(path)]) == (
+            2, {"command": "check-algebra", "error": f"malformed instance document: {message}"})
+    # a document with no labels reads no operator or weight table
+    assert core.instance_from_json(_without(_without({**doc, "omega": []}, "operators"),
+                                            "weights")).omega == ()
 
 
 def test_a_restricted_free_module_past_the_budget_is_an_input_error():

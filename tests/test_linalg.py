@@ -387,6 +387,24 @@ def test_sparse_row_space_matches_the_fraction_reference(rows, probe):
     assert ours.contains(probe) == ref.contains(probe) == (not theirs)
 
 
+def test_reduce_clears_no_integer_row(monkeypatch):
+    import mrb.linalg as linalg
+    cleared = []
+    monkeypatch.setattr(linalg, "_cleared", lambda pairs, f=linalg._cleared:
+                        cleared.append(dict(pairs)) or f(pairs))
+    rs = SparseRowSpace()
+    ints = [{0: 2, 3: -4}, {1: 3, 3: 0}, {0: 1, 1: 1, 2: 5}]
+    kept = [dict(row) for row in ints]
+    assert [rs.add(row) for row in ints] == [True, True, True]
+    assert rs.reduce({0: 6, 3: -12}) == {} and rs.contains({1: 6})
+    assert not rs.contains({4: 1}) and rs.reduce({0: 0, 4: 7}) == {4: 7}
+    # integer rows are taken as they are, and the caller's dicts kept
+    assert cleared == [] and ints == kept
+    # a row with a Fraction is cleared once, on entry
+    assert rs.contains({0: Fraction(1, 2), 3: -1})
+    assert cleared == [{0: Fraction(1, 2), 3: -1}]
+
+
 def test_integer_pivot_is_inverted_exactly():
     rs = SparseRowSpace()
     rs.add({0: 1, 1: 3})

@@ -823,6 +823,21 @@ def test_each_module_builds_its_structure_maps_once(map_builds, sp12_regular_doc
     assert Counter(map(id, map_builds)) == {id(left): 1, id(right): 1}
 
 
+def test_a_repeated_hom_space_clears_the_maps_once(instances, monkeypatch):
+    # the Hom system is built from the integer maps each module clears once,
+    # whatever the number of its rows, and the engine clears no row of it
+    from mrb import core, linalg
+    mod = direct_sum([regular_left_module(instances["upper_triangular(1,2)"])] * 4).module
+    cleared = []
+    for where in (core, linalg):
+        monkeypatch.setattr(where, "_cleared", lambda pairs, f=where._cleared:
+                            cleared.append(len(pairs)) or f(pairs))
+    bases = [hom_space(mod, mod) for _ in range(3)]
+    assert len(bases[0]) == 32 and bases[0] == bases[1] == bases[2]
+    # one clearing of the 5 structure maps, 12 x 12 each, for 3 x 720 rows
+    assert cleared == [5 * 12 * 12]
+
+
 def test_from_maps_inverts_maps(instances, sp12, reg, reg_r):
     ut = instances["upper_triangular(1,2)"]
     bm = regular_bimodule(sp12)

@@ -4,8 +4,21 @@ from fractions import Fraction
 import pytest
 
 from mrb import modules, tensor
-from mrb.core import check_mrb_identity, scaled_projection, trivial_instance
-from mrb.linalg import Matrix, QuotientSpace, Subspace
+from mrb.core import (
+    ReweightSpec,
+    catalog_instance,
+    check_mrb_identity,
+    scaled_projection,
+    trivial_instance,
+)
+from mrb.linalg import (
+    Matrix,
+    QuotientSpace,
+    Subspace,
+    _kernel,
+    kron_difference_rows,
+    quotient_space,
+)
 from mrb.modules import (
     FdLeftModule,
     FdRightModule,
@@ -21,6 +34,7 @@ from mrb.modules import (
     regular_left_module,
     regular_right_module,
     restricted_free,
+    reweight_module,
     zero_module,
 )
 from mrb.tensor import (
@@ -152,6 +166,73 @@ def test_relations_are_kronecker_columns_in_a_permuted_basis(instances, permuted
     random.Random(6).shuffle(perm)
     m, n = permuted(two, perm), regular_left_module(inst)
     assert _dense_relations(tensor_product(m, n)) == _kron_relations(m, n)
+
+
+# reweightings whose structure maps clear to D = 6 and D = 12 on
+# scaled_projection(1,2) and upper_triangular(1,2), and to 3 and 6 on
+# scaled_projection(2,3,5)
+FRACTIONAL_SPECS = [lambda om: {"a": {w: "1/2" for w in om}, "b": {om[-1]: "1/3"}},
+                    lambda om: {"a": {om[0]: "1/4"}, "b": {om[-1]: "-2/3"}}]
+
+
+def _rebased(mod, c):
+    """mod in the basis v_0, ..., v_(n-2), v_(n-1) + c v_0: each structure
+    map M becomes S^-1 M S for S = I + c E, E the matrix unit at (0, n - 1)."""
+    n, d = mod.dim, mod.inst.dim
+    e = Matrix([[c if (i, j) == (0, n - 1) else 0 for j in range(n)] for i in range(n)])
+    s, s_inv = Matrix.identity(n) + e, Matrix.identity(n) - e
+    maps = [s_inv @ m @ s for m in mod.maps]
+    return type(mod)(mod.inst, n, tuple(a.transpose().entries for a in maps[:d]), tuple(maps[d:]))
+
+
+def _fraction_hom_space(src, dst):
+    """hom_space by the per-row route: Kronecker rows of the Fraction maps,
+    each cleared on its own by the kernel read-off."""
+    ns, nt = src.dim, dst.dim
+    rows = [row for a, b in zip(src.maps, dst.maps)
+            for row in kron_difference_rows(b, a.transpose())]
+    return tuple(Matrix([v[i * ns:(i + 1) * ns] for i in range(nt)])
+                 for v in _kernel(rows, nt * ns)[1])
+
+
+def _fraction_tensor(m, n):
+    """The quotient and relations of tensor_product by the per-row route."""
+    relations = tuple(row for a, b in zip(m.maps, n.maps)
+                      for row in kron_difference_rows(a.transpose(), b.transpose()))
+    return quotient_space(m.dim * n.dim, relations), relations
+
+
+def test_integer_systems_match_the_fraction_route_off_denominator_one(permuted):
+    rng = random.Random(30)
+    dens = set()  # (D of M, D of N) of each pair
+    for name in ("scaled_projection(1,2)", "upper_triangular(1,2)", "scaled_projection(2,3,5)"):
+        inst = catalog_instance(name)
+        for spec in FRACTIONAL_SPECS:
+            spec = ReweightSpec.from_dict(spec(inst.omega))
+            sides = {}
+            for side, regular in (("left", regular_left_module), ("right", regular_right_module)):
+                reg_m = reweight_module(regular(inst), spec)
+                rebased = _rebased(reg_m, Fraction(1, 5))
+                two = direct_sum([reg_m, rebased]).module
+                perm = list(range(two.dim))
+                rng.shuffle(perm)
+                sides[side] = [reg_m, rebased, two, permuted(two, perm)]
+            for mods in (sides["left"], sides["right"]):
+                for src in mods:
+                    for dst in mods:
+                        dens.add((src.integer_maps[0], dst.integer_maps[0]))
+                        assert hom_space(src, dst) == _fraction_hom_space(src, dst)
+            for m in sides["right"]:
+                for n in sides["left"]:
+                    dens.add((m.integer_maps[0], n.integer_maps[0]))
+                    t = tensor_product(m, n)
+                    quotient, relations = _fraction_tensor(m, n)
+                    assert t.quotient == quotient and t.relations == relations
+                    assert all(type(v) is Fraction for rel in t.relations for v in rel.values())
+    # the cross-scaling runs on D = 6 and 12 and on pairs of unequal
+    # denominators above 1
+    assert {(6, 6), (12, 12)} <= dens
+    assert any(a != b and min(a, b) > 1 for a, b in dens)
 
 
 def test_bilinearity_matches_dense_projection_of_each_relation(instances):
